@@ -132,6 +132,11 @@ def count_subset_sum(weights: Sequence[int], target: int) -> int:
     h = split_point(len(ws))
     first = half_sums(ws[:h])
     second = half_sums(ws[h:])
+    # an unreachable target has no solutions; checking it after the half
+    # enumeration keeps the tally structural, and before the matching keeps
+    # target - key inside int64 on the numpy path
+    if not sum(w for w in ws if w < 0) <= target <= sum(w for w in ws if w > 0):
+        return 0
     table = HalfTable.from_multiplicities(second)
     if isinstance(first, np.ndarray) and isinstance(table.keys, np.ndarray):
         u1, c1 = np.unique(first, return_counts=True)

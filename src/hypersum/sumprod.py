@@ -1,17 +1,23 @@
 """Exact Sum-Products of gate products over the Boolean hypercube.
 
-Threshold and ReLU products are expanded into sums over tuples of
-exact-threshold targets, every tuple's conjunction is packed into a single
-subset-sum query against one shared weight vector, and all queries reuse the
-same pair of half-enumeration tables.  The packed base is chosen once per
-call, large enough for every tuple, so the expensive half enumeration happens
-once rather than per tuple.
+Threshold and ReLU products share one range-sum kernel.  Each gate is
+rescaled to integers and reduced to a row (weights, s, h, b): it accepts the
+sums <w, x> in [s, h] and there takes the value <w, x> + b (ReLU) or 1
+(threshold).  The gates' weight vectors are packed into one vector in a base
+B large enough that per-gate digits of any packed sum cannot interfere; the
+gate with the widest [s, h] sits at the lowest digit.  Both halves of the
+variables are enumerated once (split and list), and only the targets of the
+other gates are expanded into packed tuples U.  For a first-half key L and a
+tuple U, the matching second-half keys are exactly those in the interval
+[U - L + s, U - L + h] of the widest gate, so prefix sums over the sorted
+second-half keys turn the whole widest gate into two binary searches.  ReLU
+values need a second prefix sum, of count times the key's lowest digit.
+The evaluation runs on int64 arrays when every magnitude involved fits, and
+otherwise the same code runs on arrays of Python ints.
 """
 
 from __future__ import annotations
 
-import itertools
-from collections import Counter
 from fractions import Fraction
 from typing import Optional, Sequence, Union
 
@@ -28,16 +34,16 @@ from .gates import (
     normalize_integer,
 )
 from .mitm import count_subset_sum, half_sums, split_point
-from .transforms import (
-    DEFAULT_TERM_CAP,
-    collapse_ethr_conjunction,
-    thr_to_ethrs,
-)
+from .transforms import DEFAULT_TERM_CAP, collapse_ethr_conjunction
 
 DEFAULT_TUPLE_CAP = 10**7
 
 # numpy kernels must not overflow int64 partial results
 _INT64_BOUND = 1 << 62
+
+# (loop keys x upper tuples) elements evaluated at once; keeps the kernel's
+# temporaries at a few hundred kilobytes whatever the query size
+_CHUNK = 8192
 
 
 def _shared_n(gates: Sequence, n: Optional[int]) -> int:
@@ -52,85 +58,6 @@ def _shared_n(gates: Sequence, n: Optional[int]) -> int:
     if n is not None and n != size:
         raise ValueError(f"explicit n={n} disagrees with the gates")
     return size
-
-
-class _PairCounter:
-    """Split-and-list tables for one integer weight vector, queried many times.
-
-    count(t) returns |{x : <w, x> = t}|; the half enumerations and their
-    aggregation are done once at construction.
-    """
-
-    def __init__(self, weights: Sequence[int]) -> None:
-        ws = [int(w) for w in weights]
-        h = split_point(len(ws))
-        first = half_sums(ws[:h])
-        second = half_sums(ws[h:])
-        self.vector_mode = isinstance(first, np.ndarray) and isinstance(
-            second, np.ndarray
-        )
-        if self.vector_mode:
-            k1, c1 = np.unique(first, return_counts=True)
-            k2, c2 = np.unique(second, return_counts=True)
-            if len(k1) <= len(k2):
-                self.loop_keys, self.loop_counts = k1, c1
-                self.match_keys, self.match_counts = k2, c2
-            else:
-                self.loop_keys, self.loop_counts = k2, c2
-                self.match_keys, self.match_counts = k1, c1
-            self.max_match = int(self.match_counts.max())
-        else:
-            agg1 = Counter(first if isinstance(first, list) else first.tolist())
-            agg2 = Counter(second if isinstance(second, list) else second.tolist())
-            if len(agg1) <= len(agg2):
-                self.loop_items, self.match_dict = sorted(agg1.items()), dict(agg2)
-            else:
-                self.loop_items, self.match_dict = sorted(agg2.items()), dict(agg1)
-
-    def count(self, target: int) -> int:
-        if self.vector_mode:
-            need = int(target) - self.loop_keys
-            idx = np.searchsorted(self.match_keys, need)
-            idx[idx == len(self.match_keys)] = 0
-            hit = self.match_keys[idx] == need
-            pair = self.loop_counts[hit].astype(object) * self.match_counts[
-                idx[hit]
-            ].astype(object)
-            return int(pair.sum())
-        total = 0
-        for key, cnt in self.loop_items:
-            other = self.match_dict.get(target - key)
-            if other:
-                total += cnt * other
-        return total
-
-    def weighted_total(self, targets: np.ndarray, coeffs) -> int:
-        """sum over i of coeffs[i] * count(targets[i]); vector mode only.
-
-        The caller guarantees the int64 bound on every partial product.
-        """
-        total = 0
-        for key, cnt in zip(self.loop_keys.tolist(), self.loop_counts.tolist()):
-            need = targets - key
-            idx = np.searchsorted(self.match_keys, need)
-            idx[idx == len(self.match_keys)] = 0
-            hit = self.match_keys[idx] == need
-            matched = self.match_counts[idx[hit]]
-            if coeffs is None:
-                sub = int(matched.sum())
-            else:
-                sub = int(np.dot(coeffs[hit], matched))
-            total += cnt * sub
-        return total
-
-
-def _tuple_count(lists: Sequence[Sequence], cap: int) -> int:
-    count = 1
-    for lst in lists:
-        count *= len(lst)
-        if count > cap:
-            raise CapExceeded(f"product expansion needs > {cap} tuples")
-    return count
 
 
 def _packed_base(span_and_targets: Sequence[tuple[int, int]]) -> int:
@@ -154,22 +81,119 @@ def _packed_weights(
     return packed
 
 
-def _packed_target_arrays(target_lists: Sequence[Sequence[int]], base: int):
-    """Per-gate target lists scaled by the gate's base power."""
-    out = []
-    scale = 1
-    for targets in target_lists:
-        out.append([scale * t for t in targets])
+_Row = tuple[list[int], int, int, int]
+
+
+def _gate_row(
+    gate: Union[ThresholdGate, ReluGate], first: int, bias: int, term_cap: int
+) -> Optional[_Row]:
+    """(weights, s, h, bias) for a gate with integer weights, or None.
+
+    [s, h] is the achievable part of [first, sum of positive weights]; None
+    means no achievable sum reaches ``first``, so the gate is zero everywhere.
+    """
+    ws = [w.numerator for w in gate.weights]
+    lo = sum(w for w in ws if w < 0)
+    hi = sum(w for w in ws if w > 0)
+    start = max(lo, first)
+    if start > hi:
+        return None
+    if hi - start + 1 > term_cap:
+        raise CapExceeded(
+            f"gate decomposition needs {hi - start + 1} terms, cap is {term_cap}"
+        )
+    return ws, start, hi, bias
+
+
+def _range_sum(rows: Sequence[_Row], n: int, tuple_cap: int, weighted: bool) -> int:
+    """sum over x of prod_i v_i(x), where v_i(x) is zero unless <w_i, x> lies
+    in [s_i, h_i], and there is <w_i, x> + b_i if ``weighted``, else 1.
+
+    Only the gates other than the widest are expanded into target tuples;
+    their number is what ``tuple_cap`` limits.
+    """
+    if not rows:
+        return 1 << n
+    widest = max(range(len(rows)), key=lambda i: rows[i][2] - rows[i][1])
+    rows = [rows[widest], *rows[:widest], *rows[widest + 1:]]
+    n_tuples = 1
+    for _, s, h, _ in rows[1:]:
+        n_tuples *= h - s + 1
+        if n_tuples > tuple_cap:
+            raise CapExceeded(f"product expansion needs > {tuple_cap} tuples")
+    base = _packed_base(
+        [(sum(abs(w) for w in ws), max(abs(s), abs(h))) for ws, s, h, _ in rows]
+    )
+    packed = _packed_weights([ws for ws, *_ in rows], base, n)
+    # upper tuples: packed targets of every gate but the widest, and the
+    # product of those gates' values there
+    uppers, values = [0], [1]
+    scale = base
+    for _, s, h, b in rows[1:]:
+        uppers = [u + scale * t for u in uppers for t in range(s, h + 1)]
+        if weighted:
+            values = [v * (t + b) for v in values for t in range(s, h + 1)]
         scale *= base
-    return out
+    if not weighted:
+        values = values * len(uppers)
 
+    ws0, s0, h0, b0 = rows[0]
+    span0 = sum(abs(w) for w in ws0)
+    key_bound = sum(abs(w) for w in packed)
+    magnitudes = [
+        key_bound + base,
+        max(abs(u) for u in uppers) + key_bound + max(abs(s0), abs(h0)),
+    ]
+    if weighted:
+        magnitudes.append(((2 * span0 + abs(b0) + 1) << n) * max(values))
+    h = split_point(n)
+    first = half_sums(packed[:h])
+    second = half_sums(packed[h:])
+    exact = (
+        max(magnitudes) >= _INT64_BOUND
+        or isinstance(first, list)
+        or isinstance(second, list)
+    )
+    dtype = object if exact else np.int64
 
-def _cartesian_sums_np(scaled_lists) -> np.ndarray:
-    arr = np.array(scaled_lists[0], dtype=np.int64)
-    for lst in scaled_lists[1:]:
-        nxt = np.array(lst, dtype=np.int64)
-        arr = (arr[:, None] + nxt[None, :]).ravel()
-    return arr
+    halves = [
+        np.unique(np.asarray(x, dtype=dtype), return_counts=True)
+        for x in (first, second)
+    ]
+    halves.sort(key=lambda kc: len(kc[0]))
+    (loop_keys, loop_counts), (match_keys, match_counts) = halves
+    match_counts = match_counts.astype(dtype)
+    loop_counts = loop_counts.astype(dtype)
+    half_base = base // 2
+
+    def low_digit(keys):
+        return (keys + half_base) % base - half_base
+
+    zero = np.zeros(1, dtype=dtype)
+    c0 = np.concatenate([zero, np.cumsum(match_counts)])
+    if weighted:
+        c1 = np.concatenate([zero, np.cumsum(match_counts * low_digit(match_keys))])
+        loop_weights = low_digit(loop_keys) + b0
+    upper_arr = np.asarray(uppers, dtype=dtype)
+    value_arr = np.asarray(values, dtype=dtype)
+
+    cols = min(len(upper_arr), _CHUNK)
+    rows_per = max(1, _CHUNK // cols)
+    total = 0
+    for c in range(0, len(upper_arr), cols):
+        us = upper_arr[c:c + cols]
+        vs = value_arr[c:c + cols]
+        for r in range(0, len(loop_keys), rows_per):
+            need = us[None, :] - loop_keys[r:r + rows_per, None]
+            lo = np.searchsorted(match_keys, need + s0, side="left")
+            hi = np.searchsorted(match_keys, need + h0, side="right")
+            per_key = (c0[hi] - c0[lo]) @ vs
+            if weighted:
+                per_key = (
+                    loop_weights[r:r + rows_per] * per_key + (c1[hi] - c1[lo]) @ vs
+                )
+            total += int(loop_counts[r:r + rows_per] @ per_key)
+    return total
 
 
 def sumprod_thr(
@@ -181,65 +205,18 @@ def sumprod_thr(
 ) -> int:
     """sum over x of prod_i [<w_i, x> >= t_i], exactly.
 
-    Each gate is decomposed into exact-threshold gates at consecutive targets,
-    the product expands into disjoint target tuples, and every tuple becomes
-    one lookup against a shared pair of half tables.
+    Each gate accepts the achievable integer sums from its threshold up; the
+    range-sum kernel counts the points every gate accepts.
     """
     n = _shared_n(gates, n)
-    if not gates:
-        return 1 << n
-    weight_rows = []
-    target_lists = []
-    spans = []
+    rows = []
     for gate in gates:
         scaled, _ = normalize_integer(gate)
-        parts = thr_to_ethrs(scaled, term_cap)
-        if not parts:
+        row = _gate_row(scaled, scaled.threshold.numerator, 0, term_cap)
+        if row is None:
             return 0
-        ws = [w.numerator for w in scaled.weights]
-        targets = [g.target.numerator for g in parts]
-        weight_rows.append(ws)
-        target_lists.append(targets)
-        spans.append((sum(abs(w) for w in ws), max(abs(targets[0]), abs(targets[-1]))))
-    n_tuples = _tuple_count(target_lists, tuple_cap)
-    base = _packed_base(spans)
-    packed = _packed_weights(weight_rows, base, n)
-    scaled_lists = _packed_target_arrays(target_lists, base)
-    counter = _PairCounter(packed)
-    max_target = sum(max(abs(v) for v in lst) for lst in scaled_lists)
-    key_bound = sum(abs(w) for w in packed) + max_target
-    match_bound = n_tuples * (1 << (n - split_point(n)))
-    if counter.vector_mode and key_bound < _INT64_BOUND and match_bound < _INT64_BOUND:
-        targets = _cartesian_sums_np(scaled_lists)
-        return counter.weighted_total(targets, None)
-    total = 0
-    for combo in itertools.product(*scaled_lists):
-        total += counter.count(sum(combo))
-    return total
-
-
-def _relu_supports(
-    gate: ReluGate, term_cap: int
-) -> tuple[list[int], list[int], list[int]]:
-    """(weights, targets, values) of the scaled gate's positive support.
-
-    The gate must have integer weights and bias; it equals
-    sum_t (t + bias) * [<w, x> = t] over the returned targets, all of which
-    give positive values.
-    """
-    ws = [w.numerator for w in gate.weights]
-    bias = gate.bias.numerator
-    lo = sum(w for w in ws if w < 0)
-    hi = sum(w for w in ws if w > 0)
-    start = max(lo, 1 - bias)
-    if start > hi:
-        return ws, [], []
-    if hi - start + 1 > term_cap:
-        raise CapExceeded(
-            f"relu decomposition needs {hi - start + 1} terms, cap is {term_cap}"
-        )
-    targets = list(range(start, hi + 1))
-    return ws, targets, [t + bias for t in targets]
+        rows.append(row)
+    return _range_sum(rows, n, tuple_cap, weighted=False)
 
 
 def sumprod_relu(
@@ -251,60 +228,23 @@ def sumprod_relu(
 ) -> Fraction:
     """sum over x of prod_i max(0, <w_i, x> + a_i), exactly.
 
-    Gates are rescaled to integers, their positive supports expand the product
-    into target tuples weighted by the product of clamped values, and the
-    integer total is divided back by the product of the rescaling factors.
+    Gates are rescaled to integers, each is positive on the sums from
+    1 - a_i up, the range-sum kernel totals the product of the values there,
+    and the integer total is divided back by the product of the rescaling
+    factors.
     """
     n = _shared_n(gates, n)
-    if not gates:
-        return Fraction(1 << n)
     denom = 1
-    weight_rows = []
-    target_lists = []
-    value_lists = []
-    spans = []
+    rows = []
     for gate in gates:
         scaled, scale = normalize_integer(gate)
         denom *= scale
-        ws, targets, values = _relu_supports(scaled, term_cap)
-        if not targets:
+        bias = scaled.bias.numerator
+        row = _gate_row(scaled, 1 - bias, bias, term_cap)
+        if row is None:
             return Fraction(0)
-        weight_rows.append(ws)
-        target_lists.append(targets)
-        value_lists.append(values)
-        spans.append((sum(abs(w) for w in ws), max(abs(targets[0]), abs(targets[-1]))))
-    n_tuples = _tuple_count(target_lists, tuple_cap)
-    base = _packed_base(spans)
-    packed = _packed_weights(weight_rows, base, n)
-    scaled_lists = _packed_target_arrays(target_lists, base)
-    counter = _PairCounter(packed)
-    max_coeff = 1
-    for values in value_lists:
-        max_coeff *= max(values)
-    max_target = sum(max(abs(v) for v in lst) for lst in scaled_lists)
-    key_bound = sum(abs(w) for w in packed) + max_target
-    match_bound = n_tuples * (1 << (n - split_point(n))) * max_coeff
-    if counter.vector_mode and key_bound < _INT64_BOUND and match_bound < _INT64_BOUND:
-        targets = _cartesian_sums_np(scaled_lists)
-        coeffs = _cartesian_products_np(value_lists)
-        total = counter.weighted_total(targets, coeffs)
-        return Fraction(total) / denom
-    total = 0
-    for picks in itertools.product(*[list(zip(s, v)) for s, v in zip(scaled_lists, value_lists)]):
-        t = sum(p[0] for p in picks)
-        coeff = 1
-        for p in picks:
-            coeff *= p[1]
-        total += coeff * counter.count(t)
-    return Fraction(total) / denom
-
-
-def _cartesian_products_np(value_lists) -> np.ndarray:
-    arr = np.array(value_lists[0], dtype=np.int64)
-    for lst in value_lists[1:]:
-        nxt = np.array(lst, dtype=np.int64)
-        arr = (arr[:, None] * nxt[None, :]).ravel()
-    return arr
+        rows.append(row)
+    return Fraction(_range_sum(rows, n, tuple_cap, weighted=True)) / denom
 
 
 def sumprod_ethr(

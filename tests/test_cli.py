@@ -229,3 +229,10 @@ def test_bench_fp_family(capsys):
     assert code == 0
     rows = list(csv.reader(io.StringIO(out)))
     assert len(rows) == 2
+
+
+def test_sumprod_ethr_huge_target_is_zero(tmp_path, capsys):
+    doc = {"family": "ethr", "n": 3, "gates": [{"weights": [1, 2, 3], "target": 2**70}]}
+    code, out, _ = run(["sumprod", write(tmp_path, doc)], capsys)
+    assert code == 0
+    assert json.loads(out) == {"value": 0}

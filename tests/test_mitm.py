@@ -94,3 +94,13 @@ def test_weighted_affine_sum_vs_brute():
 def test_weighted_affine_sum_degenerates_to_counting():
     gate = ExactThresholdGate((Fraction(1), Fraction(1), Fraction(1)), Fraction(2))
     assert weighted_ethr_affine_sum(gate, []) == 3
+
+
+def test_count_subset_sum_unreachable_target_is_zero():
+    # targets beyond int64 never reach the numpy matching; the tally stays structural
+    partials.reset()
+    assert count_subset_sum([1, 2, 3], 2**63) == 0
+    assert partials.value == 2**2 + 2**1
+    assert count_subset_sum([1, 2, 3], -(2**70)) == 0
+    assert count_subset_sum([1, -2, 3], -3) == 0
+    assert count_subset_sum([1, -2, 3], -2) == 1

@@ -1,3 +1,4 @@
+import importlib
 import random
 from fractions import Fraction
 
@@ -138,3 +139,107 @@ def test_large_n_runs_fast():
     g = ThresholdGate(ws, Fraction(5))
     # not timed here, just exercises the wide numpy path end to end
     assert sumprod_thr([g]) > 0
+
+
+def test_exact_path_agrees_with_int64_path(monkeypatch):
+    # a zero int64 bound sends every query down the Python-int path
+    module = importlib.import_module("hypersum.sumprod")
+    for i in range(40):
+        rng = random.Random(700 + i)
+        n = rng.randint(1, 12)
+        k = rng.randint(1, 4)
+        thr = rand_thr_instance(rng, n, k)
+        relu = rand_relu_instance(rng, n, k)
+        fast = (sumprod_thr(thr), sumprod_relu(relu))
+        with monkeypatch.context() as m:
+            m.setattr(module, "_INT64_BOUND", 0)
+            exact = (sumprod_thr(thr), sumprod_relu(relu))
+        assert fast == exact == (oracle_sumprod(thr, n), oracle_sumprod(relu, n))
+
+
+def test_scaled_weights_take_exact_path(monkeypatch):
+    """Scaling every weight and constant by 2^64 leaves a THR sum unchanged
+    and multiplies a ReLU sum by 2^64; the scaled copy runs on Python ints."""
+    module = importlib.import_module("hypersum.sumprod")
+    exact_halves = []
+    real_half_sums = module.half_sums
+
+    def recording(weights):
+        out = real_half_sums(weights)
+        exact_halves.append(isinstance(out, list))
+        return out
+
+    monkeypatch.setattr(module, "half_sums", recording)
+    c = 1 << 64  # every nonzero normalized weight becomes at least 2^62
+    # scaling widens every gate's integer range c-fold, so all THR gates but
+    # one (the widest, which is never expanded) get a single target; a
+    # positive ReLU gate cannot have one, so the ReLU queries have one gate
+    huge = 1 << 80  # the scaled ranges are far above the default term cap
+    checked = 0
+    for i in range(40):
+        rng = random.Random(800 + i)
+        n = rng.randint(1, 12)
+        k = rng.randint(1, 4)
+        thr = rand_thr_instance(rng, n, k)
+        thr = thr[:1] + [
+            ThresholdGate(g.weights, sum(w for w in g.weights if w > 0)) for g in thr[1:]
+        ]
+        relu = rand_relu_instance(rng, n, 1)
+        for gates, kernel, scaled, factor in (
+            (thr, sumprod_thr, lambda g: ThresholdGate(
+                tuple(w * c for w in g.weights), g.threshold * c), 1),
+            (relu, sumprod_relu, lambda g: ReluGate(
+                tuple(w * c for w in g.weights), g.bias * c), c),
+        ):
+            expect = oracle_sumprod(gates, n)
+            exact_halves.clear()
+            assert kernel(gates) == expect
+            assert not any(exact_halves)
+            exact_halves.clear()
+            assert kernel([scaled(g) for g in gates], term_cap=huge) == factor * expect
+            if exact_halves and any(w for g in gates for w in g.weights):
+                checked += 1
+                assert any(exact_halves)
+    assert checked >= 60
+
+
+def _thr(rows):
+    return [ThresholdGate(tuple(Fraction(w) for w in ws), Fraction(t)) for ws, t in rows]
+
+
+def _relu(rows):
+    return [ReluGate(tuple(Fraction(w) for w in ws), 1 - Fraction(t)) for ws, t in rows]
+
+
+# (weights, t): a THR gate with threshold t, or a ReLU gate with bias 1 - t;
+# with integer weights both accept the same sums, t and up
+KERNEL_EDGE_CASES = {
+    "widest gate last": [((1, 1, 0, 0, 0), 2), ((3, -1, 2, 1, 1), -1)],
+    "widest gate in the middle": [
+        ((1, 0, 1, 0, 0), 1), ((2, 2, -1, 1, 3), 0), ((0, 1, 1, 1, 0), 2),
+    ],
+    "two gates tie for widest": [
+        ((1, 1, 1, 1, 0), 1), ((0, 1, 1, 1, 1), 1), ((1, 0, 0, 0, 1), 1),
+    ],
+    "single targets only": [((1, 1, 1, 0, 0), 3), ((0, 0, 1, 1, 1), 3)],
+    "unsatisfiable gate": [((2, -1, 1, 3, 0), 0), ((1, 1, 0, 0, 0), 3)],
+    "zero weights": [
+        ((0, 0, 0, 0, 0), -2), ((2, -1, 1, 0, 3), 1), ((0, 0, 0, 0, 0), -1),
+    ],
+    "fractional inputs": [
+        (("1/2", "-3/4", "1/3", 1, 0), "-1/4"),
+        (("2/3", 1, "-1/2", 0, "1/5"), "1/6"),
+        ((1, "1/7", 0, "-2/7", "3/2"), "1/2"),
+    ],
+}
+
+
+@pytest.mark.parametrize("rows", KERNEL_EDGE_CASES.values(), ids=KERNEL_EDGE_CASES.keys())
+@pytest.mark.parametrize(
+    "build, kernel", [(_thr, sumprod_thr), (_relu, sumprod_relu)], ids=["thr", "relu"]
+)
+def test_kernel_edge_cases(rows, build, kernel):
+    gates = build(rows)
+    expect = oracle_sumprod(gates)
+    assert kernel(gates) == expect
+    assert kernel(gates[::-1]) == expect
