@@ -43,7 +43,7 @@ from .gates import (
     mask_from_bits,
     normalize_integer,
 )
-from .mitm import HalfTable, count_subset_sum, half_sums, partials, split_point
+from .mitm import count_subset_sum, half_sums, partials, split_point
 from .oracle import (
     DEFAULT_ORACLE_CAP,
     oracle_check_boolean,
@@ -90,7 +90,6 @@ __all__ = [
     "FpPolynomial",
     "FpSumProdParams",
     "Gate",
-    "HalfTable",
     "InvariantViolation",
     "LinComb",
     "ModAmplifier",

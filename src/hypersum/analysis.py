@@ -18,7 +18,6 @@ from .errors import InvariantViolation
 from .fppoly import DEFAULT_DENSE_CAP
 from .gates import LinComb
 from .sumprod import DEFAULT_TUPLE_CAP, sumprod
-from .transforms import DEFAULT_TERM_CAP
 
 
 @dataclass(frozen=True)
@@ -43,7 +42,6 @@ def _power_sum(
     n: int,
     k: int,
     *,
-    term_cap: int,
     tuple_cap: int,
     dense_cap: int,
 ) -> Fraction:
@@ -61,7 +59,6 @@ def _power_sum(
         value = sumprod(
             [gates[j] for j in combo],
             n,
-            term_cap=term_cap,
             tuple_cap=tuple_cap,
             dense_cap=dense_cap,
         )
@@ -72,7 +69,6 @@ def _power_sum(
 def check_boolean(
     comb: LinComb,
     *,
-    term_cap: int = DEFAULT_TERM_CAP,
     tuple_cap: int = DEFAULT_TUPLE_CAP,
     dense_cap: int = DEFAULT_DENSE_CAP,
 ) -> BooleanVerdict:
@@ -82,7 +78,7 @@ def check_boolean(
     gates.  The sum is pointwise nonnegative, so a negative result can only
     come from a broken kernel and raises InvariantViolation.
     """
-    caps = dict(term_cap=term_cap, tuple_cap=tuple_cap, dense_cap=dense_cap)
+    caps = dict(tuple_cap=tuple_cap, dense_cap=dense_cap)
     p2 = _power_sum(comb.coefficients, comb.gates, comb.n, 2, **caps)
     p3 = _power_sum(comb.coefficients, comb.gates, comb.n, 3, **caps)
     p4 = _power_sum(comb.coefficients, comb.gates, comb.n, 4, **caps)
@@ -98,7 +94,6 @@ def count_sat(
     comb: LinComb,
     *,
     unchecked: bool = False,
-    term_cap: int = DEFAULT_TERM_CAP,
     tuple_cap: int = DEFAULT_TUPLE_CAP,
     dense_cap: int = DEFAULT_DENSE_CAP,
 ) -> int:
@@ -108,7 +103,7 @@ def count_sat(
     Boolean f the count is just sum_x f(x).  A result outside [0, 2^n] or
     non-integral means f was not Boolean after all.
     """
-    caps = dict(term_cap=term_cap, tuple_cap=tuple_cap, dense_cap=dense_cap)
+    caps = dict(tuple_cap=tuple_cap, dense_cap=dense_cap)
     if not unchecked:
         verdict = check_boolean(comb, **caps)
         if not verdict.is_boolean:
@@ -129,7 +124,6 @@ def check_equal(
     left: LinComb,
     right: LinComb,
     *,
-    term_cap: int = DEFAULT_TERM_CAP,
     tuple_cap: int = DEFAULT_TUPLE_CAP,
     dense_cap: int = DEFAULT_DENSE_CAP,
 ) -> EqualityVerdict:
@@ -149,7 +143,6 @@ def check_equal(
         gates,
         left.n,
         2,
-        term_cap=term_cap,
         tuple_cap=tuple_cap,
         dense_cap=dense_cap,
     )

@@ -45,10 +45,8 @@ from .randgen import (
     rand_thr_instance,
 )
 from .sumprod import DEFAULT_TUPLE_CAP, sumprod
-from .transforms import DEFAULT_TERM_CAP
 
 _ENV_CAPS = {
-    "term_cap": ("HYPERSUM_CAP_TERMS", DEFAULT_TERM_CAP),
     "tuple_cap": ("HYPERSUM_CAP_TUPLES", DEFAULT_TUPLE_CAP),
     "dense_cap": ("HYPERSUM_CAP_DENSE", DEFAULT_DENSE_CAP),
     "oracle_cap": ("HYPERSUM_CAP_ORACLE_N", DEFAULT_ORACLE_CAP),
@@ -136,7 +134,6 @@ def _cmd_sumprod(args) -> int:
     value = sumprod(
         gates,
         n,
-        term_cap=caps["term_cap"],
         tuple_cap=caps["tuple_cap"],
         dense_cap=caps["dense_cap"],
     )
@@ -170,7 +167,6 @@ def _cmd_check_boolean(args) -> int:
     comb = _parse_comb(_load(args.input))
     verdict = check_boolean(
         comb,
-        term_cap=caps["term_cap"],
         tuple_cap=caps["tuple_cap"],
         dense_cap=caps["dense_cap"],
     )
@@ -186,7 +182,6 @@ def _cmd_count_sat(args) -> int:
         count = count_sat(
             comb,
             unchecked=args.unchecked,
-            term_cap=caps["term_cap"],
             tuple_cap=caps["tuple_cap"],
             dense_cap=caps["dense_cap"],
         )
@@ -205,7 +200,6 @@ def _cmd_check_equal(args) -> int:
     verdict = check_equal(
         left,
         right,
-        term_cap=caps["term_cap"],
         tuple_cap=caps["tuple_cap"],
         dense_cap=caps["dense_cap"],
     )
@@ -281,7 +275,6 @@ def _cmd_bench(args) -> int:
             value = sumprod(
                 gates,
                 n,
-                term_cap=caps["term_cap"],
                 tuple_cap=caps["tuple_cap"],
                 dense_cap=caps["dense_cap"],
             )
@@ -301,13 +294,6 @@ def _cmd_bench(args) -> int:
 
 
 def _add_cap_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--cap-terms",
-        dest="term_cap",
-        type=int,
-        default=None,
-        help="max terms in one threshold decomposition",
-    )
     parser.add_argument(
         "--cap-tuples",
         dest="tuple_cap",

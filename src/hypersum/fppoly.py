@@ -19,9 +19,9 @@ import numpy as np
 
 from .errors import CapExceeded, InvariantViolation
 from .gates import FpPolynomial, _is_prime
+from .mitm import int_dtype
 
 DEFAULT_DENSE_CAP = 26
-_NP_MODULUS_LIMIT = 1 << 31
 
 
 def _poly_mul_dense(a: list[int], b: list[int]) -> list[int]:
@@ -140,33 +140,22 @@ class MultilinearRingPoly:
         )
 
 
-def _eval_table(poly: MultilinearRingPoly):
+def _eval_table(poly: MultilinearRingPoly) -> np.ndarray:
     """Values of ``poly`` at every point, index = point mask.
 
     Subset-sum (zeta) transform over the coefficient table: after processing
     variable i, entry ``mask`` holds the sum of coefficients over monomials
-    contained in ``mask`` restricted to the processed variables.
+    contained in ``mask`` restricted to the processed variables.  Entries are
+    reduced after every variable, so no sum exceeds 2 * modulus, and
+    ``int_dtype(2 * modulus)`` picks int64 or Python ints for the table.
     """
-    nv = poly.n_vars
-    size = 1 << nv
-    if poly.modulus <= _NP_MODULUS_LIMIT:
-        f = np.zeros(size, dtype=np.int64)
-        for mask, c in poly.coeffs.items():
-            f[mask] = c
-        for i in range(nv):
-            view = f.reshape(-1, 2, 1 << i)
-            view[:, 1, :] += view[:, 0, :]
-            f %= poly.modulus
-        return f
-    f = [0] * size
+    f = np.zeros(1 << poly.n_vars, dtype=int_dtype(2 * poly.modulus))
     for mask, c in poly.coeffs.items():
         f[mask] = c
-    mod = poly.modulus
-    for i in range(nv):
-        bit = 1 << i
-        for mask in range(size):
-            if mask & bit:
-                f[mask] = (f[mask] + f[mask ^ bit]) % mod
+    for i in range(poly.n_vars):
+        view = f.reshape(-1, 2, 1 << i)
+        view[:, 1, :] += view[:, 0, :]
+        f %= poly.modulus
     return f
 
 
@@ -178,10 +167,7 @@ def eval_all_points(
         raise CapExceeded(
             f"dense table over {poly.n_vars} variables, cap is {dense_cap}"
         )
-    table = _eval_table(poly)
-    if isinstance(table, np.ndarray):
-        return [int(v) for v in table]
-    return table
+    return _eval_table(poly).tolist()
 
 
 @dataclass(frozen=True)
@@ -262,14 +248,8 @@ def suffix_count_poly(
 @lru_cache(maxsize=4096)
 def _value_histogram(p: int, n: int, items: tuple[tuple[int, int], ...]) -> tuple[int, ...]:
     """hist[v] = |{x : poly(x) = v mod p}| for the nonconstant part ``items``."""
-    poly = MultilinearRingPoly(p, n, dict(items))
-    table = _eval_table(poly)
-    if isinstance(table, np.ndarray):
-        return tuple(int(c) for c in np.bincount(table, minlength=p))
-    hist = [0] * p
-    for v in table:
-        hist[v] += 1
-    return tuple(hist)
+    table = _eval_table(MultilinearRingPoly(p, n, dict(items)))
+    return tuple(np.bincount(table, minlength=p).tolist())
 
 
 def count_roots(q: FpPolynomial, *, dense_cap: int = DEFAULT_DENSE_CAP) -> int:
@@ -293,10 +273,7 @@ def count_roots(q: FpPolynomial, *, dense_cap: int = DEFAULT_DENSE_CAP) -> int:
             )
         params = FpSumProdParams(p=q.p, d=d, k=1, n=q.n)
         counter = suffix_count_poly(q, params)
-        table = _eval_table(counter)
-        if isinstance(table, np.ndarray):
-            return int(table.sum())
-        return sum(table)
+        return int(_eval_table(counter).sum())
     if q.n > dense_cap:
         raise CapExceeded(f"dense table over {q.n} variables, cap is {dense_cap}")
     hist = _value_histogram(q.p, q.n, tuple(sorted(nonconst.items())))

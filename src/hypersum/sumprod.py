@@ -12,8 +12,9 @@ tuple U, the matching second-half keys are exactly those in the interval
 [U - L + s, U - L + h] of the widest gate, so prefix sums over the sorted
 second-half keys turn the whole widest gate into two binary searches.  ReLU
 values need a second prefix sum, of count times the key's lowest digit.
-The evaluation runs on int64 arrays when every magnitude involved fits, and
-otherwise the same code runs on arrays of Python ints.
+``mitm.int_dtype`` picks the width once per call from every magnitude the
+kernel can meet, and the same code runs on int64 arrays or on arrays of
+Python ints.
 """
 
 from __future__ import annotations
@@ -33,13 +34,10 @@ from .gates import (
     ThresholdGate,
     normalize_integer,
 )
-from .mitm import count_subset_sum, half_sums, split_point
-from .transforms import DEFAULT_TERM_CAP, collapse_ethr_conjunction
+from .mitm import count_subset_sum, half_sums, int_dtype, split_point
+from .transforms import collapse_ethr_conjunction
 
 DEFAULT_TUPLE_CAP = 10**7
-
-# numpy kernels must not overflow int64 partial results
-_INT64_BOUND = 1 << 62
 
 # (loop keys x upper tuples) elements evaluated at once; keeps the kernel's
 # temporaries at a few hundred kilobytes whatever the query size
@@ -85,7 +83,7 @@ _Row = tuple[list[int], int, int, int]
 
 
 def _gate_row(
-    gate: Union[ThresholdGate, ReluGate], first: int, bias: int, term_cap: int
+    gate: Union[ThresholdGate, ReluGate], first: int, bias: int
 ) -> Optional[_Row]:
     """(weights, s, h, bias) for a gate with integer weights, or None.
 
@@ -98,10 +96,6 @@ def _gate_row(
     start = max(lo, first)
     if start > hi:
         return None
-    if hi - start + 1 > term_cap:
-        raise CapExceeded(
-            f"gate decomposition needs {hi - start + 1} terms, cap is {term_cap}"
-        )
     return ws, start, hi, bias
 
 
@@ -146,19 +140,11 @@ def _range_sum(rows: Sequence[_Row], n: int, tuple_cap: int, weighted: bool) -> 
     ]
     if weighted:
         magnitudes.append(((2 * span0 + abs(b0) + 1) << n) * max(values))
+    dtype = int_dtype(*magnitudes)
     h = split_point(n)
-    first = half_sums(packed[:h])
-    second = half_sums(packed[h:])
-    exact = (
-        max(magnitudes) >= _INT64_BOUND
-        or isinstance(first, list)
-        or isinstance(second, list)
-    )
-    dtype = object if exact else np.int64
-
     halves = [
-        np.unique(np.asarray(x, dtype=dtype), return_counts=True)
-        for x in (first, second)
+        np.unique(np.asarray(half_sums(part), dtype=dtype), return_counts=True)
+        for part in (packed[:h], packed[h:])
     ]
     halves.sort(key=lambda kc: len(kc[0]))
     (loop_keys, loop_counts), (match_keys, match_counts) = halves
@@ -200,7 +186,6 @@ def sumprod_thr(
     gates: Sequence[ThresholdGate],
     n: Optional[int] = None,
     *,
-    term_cap: int = DEFAULT_TERM_CAP,
     tuple_cap: int = DEFAULT_TUPLE_CAP,
 ) -> int:
     """sum over x of prod_i [<w_i, x> >= t_i], exactly.
@@ -212,7 +197,7 @@ def sumprod_thr(
     rows = []
     for gate in gates:
         scaled, _ = normalize_integer(gate)
-        row = _gate_row(scaled, scaled.threshold.numerator, 0, term_cap)
+        row = _gate_row(scaled, scaled.threshold.numerator, 0)
         if row is None:
             return 0
         rows.append(row)
@@ -223,7 +208,6 @@ def sumprod_relu(
     gates: Sequence[ReluGate],
     n: Optional[int] = None,
     *,
-    term_cap: int = DEFAULT_TERM_CAP,
     tuple_cap: int = DEFAULT_TUPLE_CAP,
 ) -> Fraction:
     """sum over x of prod_i max(0, <w_i, x> + a_i), exactly.
@@ -240,7 +224,7 @@ def sumprod_relu(
         scaled, scale = normalize_integer(gate)
         denom *= scale
         bias = scaled.bias.numerator
-        row = _gate_row(scaled, 1 - bias, bias, term_cap)
+        row = _gate_row(scaled, 1 - bias, bias)
         if row is None:
             return Fraction(0)
         rows.append(row)
@@ -266,7 +250,6 @@ def sumprod(
     gates: Sequence[Gate],
     n: Optional[int] = None,
     *,
-    term_cap: int = DEFAULT_TERM_CAP,
     tuple_cap: int = DEFAULT_TUPLE_CAP,
     dense_cap: int = DEFAULT_DENSE_CAP,
 ) -> Union[int, Fraction]:
@@ -285,11 +268,11 @@ def sumprod(
         raise ValueError("gates must share one family")
     kind = kinds.pop()
     if kind is ThresholdGate:
-        return sumprod_thr(gates, n, term_cap=term_cap, tuple_cap=tuple_cap)
+        return sumprod_thr(gates, n, tuple_cap=tuple_cap)
     if kind is ExactThresholdGate:
         return sumprod_ethr(gates, n)
     if kind is ReluGate:
-        return sumprod_relu(gates, n, term_cap=term_cap, tuple_cap=tuple_cap)
+        return sumprod_relu(gates, n, tuple_cap=tuple_cap)
     if kind is FpPolynomial:
         return sumprod_fp(list(gates), n, dense_cap=dense_cap)
     raise TypeError(f"unsupported gate type {kind.__name__}")

@@ -236,3 +236,21 @@ def test_sumprod_ethr_huge_target_is_zero(tmp_path, capsys):
     code, out, _ = run(["sumprod", write(tmp_path, doc)], capsys)
     assert code == 0
     assert json.loads(out) == {"value": 0}
+
+
+def test_sumprod_ethr_mixed_width_halves(tmp_path, capsys):
+    doc = {
+        "family": "ethr",
+        "n": 4,
+        "gates": [{"weights": [3, 1, 2**64, 1], "target": 2**64 + 1}],
+    }
+    code, out, _ = run(["sumprod", write(tmp_path, doc)], capsys)
+    assert code == 0
+    assert json.loads(out) == {"value": 2}
+
+
+def test_sumprod_thr_wide_gate_has_no_term_cap(tmp_path, capsys):
+    doc = {"family": "thr", "n": 3, "gates": [{"weights": [2**40, 1, 1], "threshold": 1}]}
+    code, out, _ = run(["sumprod", write(tmp_path, doc)], capsys)
+    assert code == 0
+    assert json.loads(out) == {"value": 7}

@@ -143,7 +143,7 @@ def test_large_n_runs_fast():
 
 def test_exact_path_agrees_with_int64_path(monkeypatch):
     # a zero int64 bound sends every query down the Python-int path
-    module = importlib.import_module("hypersum.sumprod")
+    module = importlib.import_module("hypersum.mitm")
     for i in range(40):
         rng = random.Random(700 + i)
         n = rng.randint(1, 12)
@@ -174,7 +174,6 @@ def test_scaled_weights_take_exact_path(monkeypatch):
     # scaling widens every gate's integer range c-fold, so all THR gates but
     # one (the widest, which is never expanded) get a single target; a
     # positive ReLU gate cannot have one, so the ReLU queries have one gate
-    huge = 1 << 80  # the scaled ranges are far above the default term cap
     checked = 0
     for i in range(40):
         rng = random.Random(800 + i)
@@ -196,11 +195,17 @@ def test_scaled_weights_take_exact_path(monkeypatch):
             assert kernel(gates) == expect
             assert not any(exact_halves)
             exact_halves.clear()
-            assert kernel([scaled(g) for g in gates], term_cap=huge) == factor * expect
+            assert kernel([scaled(g) for g in gates]) == factor * expect
             if exact_halves and any(w for g in gates for w in g.weights):
                 checked += 1
                 assert any(exact_halves)
     assert checked >= 60
+
+
+def test_widest_gate_is_never_expanded():
+    # the gate accepts 2^40 + 2 integer sums, all summed by the range kernel
+    gate = ThresholdGate((Fraction(2**40), Fraction(1), Fraction(1)), Fraction(1))
+    assert sumprod_thr([gate]) == oracle_sumprod([gate]) == 7
 
 
 def _thr(rows):
