@@ -91,12 +91,22 @@ def _caps(args) -> dict:
     return out
 
 
+def _int(x) -> int:
+    """An integer field: an int or a decimal string, never a float."""
+    if isinstance(x, float):
+        raise TypeError(f"floats are not accepted for integer fields: {x!r}")
+    return int(x)
+
+
+def _terms(obj: dict) -> list:
+    return [(vars_, _int(coeff)) for vars_, coeff in obj["monomials"]]
+
+
 def _parse_gate(family: Family, obj: dict, n: int, p: Optional[int]):
     if family is Family.FP_POLY:
         if p is None:
             raise ValueError('family "fp" requires a top-level "p"')
-        terms = [(vars_, int(coeff)) for vars_, coeff in obj["monomials"]]
-        return FpPolynomial.from_terms(p, n, terms)
+        return FpPolynomial.from_terms(_int(p), n, _terms(obj))
     weights = [as_fraction(w) for w in obj["weights"]]
     if len(weights) != n:
         raise ValueError(f"gate has {len(weights)} weights, expected n={n}")
@@ -111,7 +121,7 @@ def _parse_gate(family: Family, obj: dict, n: int, p: Optional[int]):
 
 def _parse_gates(data: dict):
     family = Family(data["family"])
-    n = int(data["n"])
+    n = _int(data["n"])
     gates = [_parse_gate(family, g, n, data.get("p")) for g in data["gates"]]
     return family, n, gates
 
@@ -123,8 +133,15 @@ def _parse_comb(data: dict) -> LinComb:
 
 
 def _parse_poly(data: dict) -> FpPolynomial:
-    terms = [(vars_, int(coeff)) for vars_, coeff in data["monomials"]]
-    return FpPolynomial.from_terms(int(data["p"]), int(data["n"]), terms)
+    return FpPolynomial.from_terms(_int(data["p"]), _int(data["n"]), _terms(data))
+
+
+def _parse_system(data: dict) -> tuple[list[FpPolynomial], list[int]]:
+    p = _int(data["p"])
+    n = _int(data["n"])
+    polys = [FpPolynomial.from_terms(p, n, _terms(obj)) for obj in data["polys"]]
+    targets = [_int(t) for t in data.get("targets", [0] * len(polys))]
+    return polys, targets
 
 
 def _cmd_sumprod(args) -> int:
@@ -150,14 +167,7 @@ def _cmd_count_roots(args) -> int:
 
 def _cmd_count_system(args) -> int:
     caps = _caps(args)
-    data = _load(args.input)
-    p = int(data["p"])
-    n = int(data["n"])
-    polys = [
-        FpPolynomial.from_terms(p, n, [(v, int(c)) for v, c in obj["monomials"]])
-        for obj in data["polys"]
-    ]
-    targets = [int(t) for t in data.get("targets", [0] * len(polys))]
+    polys, targets = _parse_system(_load(args.input))
     count = count_system(polys, targets, dense_cap=caps["dense_cap"])
     return _emit({"count": count})
 
@@ -230,13 +240,7 @@ def _cmd_oracle(args) -> int:
             return _fail(str(exc), 1)
         return _emit({"count": count})
     if args.oracle_command == "count-system":
-        p = int(data["p"])
-        n = int(data["n"])
-        polys = [
-            FpPolynomial.from_terms(p, n, [(v, int(c)) for v, c in obj["monomials"]])
-            for obj in data["polys"]
-        ]
-        targets = [int(t) for t in data.get("targets", [0] * len(polys))]
+        polys, targets = _parse_system(data)
         return _emit({"count": oracle_count_fp_system(polys, targets, cap=cap)})
     raise ValueError(f"unknown oracle command {args.oracle_command}")
 

@@ -3,8 +3,8 @@
 The fast root counter splits off the last m = floor(n/(6dp)) variables,
 sums a modulus-amplified indicator over all suffix assignments, and reads
 per-prefix suffix-root counts out of the residues of a single polynomial over
-the remaining variables.  Systems and Sum-Products reduce to root counts by
-summing over coefficient and target tuples.
+the remaining variables.  Systems and Sum-Products reduce to root counts in
+one shared pass over the coefficient tuples b in F_p^k (``_accumulators``).
 """
 
 from __future__ import annotations
@@ -133,11 +133,6 @@ class MultilinearRingPoly:
                 key = m1 | m2
                 out[key] = out.get(key, 0) + c1 * c2
         return MultilinearRingPoly(self.modulus, self.n_vars, out)
-
-    def scaled(self, factor: int) -> "MultilinearRingPoly":
-        return MultilinearRingPoly(
-            self.modulus, self.n_vars, {m: c * factor for m, c in self.coeffs.items()}
-        )
 
 
 def _eval_table(poly: MultilinearRingPoly) -> np.ndarray:
@@ -293,22 +288,44 @@ def _shared_shape(polys: Sequence[FpPolynomial]) -> tuple[int, int]:
     return p, n
 
 
-def _combination(
-    polys: Sequence[FpPolynomial],
-    coeffs: Sequence[int],
-    targets: Sequence[int],
-    p: int,
-    n: int,
-) -> FpPolynomial:
-    """sum_j coeffs[j] * (polys[j] - targets[j]) as an F_p polynomial."""
+def _combination(polys: Sequence[FpPolynomial], coeffs: Sequence[int]) -> dict[int, int]:
+    """Monomials of sum_j coeffs[j] * polys[j], not yet reduced mod p."""
     acc: dict[int, int] = {}
-    for b, q, t in zip(coeffs, polys, targets):
+    for b, q in zip(coeffs, polys):
         if not b:
             continue
         for mask, c in q.monomials.items():
             acc[mask] = acc.get(mask, 0) + b * c
-        acc[0] = acc.get(0, 0) - b * t
-    return FpPolynomial(p, n, acc)
+    return acc
+
+
+def _accumulators(
+    polys: Sequence[FpPolynomial], target_tuples: Sequence[Sequence[int]], dense_cap: int
+) -> list[int]:
+    """p^k * |{x : polys[j](x) = t_j mod p for all j}| for every tuple t.
+
+    With N_b(v) = |{x : sum_j b_j polys[j](x) = v}|, tuple t adds
+    N_b(b.t) - N_b(b.t + 1) for each b in F_p^k.  One pass over b serves every
+    tuple, at most p root counts per b.  A non-divisible accumulator
+    indicates a bug and raises InvariantViolation.
+    """
+    p, n = _shared_shape(polys)
+    k = len(polys)
+    accs = [0] * len(target_tuples)
+    for b in itertools.product(range(p), repeat=k):
+        comb = _combination(polys, b)
+        const = comb.pop(0, 0)
+        shifts = [sum(bj * tj for bj, tj in zip(b, t)) % p for t in target_tuples]
+        levels = {
+            v: count_roots(FpPolynomial(p, n, {**comb, 0: const - v}), dense_cap=dense_cap)
+            for v in {*shifts, *((s + 1) % p for s in shifts)}
+        }
+        for i, v in enumerate(shifts):
+            accs[i] += levels[v] - levels[(v + 1) % p]
+    for acc in accs:
+        if acc % p**k:
+            raise InvariantViolation(f"accumulator {acc} not divisible by p^k = {p**k}")
+    return accs
 
 
 def count_system(
@@ -320,29 +337,14 @@ def count_system(
 ):
     """|{x : polys[j](x) = targets[j] mod p for all j}|.
 
-    Sums, over all coefficient tuples b in F_p^k, the number of roots of
-    sum_j b_j (polys[j] - targets[j]) minus the number of points where that
-    combination equals 1; the accumulator is p^k times the answer.  A
-    non-divisible accumulator indicates a bug and raises InvariantViolation.
+    ``_accumulators`` for one target tuple: the accumulator sums, over all b
+    in F_p^k, the number of points where sum_j b_j (polys[j] - targets[j]) is
+    0 minus the number where it is 1, and is p^k times the answer.
     """
-    p, n = _shared_shape(polys)
-    k = len(polys)
-    if len(targets) != k:
+    if len(targets) != len(polys):
         raise ValueError("polynomial/target count mismatch")
-    targets = [t % p for t in targets]
-    acc = 0
-    for b in itertools.product(range(p), repeat=k):
-        comb = _combination(polys, b, targets, p, n)
-        zeros = count_roots(comb, dense_cap=dense_cap)
-        shifted = dict(comb.monomials)
-        shifted[0] = shifted.get(0, 0) - 1
-        ones = count_roots(FpPolynomial(p, n, shifted), dense_cap=dense_cap)
-        acc += zeros - ones
-    if acc % p**k:
-        raise InvariantViolation(
-            f"accumulator {acc} not divisible by p^k = {p**k}"
-        )
-    count = acc // p**k
+    (acc,) = _accumulators(polys, [targets], dense_cap)
+    count = acc // polys[0].p ** len(polys)
     if with_accumulator:
         return count, acc
     return count
@@ -358,7 +360,8 @@ def sumprod_fp(
 
     Expands the product over value tuples: tuples containing a zero value
     carry weight zero and are skipped; each remaining tuple contributes its
-    integer product of values times the number of points realizing it.
+    integer product of values times the number of points realizing it.  One
+    ``_accumulators`` pass counts all (p-1)^k tuples in <= p^(k+1) root counts.
     """
     if not polys:
         if n is None:
@@ -368,10 +371,6 @@ def sumprod_fp(
     if n is not None and n != shape_n:
         raise ValueError(f"explicit n={n} disagrees with the polynomials")
     k = len(polys)
-    total = 0
-    for values in itertools.product(range(1, p), repeat=k):
-        weight = 1
-        for v in values:
-            weight *= v
-        total += weight * count_system(polys, values, dense_cap=dense_cap)
-    return total
+    tuples = list(itertools.product(range(1, p), repeat=k))
+    accs = _accumulators(polys, tuples, dense_cap)
+    return sum(math.prod(t) * acc for t, acc in zip(tuples, accs)) // p**k

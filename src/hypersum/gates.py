@@ -28,10 +28,14 @@ def as_fraction(x: Rational) -> Fraction:
     """Coerce an int, decimal string ("3", "-1/2") or Fraction to Fraction.
 
     Floats are rejected: they would smuggle rounding into exact arithmetic.
+    A zero denominator raises ValueError.
     """
     if isinstance(x, float):
         raise TypeError("floats are not accepted; use int, Fraction or 'p/q' string")
-    return Fraction(x)
+    try:
+        return Fraction(x)
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator in {x!r}") from None
 
 
 def bits_from_mask(mask: int, n: int) -> tuple[int, ...]:
@@ -157,15 +161,11 @@ class FpPolynomial:
                 f"degree_bound {self.degree_bound} below actual degree {actual}"
             )
 
-    # dicts are unhashable; use .key() where a hashable identity is needed
     __hash__ = None  # type: ignore[assignment]
 
     @property
     def degree(self) -> int:
         return max((m.bit_count() for m in self.monomials), default=0)
-
-    def key(self) -> tuple:
-        return (self.p, self.n, tuple(sorted(self.monomials.items())))
 
     @classmethod
     def from_terms(
@@ -195,13 +195,6 @@ _FAMILY_TYPES = {
     Family.RELU: ReluGate,
     Family.FP_POLY: FpPolynomial,
 }
-
-
-def family_of(gate: Gate) -> Family:
-    for fam, typ in _FAMILY_TYPES.items():
-        if isinstance(gate, typ):
-            return fam
-    raise TypeError(f"unknown gate type {type(gate).__name__}")
 
 
 def eval_thr(g: ThresholdGate, x: Sequence[int]) -> int:

@@ -274,5 +274,8 @@ def sumprod(
     if kind is ReluGate:
         return sumprod_relu(gates, n, tuple_cap=tuple_cap)
     if kind is FpPolynomial:
+        # sumprod_fp holds one accumulator per nonzero value tuple
+        if (gates[0].p - 1) ** len(gates) > tuple_cap:
+            raise CapExceeded(f"product expansion needs > {tuple_cap} value tuples")
         return sumprod_fp(list(gates), n, dense_cap=dense_cap)
     raise TypeError(f"unsupported gate type {kind.__name__}")

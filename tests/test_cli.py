@@ -2,6 +2,8 @@ import csv
 import io
 import json
 
+import pytest
+
 from hypersum.cli import main
 
 
@@ -254,3 +256,41 @@ def test_sumprod_thr_wide_gate_has_no_term_cap(tmp_path, capsys):
     code, out, _ = run(["sumprod", write(tmp_path, doc)], capsys)
     assert code == 0
     assert json.loads(out) == {"value": 7}
+
+
+JUNK_NUMBERS = [
+    ("sumprod", '{"family": "thr", "n": 2, "gates": [{"weights": ["1/0", 1], "threshold": 1}]}'),
+    ("sumprod", '{"family": "thr", "n": 2, "coefficients": ["1/0"],'
+                ' "gates": [{"weights": [1, 1], "threshold": 1}]}'),
+    ("sumprod", '{"family": "thr", "n": 1e400, "gates": [{"weights": [1, 1], "threshold": 1}]}'),
+    ("sumprod", '{"family": "fp", "p": 3, "n": 2, "gates": [{"monomials": [[[1], 1e400]]}]}'),
+    ("count-roots", '{"p": 1e400, "n": 2, "monomials": [[[1], 1]]}'),
+    ("count-system", '{"p": 3, "n": 2, "polys": [{"monomials": [[[1], 1]]}], "targets": [1e400]}'),
+]
+
+
+@pytest.mark.parametrize(
+    "command, text", JUNK_NUMBERS,
+    ids=["weight", "coefficient", "n", "fp-coefficient", "p", "target"],
+)
+def test_zero_denominator_and_infinite_numbers_are_exit_1(tmp_path, capsys, command, text):
+    # 1e400 parses as an infinite float: it must be rejected, not converted
+    path = tmp_path / "junk.json"
+    path.write_text(text)
+    code, out, err = run([command, str(path)], capsys)
+    assert code == 1
+    assert out == ""
+    assert "error" in json.loads(err)
+
+
+def test_fp_value_tuples_count_against_the_tuple_cap(tmp_path, capsys):
+    # 12^2 = 144 nonzero value tuples over F_13; refused before any is built
+    gate = {"monomials": [[[1], 1], [[2], 3]]}
+    doc = {"family": "fp", "p": 13, "n": 2, "gates": [gate, gate]}
+    path = write(tmp_path, doc)
+    code, _, err = run(["sumprod", path, "--cap-tuples", "100"], capsys)
+    assert code == 2
+    assert "error" in json.loads(err)
+    code, out, _ = run(["sumprod", path, "--cap-tuples", "144"], capsys)
+    assert code == 0
+    assert json.loads(out) == {"value": 1 + 9 + 16}

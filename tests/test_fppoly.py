@@ -252,6 +252,73 @@ def test_sumprod_fp_random_vs_oracle():
         assert sumprod_fp(polys, n) == oracle_sumprod(polys, n)
 
 
+def _record_calls(monkeypatch, name):
+    """Wrap hypersum.fppoly.<name>; the returned list collects each call's
+    first argument."""
+    import hypersum.fppoly as fp
+
+    real = getattr(fp, name)
+    seen = []
+
+    def recording(*args, **kwargs):
+        seen.append(args[0])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(fp, name, recording)
+    return seen
+
+
+def test_systems_in_suffix_regime_match_oracle(monkeypatch):
+    # p = 2, d = 1, n = 12..14 gives m = 1: every non-constant combination is
+    # counted through the suffix construction, never a full dense table
+    suffix_calls = _record_calls(monkeypatch, "suffix_count_poly")
+    rng = random.Random(94)
+    for n in (12, 13, 14):
+        for k in (2, 3):
+            polys = [rand_fp_poly(rng, 2, n, 1) for _ in range(k)]
+            targets = [rng.randrange(2) for _ in range(k)]
+            count, acc = count_system(polys, targets, with_accumulator=True)
+            assert acc % 2**k == 0
+            assert count == oracle_count_fp_system(polys, targets)
+            assert sumprod_fp(polys, n) == oracle_sumprod(polys, n)
+    assert suffix_calls
+
+
+def test_mixed_degree_system_takes_both_regimes(monkeypatch):
+    # at p = 2, n = 13 a degree-1 combination has m = 1 (suffix regime) and a
+    # degree-2 combination has m = 0 (dense regime)
+    rng = random.Random(95)
+    n = 13
+
+    def linear_terms():
+        return [((v,), 1) for v in rng.sample(range(1, n + 1), 5)]
+
+    quadratic = FpPolynomial.from_terms(2, n, linear_terms() + [((1, 13), 1)])
+    linear = FpPolynomial.from_terms(2, n, linear_terms() + [((), 1)])
+    polys = [quadratic, linear]
+    counted = _record_calls(monkeypatch, "count_roots")
+    for targets in ([0, 0], [0, 1], [1, 0], [1, 1]):
+        count, acc = count_system(polys, targets, with_accumulator=True)
+        assert acc % 4 == 0
+        assert count == oracle_count_fp_system(polys, targets)
+    assert sumprod_fp(polys, n) == oracle_sumprod(polys, n)
+    assert {q.degree for q in counted} >= {1, 2}
+
+
+@pytest.mark.parametrize("p, k, n", [(3, 2, 6), (5, 2, 5), (2, 3, 8)])
+def test_root_counts_per_call_are_bounded(monkeypatch, p, k, n):
+    # one pass over b in F_p^k needs at most p shifts of each combination
+    counted = _record_calls(monkeypatch, "count_roots")
+    rng = random.Random(96 + p)
+    polys = [rand_fp_poly(rng, p, n, 2) for _ in range(k)]
+    assert sumprod_fp(polys, n) == oracle_sumprod(polys, n)
+    assert len(counted) <= p ** (k + 1)
+    counted.clear()
+    targets = [rng.randrange(p) for _ in range(k)]
+    assert count_system(polys, targets) == oracle_count_fp_system(polys, targets)
+    assert len(counted) <= 2 * p**k
+
+
 def test_invariant_violation_surfaces():
     # a poisoned count_roots breaks the p^k divisibility and must be caught;
     # shifting exactly one call by 1 leaves the accumulator off by 1

@@ -30,6 +30,13 @@ def test_as_fraction_rejects_floats():
         as_fraction(0.5)
 
 
+def test_as_fraction_rejects_zero_denominator():
+    with pytest.raises(ValueError):
+        as_fraction("1/0")
+    with pytest.raises(ValueError):
+        ThresholdGate(("-3/0", 1), 1)
+
+
 def test_gate_constructors_reject_floats():
     with pytest.raises(TypeError):
         ThresholdGate((0.5, 1), 1)
