@@ -400,7 +400,7 @@ def main(argv=None) -> int:
         return _fail(str(exc), 2)
     except InvariantViolation as exc:
         return _fail(str(exc), 3)
-    except (ValueError, TypeError, KeyError, OSError, json.JSONDecodeError) as exc:
+    except (ValueError, TypeError, KeyError, OSError, RecursionError) as exc:
         return _fail(str(exc), 1)
 
 

@@ -3,8 +3,11 @@
 The fast root counter splits off the last m = floor(n/(6dp)) variables,
 sums a modulus-amplified indicator over all suffix assignments, and reads
 per-prefix suffix-root counts out of the residues of a single polynomial over
-the remaining variables.  Systems and Sum-Products reduce to root counts in
-one shared pass over the coefficient tuples b in F_p^k (``_accumulators``).
+the remaining variables.  Systems reduce to root counts in one pass over the
+coefficient tuples b in F_p^k (``_accumulators``), and so do Sum-Products when
+m >= 1.  Below that split (m = 0) a Sum-Product is the sum of the pointwise
+product of the k dense value tables.  Every dense table comes from one zeta
+transform with a single reduction at the end.
 """
 
 from __future__ import annotations
@@ -13,7 +16,8 @@ import itertools
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Optional, Sequence
+from types import MappingProxyType
+from typing import Mapping, Optional, Sequence
 
 import numpy as np
 
@@ -135,22 +139,28 @@ class MultilinearRingPoly:
         return MultilinearRingPoly(self.modulus, self.n_vars, out)
 
 
+def _require_dense(n_vars: int, dense_cap: int) -> None:
+    if n_vars > dense_cap:
+        raise CapExceeded(f"dense table over {n_vars} variables, cap is {dense_cap}")
+
+
 def _eval_table(poly: MultilinearRingPoly) -> np.ndarray:
     """Values of ``poly`` at every point, index = point mask.
 
     Subset-sum (zeta) transform over the coefficient table: after processing
     variable i, entry ``mask`` holds the sum of coefficients over monomials
-    contained in ``mask`` restricted to the processed variables.  Entries are
-    reduced after every variable, so no sum exceeds 2 * modulus, and
-    ``int_dtype(2 * modulus)`` picks int64 or Python ints for the table.
+    contained in ``mask`` restricted to the processed variables.  Every
+    coefficient is below modulus and an entry sums at most 2^n_vars of them,
+    so entries stay below modulus << n_vars; ``int_dtype`` of that bound picks
+    int64 or Python ints, and the table is reduced once, at the end.
     """
-    f = np.zeros(1 << poly.n_vars, dtype=int_dtype(2 * poly.modulus))
+    f = np.zeros(1 << poly.n_vars, dtype=int_dtype(poly.modulus << poly.n_vars))
     for mask, c in poly.coeffs.items():
         f[mask] = c
     for i in range(poly.n_vars):
         view = f.reshape(-1, 2, 1 << i)
         view[:, 1, :] += view[:, 0, :]
-        f %= poly.modulus
+    f %= poly.modulus
     return f
 
 
@@ -158,10 +168,7 @@ def eval_all_points(
     poly: MultilinearRingPoly, dense_cap: int = DEFAULT_DENSE_CAP
 ) -> list[int]:
     """Dense table of poly values on {0,1}^n_vars (exact residues)."""
-    if poly.n_vars > dense_cap:
-        raise CapExceeded(
-            f"dense table over {poly.n_vars} variables, cap is {dense_cap}"
-        )
+    _require_dense(poly.n_vars, dense_cap)
     return _eval_table(poly).tolist()
 
 
@@ -241,10 +248,13 @@ def suffix_count_poly(
 
 # must hold all p^k combination polynomials of one system (p <= 5, k <= 4)
 @lru_cache(maxsize=4096)
-def _value_histogram(p: int, n: int, items: tuple[tuple[int, int], ...]) -> tuple[int, ...]:
-    """hist[v] = |{x : poly(x) = v mod p}| for the nonconstant part ``items``."""
+def _value_histogram(p: int, n: int, items: tuple[tuple[int, int], ...]) -> Mapping[int, int]:
+    """{v: |{x : poly(x) = v mod p}|} over the values that occur, for the
+    nonconstant part ``items``; at most min(p, 2^n) entries, read-only
+    because every caller shares the cached mapping."""
     table = _eval_table(MultilinearRingPoly(p, n, dict(items)))
-    return tuple(np.bincount(table, minlength=p).tolist())
+    values, counts = np.unique(table, return_counts=True)
+    return MappingProxyType(dict(zip(values.tolist(), counts.tolist())))
 
 
 def count_roots(q: FpPolynomial, *, dense_cap: int = DEFAULT_DENSE_CAP) -> int:
@@ -262,17 +272,13 @@ def count_roots(q: FpPolynomial, *, dense_cap: int = DEFAULT_DENSE_CAP) -> int:
     d = max(mask.bit_count() for mask in nonconst)
     m = q.n // (6 * d * q.p)
     if m >= 1:
-        if q.n - m > dense_cap:
-            raise CapExceeded(
-                f"dense table over {q.n - m} variables, cap is {dense_cap}"
-            )
+        _require_dense(q.n - m, dense_cap)
         params = FpSumProdParams(p=q.p, d=d, k=1, n=q.n)
         counter = suffix_count_poly(q, params)
         return int(_eval_table(counter).sum())
-    if q.n > dense_cap:
-        raise CapExceeded(f"dense table over {q.n} variables, cap is {dense_cap}")
+    _require_dense(q.n, dense_cap)
     hist = _value_histogram(q.p, q.n, tuple(sorted(nonconst.items())))
-    return hist[(-const) % q.p]
+    return hist.get((-const) % q.p, 0)
 
 
 def _shared_shape(polys: Sequence[FpPolynomial]) -> tuple[int, int]:
@@ -358,10 +364,13 @@ def sumprod_fp(
 ) -> int:
     """sum over x of prod_i lift(polys[i](x)), values lifted to {0..p-1}.
 
-    Expands the product over value tuples: tuples containing a zero value
-    carry weight zero and are skipped; each remaining tuple contributes its
-    integer product of values times the number of points realizing it.  One
-    ``_accumulators`` pass counts all (p-1)^k tuples in <= p^(k+1) root counts.
+    With d the largest degree (at least 1) and m = floor(n/(6dp)), the dense
+    regime m = 0 multiplies the k value tables pointwise and sums the
+    product: k * 2^n work for any p.  When m >= 1 the product is expanded over
+    value tuples: tuples containing a zero value carry weight zero and are
+    skipped; each remaining tuple contributes its integer product of values
+    times the number of points realizing it.  One ``_accumulators`` pass
+    counts all (p-1)^k tuples in <= p^(k+1) root counts.
     """
     if not polys:
         if n is None:
@@ -371,6 +380,13 @@ def sumprod_fp(
     if n is not None and n != shape_n:
         raise ValueError(f"explicit n={n} disagrees with the polynomials")
     k = len(polys)
+    d = max(1, *(q.degree for q in polys))
+    if shape_n // (6 * d * p) == 0:
+        _require_dense(shape_n, dense_cap)
+        prod = np.ones(1 << shape_n, dtype=int_dtype((p - 1) ** k << shape_n))
+        for q in polys:
+            prod *= _eval_table(MultilinearRingPoly(p, shape_n, q.monomials))
+        return int(prod.sum())
     tuples = list(itertools.product(range(1, p), repeat=k))
     accs = _accumulators(polys, tuples, dense_cap)
     return sum(math.prod(t) * acc for t, acc in zip(tuples, accs)) // p**k

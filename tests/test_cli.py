@@ -294,3 +294,23 @@ def test_fp_value_tuples_count_against_the_tuple_cap(tmp_path, capsys):
     code, out, _ = run(["sumprod", path, "--cap-tuples", "144"], capsys)
     assert code == 0
     assert json.loads(out) == {"value": 1 + 9 + 16}
+
+
+def test_deeply_nested_json_is_exit_1(tmp_path, capsys):
+    # the JSON decoder gives up with a RecursionError, not a ValueError
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100000 + "]" * 100000)
+    code, out, err = run(["sumprod", str(path)], capsys)
+    assert code == 1
+    assert out == ""
+    assert "recursion" in json.loads(err)["error"]
+
+
+def test_fp_gate_over_a_large_prime(tmp_path, capsys):
+    # x1*x2 + 2*x3*x4 + 3*x1 + 4*x4 + 4 over F_1000003: no value wraps, so
+    # the sum is 4*1 + 4*2 + 8*3 + 8*4 + 16*4
+    gate = {"monomials": [[[1, 2], 1], [[3, 4], 2], [[1], 3], [[4], 4], [[], 4]]}
+    doc = {"family": "fp", "p": 1000003, "n": 4, "gates": [gate]}
+    code, out, _ = run(["sumprod", write(tmp_path, doc)], capsys)
+    assert code == 0
+    assert json.loads(out) == {"value": 132}

@@ -339,3 +339,67 @@ def test_invariant_violation_surfaces():
             fp.count_system([q], [0])
     finally:
         fp.count_roots = real
+
+
+def _dense_regime_polys(rng, p, n, k):
+    """k polys over F_p mixing zero, constant and random degree-1..3 polys."""
+    polys = []
+    for _ in range(k):
+        kind = rng.choice(("zero", "constant", "random", "random"))
+        if kind == "zero":
+            polys.append(FpPolynomial(p, n, {}))
+        elif kind == "constant":
+            polys.append(FpPolynomial(p, n, {0: rng.randrange(1, p)}))
+        else:
+            polys.append(rand_fp_poly(rng, p, n, rng.randint(1, 3)))
+    return polys
+
+
+def test_dense_sumprod_fp_multiplies_value_tables(monkeypatch):
+    # n <= 8 < 6p for every p: m = 0, so no root is counted
+    counted = _record_calls(monkeypatch, "count_roots")
+    rng = random.Random(97)
+    for p in (2, 3, 5, 7, 13):
+        for _ in range(12):
+            n = rng.randint(1, 8)
+            polys = _dense_regime_polys(rng, p, n, rng.randint(1, 3))
+            assert sumprod_fp(polys, n) == oracle_sumprod(polys, n)
+    assert not counted
+
+
+# k = 1 keeps the product on int64; at k = 3 and k = 2, (p-1)^k << n passes
+# 2^62 and the product runs on Python ints
+@pytest.mark.parametrize("p, k", [(1000003, 1), (1000003, 3), (2**31 - 1, 1), (2**31 - 1, 2)])
+def test_dense_sumprod_fp_over_large_primes(p, k):
+    rng = random.Random(p + k)
+    for n in (3, 5, 6):
+        polys = _dense_regime_polys(rng, p, n, k)
+        assert sumprod_fp(polys, n) == oracle_sumprod(polys, n)
+
+
+def test_dense_sumprod_fp_respects_the_dense_cap():
+    q = FpPolynomial(3, 12, {1: 1, 6: 2})
+    with pytest.raises(CapExceeded):
+        sumprod_fp([q, q], dense_cap=11)
+    assert sumprod_fp([q, q], dense_cap=12) == oracle_sumprod([q, q], 12)
+
+
+def test_value_histogram_memory_does_not_grow_with_p():
+    import tracemalloc
+
+    import hypersum.fppoly as fp
+
+    p = 1000003
+    q = FpPolynomial.from_terms(p, 4, [((1,), 1), ((2,), 2), ((), 5)])
+    fp._value_histogram.cache_clear()
+    tracemalloc.start()
+    try:
+        count = count_roots(q)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert count == 0
+    assert peak < 1 << 20
+    # x1 + 2*x2 = 3 at the one point x1 = x2 = 1, for either value of x3, x4
+    shifted = FpPolynomial.from_terms(p, 4, [((1,), 1), ((2,), 2), ((), -3)])
+    assert count_roots(shifted) == oracle_count_fp_system([shifted], [0]) == 4

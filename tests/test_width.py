@@ -114,3 +114,32 @@ def test_eval_all_points_across_the_bound(modulus, shape):
         for point in range(1 << nv)
     ]
     assert table == direct
+
+
+@st.composite
+def full_tables(draw):
+    """(modulus, nv, coeffs) with modulus << nv on either side of 2^62 while
+    2 * modulus stays far below it.  Every mask carries a coefficient, cycling
+    through a few values drawn down from modulus - 1, so an unreduced zeta sum
+    can pass 2^63."""
+    nv = draw(st.integers(6, 12))
+    modulus = draw(st.integers(2 ** (61 - nv), 2 ** (64 - nv)))
+    gaps = draw(st.lists(st.integers(0, modulus - 1), min_size=1, max_size=8))
+    values = [modulus - 1 - gap for gap in gaps]
+    return modulus, nv, {mask: values[mask % len(values)] for mask in range(1 << nv)}
+
+
+def _submask_sum(coeffs, point):
+    total, sub = coeffs[0], point
+    while sub:
+        total += coeffs[sub]
+        sub = (sub - 1) & point
+    return total
+
+
+@settings(derandomize=True, deadline=None, max_examples=30)
+@given(full_tables())
+def test_eval_all_points_reduces_once_without_overflow(case):
+    modulus, nv, coeffs = case
+    table = eval_all_points(MultilinearRingPoly(modulus, nv, coeffs))
+    assert table == [_submask_sum(coeffs, point) % modulus for point in range(1 << nv)]
