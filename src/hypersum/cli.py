@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import os
 import random
@@ -46,23 +47,32 @@ from .randgen import (
 )
 from .sumprod import DEFAULT_TUPLE_CAP, sumprod
 
-_ENV_CAPS = {
-    "tuple_cap": ("HYPERSUM_CAP_TUPLES", DEFAULT_TUPLE_CAP),
-    "dense_cap": ("HYPERSUM_CAP_DENSE", DEFAULT_DENSE_CAP),
-    "oracle_cap": ("HYPERSUM_CAP_ORACLE_N", DEFAULT_ORACLE_CAP),
-}
+# One row per resource cap: flag, attribute, environment variable, default,
+# help.  Precedence: flag, then environment variable, then default.
+_CAPS = (
+    ("--cap-tuples", "tuple_cap", "HYPERSUM_CAP_TUPLES", DEFAULT_TUPLE_CAP,
+     "max tuples in one product expansion"),
+    ("--cap-dense-vars", "dense_cap", "HYPERSUM_CAP_DENSE", DEFAULT_DENSE_CAP,
+     "max variables for dense polynomial tables"),
+    ("--cap-oracle-n", "oracle_cap", "HYPERSUM_CAP_ORACLE_N", DEFAULT_ORACLE_CAP,
+     "max variables for brute-force enumeration"),
+)
+
+
+class UsageError(ValueError):
+    """A command line the parser rejects: malformed input, exit code 1."""
+
+
+class _Parser(argparse.ArgumentParser):
+    # subparsers are built with the parent's class, so they raise too
+    def error(self, message: str):
+        raise UsageError(f"{self.prog}: {message}")
 
 
 def _fail(message: str, code: int) -> int:
     json.dump({"error": message}, sys.stderr)
     sys.stderr.write("\n")
     return code
-
-
-def _emit(payload: dict) -> int:
-    json.dump(payload, sys.stdout)
-    sys.stdout.write("\n")
-    return 0
 
 
 def _format(value) -> object:
@@ -79,16 +89,12 @@ def _load(path: str) -> dict:
         return json.load(fh)
 
 
-def _caps(args) -> dict:
-    out = {}
-    for name, (env, default) in _ENV_CAPS.items():
-        flag = getattr(args, name, None)
-        if flag is not None:
-            out[name] = flag
-        else:
+def _resolve_caps(args) -> None:
+    """Give every cap attribute left unset by its flag its effective value."""
+    for _, name, env, default, _ in _CAPS:
+        if getattr(args, name) is None:
             raw = os.environ.get(env)
-            out[name] = int(raw) if raw else default
-    return out
+            setattr(args, name, int(raw) if raw else default)
 
 
 def _int(x) -> int:
@@ -144,105 +150,102 @@ def _parse_system(data: dict) -> tuple[list[FpPolynomial], list[int]]:
     return polys, targets
 
 
-def _cmd_sumprod(args) -> int:
-    caps = _caps(args)
-    data = _load(args.input)
-    _, n, gates = _parse_gates(data)
-    value = sumprod(
-        gates,
-        n,
-        tuple_cap=caps["tuple_cap"],
-        dense_cap=caps["dense_cap"],
-    )
+def _scaled(data: dict, value) -> dict:
+    """A Sum-Product payload, times the document's optional coefficients."""
     for c in data.get("coefficients", []):
         value = as_fraction(c) * value
-    return _emit({"value": _format(value)})
+    return {"value": _format(value)}
 
 
-def _cmd_count_roots(args) -> int:
-    caps = _caps(args)
-    poly = _parse_poly(_load(args.input))
-    return _emit({"count": count_roots(poly, dense_cap=caps["dense_cap"])})
+def _sumprod(data: dict, args) -> dict:
+    _, n, gates = _parse_gates(data)
+    value = sumprod(gates, n, tuple_cap=args.tuple_cap, dense_cap=args.dense_cap)
+    return _scaled(data, value)
 
 
-def _cmd_count_system(args) -> int:
-    caps = _caps(args)
-    polys, targets = _parse_system(_load(args.input))
-    count = count_system(polys, targets, dense_cap=caps["dense_cap"])
-    return _emit({"count": count})
+def _count_roots(data: dict, args) -> dict:
+    return {"count": count_roots(_parse_poly(data), dense_cap=args.dense_cap)}
 
 
-def _cmd_check_boolean(args) -> int:
-    caps = _caps(args)
-    comb = _parse_comb(_load(args.input))
+def _count_system(data: dict, args) -> dict:
+    polys, targets = _parse_system(data)
+    return {"count": count_system(polys, targets, dense_cap=args.dense_cap)}
+
+
+def _check_boolean(data: dict, args) -> dict:
     verdict = check_boolean(
-        comb,
-        tuple_cap=caps["tuple_cap"],
-        dense_cap=caps["dense_cap"],
+        _parse_comb(data), tuple_cap=args.tuple_cap, dense_cap=args.dense_cap
     )
-    return _emit(
-        {"is_boolean": verdict.is_boolean, "deviation": _format(verdict.deviation)}
-    )
+    return {"is_boolean": verdict.is_boolean, "deviation": _format(verdict.deviation)}
 
 
-def _cmd_count_sat(args) -> int:
-    caps = _caps(args)
-    comb = _parse_comb(_load(args.input))
+def _count_sat(data: dict, args) -> dict:
+    comb = _parse_comb(data)
     try:
         count = count_sat(
             comb,
             unchecked=args.unchecked,
-            tuple_cap=caps["tuple_cap"],
-            dense_cap=caps["dense_cap"],
+            tuple_cap=args.tuple_cap,
+            dense_cap=args.dense_cap,
         )
     except InvariantViolation as exc:
         # counting satisfying assignments of a non-Boolean input is a usage
         # error, not a kernel failure
-        return _fail(str(exc), 1)
-    return _emit({"count": count})
+        raise ValueError(str(exc)) from exc
+    return {"count": count}
 
 
-def _cmd_check_equal(args) -> int:
-    caps = _caps(args)
-    data = _load(args.input)
-    left = _parse_comb(data["left"])
-    right = _parse_comb(data["right"])
+def _check_equal(data: dict, args) -> dict:
     verdict = check_equal(
-        left,
-        right,
-        tuple_cap=caps["tuple_cap"],
-        dense_cap=caps["dense_cap"],
+        _parse_comb(data["left"]),
+        _parse_comb(data["right"]),
+        tuple_cap=args.tuple_cap,
+        dense_cap=args.dense_cap,
     )
-    return _emit({"equal": verdict.equal, "distance": _format(verdict.distance)})
+    return {"equal": verdict.equal, "distance": _format(verdict.distance)}
 
 
-def _cmd_oracle(args) -> int:
-    caps = _caps(args)
-    data = _load(args.input)
-    cap = caps["oracle_cap"]
-    if args.oracle_command == "sumprod":
-        _, n, gates = _parse_gates(data)
-        value = oracle_sumprod(gates, n, cap=cap)
-        for c in data.get("coefficients", []):
-            value = as_fraction(c) * value
-        return _emit({"value": _format(value)})
-    if args.oracle_command == "check-boolean":
-        verdict = oracle_check_boolean(_parse_comb(data), cap=cap)
-        witness = None if verdict.witness is None else list(verdict.witness)
-        value = None if verdict.value is None else _format(verdict.value)
-        return _emit(
-            {"is_boolean": verdict.is_boolean, "witness": witness, "value": value}
-        )
-    if args.oracle_command == "count-sat":
-        try:
-            count = oracle_count_sat(_parse_comb(data), cap=cap)
-        except ValueError as exc:
-            return _fail(str(exc), 1)
-        return _emit({"count": count})
-    if args.oracle_command == "count-system":
-        polys, targets = _parse_system(data)
-        return _emit({"count": oracle_count_fp_system(polys, targets, cap=cap)})
-    raise ValueError(f"unknown oracle command {args.oracle_command}")
+def _oracle_sumprod(data: dict, args) -> dict:
+    _, n, gates = _parse_gates(data)
+    return _scaled(data, oracle_sumprod(gates, n, cap=args.oracle_cap))
+
+
+def _oracle_check_boolean(data: dict, args) -> dict:
+    verdict = oracle_check_boolean(_parse_comb(data), cap=args.oracle_cap)
+    witness = None if verdict.witness is None else list(verdict.witness)
+    value = None if verdict.value is None else _format(verdict.value)
+    return {"is_boolean": verdict.is_boolean, "witness": witness, "value": value}
+
+
+def _oracle_count_sat(data: dict, args) -> dict:
+    return {"count": oracle_count_sat(_parse_comb(data), cap=args.oracle_cap)}
+
+
+def _oracle_count_system(data: dict, args) -> dict:
+    polys, targets = _parse_system(data)
+    return {"count": oracle_count_fp_system(polys, targets, cap=args.oracle_cap)}
+
+
+# Every command that answers one JSON document: name -> (help, function from
+# the document and the parsed arguments, caps resolved, to the JSON payload).
+# "oracle" takes one more word, which picks its function.
+_COMMANDS = {
+    "sumprod": ("sum over the cube of a product of gates", _sumprod),
+    "count-roots": ("roots of one polynomial over F_p", _count_roots),
+    "count-system": ("common solutions of an F_p system", _count_system),
+    "check-boolean": ("is a combination {0,1}-valued?", _check_boolean),
+    "count-sat": ("satisfying assignments of a combination", _count_sat),
+    "check-equal": ("pointwise equality of two combinations", _check_equal),
+    "oracle": (
+        "brute-force reference implementations",
+        {
+            "sumprod": _oracle_sumprod,
+            "check-boolean": _oracle_check_boolean,
+            "count-sat": _oracle_count_sat,
+            "count-system": _oracle_count_system,
+        },
+    ),
+}
 
 
 def _parse_range(text: str) -> range:
@@ -263,8 +266,7 @@ def _bench_instance(rng: random.Random, family: Family, n: int, k: int, args):
     return [rand_fp_poly(rng, args.prime, n, args.degree) for _ in range(k)]
 
 
-def _cmd_bench(args) -> int:
-    caps = _caps(args)
+def _bench(args) -> int:
     family = Family(args.family)
     writer = csv.writer(sys.stdout)
     writer.writerow(
@@ -279,13 +281,13 @@ def _cmd_bench(args) -> int:
             value = sumprod(
                 gates,
                 n,
-                tuple_cap=caps["tuple_cap"],
-                dense_cap=caps["dense_cap"],
+                tuple_cap=args.tuple_cap,
+                dense_cap=args.dense_cap,
             )
             wall = time.perf_counter_ns() - start
             enumerated = mitm.partials.value - before
             if args.oracle:
-                expect = oracle_sumprod(gates, n, cap=caps["oracle_cap"])
+                expect = oracle_sumprod(gates, n, cap=args.oracle_cap)
                 if expect != value:
                     raise InvariantViolation(
                         f"bench mismatch at family={family.value} n={n} "
@@ -298,79 +300,31 @@ def _cmd_bench(args) -> int:
 
 
 def _add_cap_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--cap-tuples",
-        dest="tuple_cap",
-        type=int,
-        default=None,
-        help="max tuples in one product expansion",
-    )
-    parser.add_argument(
-        "--cap-dense-vars",
-        dest="dense_cap",
-        type=int,
-        default=None,
-        help="max variables for dense polynomial tables",
-    )
-    parser.add_argument(
-        "--cap-oracle-n",
-        dest="oracle_cap",
-        type=int,
-        default=None,
-        help="max variables for brute-force enumeration",
-    )
+    for flag, name, _, _, help_ in _CAPS:
+        parser.add_argument(flag, dest=name, type=int, default=None, help=help_)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    """The command-line parser, built once per process on first use."""
+    parser = _Parser(
         prog="hypersum",
         description="Exact Sum-Products of gate products over the Boolean cube",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("sumprod", help="sum over the cube of a product of gates")
-    p.add_argument("input", help="JSON file or - for stdin")
-    _add_cap_flags(p)
-    p.set_defaults(func=_cmd_sumprod)
-
-    p = sub.add_parser("count-roots", help="roots of one polynomial over F_p")
-    p.add_argument("input")
-    _add_cap_flags(p)
-    p.set_defaults(func=_cmd_count_roots)
-
-    p = sub.add_parser("count-system", help="common solutions of an F_p system")
-    p.add_argument("input")
-    _add_cap_flags(p)
-    p.set_defaults(func=_cmd_count_system)
-
-    p = sub.add_parser("check-boolean", help="is a combination {0,1}-valued?")
-    p.add_argument("input")
-    _add_cap_flags(p)
-    p.set_defaults(func=_cmd_check_boolean)
-
-    p = sub.add_parser("count-sat", help="satisfying assignments of a combination")
-    p.add_argument("input")
-    p.add_argument(
-        "--unchecked",
-        action="store_true",
-        help="skip the Boolean-valuedness check",
-    )
-    _add_cap_flags(p)
-    p.set_defaults(func=_cmd_count_sat)
-
-    p = sub.add_parser("check-equal", help="pointwise equality of two combinations")
-    p.add_argument("input")
-    _add_cap_flags(p)
-    p.set_defaults(func=_cmd_check_equal)
-
-    p = sub.add_parser("oracle", help="brute-force reference implementations")
-    p.add_argument(
-        "oracle_command",
-        choices=["sumprod", "check-boolean", "count-sat", "count-system"],
-    )
-    p.add_argument("input")
-    _add_cap_flags(p)
-    p.set_defaults(func=_cmd_oracle)
+    for name, (help_, run) in _COMMANDS.items():
+        p = sub.add_parser(name, help=help_)
+        if name == "oracle":
+            p.add_argument("oracle_command", choices=list(run))
+        p.add_argument("input", help="JSON file or - for stdin")
+        if name == "count-sat":
+            p.add_argument(
+                "--unchecked",
+                action="store_true",
+                help="skip the Boolean-valuedness check",
+            )
+        _add_cap_flags(p)
 
     p = sub.add_parser("bench", help="timing table as CSV on stdout")
     p.add_argument("--family", required=True, choices=[f.value for f in Family])
@@ -387,15 +341,22 @@ def build_parser() -> argparse.ArgumentParser:
         help="verify each result against brute force",
     )
     _add_cap_flags(p)
-    p.set_defaults(func=_cmd_bench)
 
     return parser
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        args = build_parser().parse_args(argv)
+        _resolve_caps(args)
+        if args.command == "bench":
+            return _bench(args)
+        run = _COMMANDS[args.command][1]
+        if args.command == "oracle":
+            run = run[args.oracle_command]
+        json.dump(run(_load(args.input), args), sys.stdout)
+        sys.stdout.write("\n")
+        return 0
     except CapExceeded as exc:
         return _fail(str(exc), 2)
     except InvariantViolation as exc:

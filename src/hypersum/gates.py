@@ -131,14 +131,12 @@ class FpPolynomial:
 
     ``monomials`` maps a variable-subset mask (bit i = variable x_{i+1}) to a
     coefficient in {1, ..., p-1}; the constructor reduces mod p and drops
-    zeros.  ``degree_bound`` defaults to the largest stored monomial size and
-    may be declared larger.
+    zeros.
     """
 
     p: int
     n: int
     monomials: dict[int, int]
-    degree_bound: int = -1  # -1: infer from the monomials
 
     def __post_init__(self) -> None:
         if not _is_prime(self.p):
@@ -153,13 +151,6 @@ class FpPolynomial:
             if c:
                 reduced[mask] = c
         object.__setattr__(self, "monomials", reduced)
-        actual = max((m.bit_count() for m in reduced), default=0)
-        if self.degree_bound == -1:
-            object.__setattr__(self, "degree_bound", actual)
-        elif self.degree_bound < actual:
-            raise ValueError(
-                f"degree_bound {self.degree_bound} below actual degree {actual}"
-            )
 
     __hash__ = None  # type: ignore[assignment]
 
@@ -173,7 +164,6 @@ class FpPolynomial:
         p: int,
         n: int,
         terms: Iterable[tuple[Iterable[int], int]],
-        degree_bound: int = -1,
     ) -> "FpPolynomial":
         """Build from (variables, coeff) pairs with 1-indexed variables."""
         monomials: dict[int, int] = {}
@@ -184,7 +174,7 @@ class FpPolynomial:
                     raise ValueError(f"variable index {v} out of range 1..{n}")
                 mask |= 1 << (v - 1)
             monomials[mask] = monomials.get(mask, 0) + coeff
-        return cls(p, n, monomials, degree_bound)
+        return cls(p, n, monomials)
 
 
 Gate = Union[ThresholdGate, ExactThresholdGate, ReluGate, FpPolynomial]

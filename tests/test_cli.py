@@ -314,3 +314,70 @@ def test_fp_gate_over_a_large_prime(tmp_path, capsys):
     code, out, _ = run(["sumprod", write(tmp_path, doc)], capsys)
     assert code == 0
     assert json.loads(out) == {"value": 132}
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["sumprod", "--bogus", "1", "-"],
+        ["sumprod"],
+        [],
+        ["sumprod", "--cap-tuples", "abc", "-"],
+        ["oracle", "bogus", "-"],
+    ],
+    ids=["unknown-flag", "missing-input", "no-subcommand", "non-integer-cap",
+         "unknown-oracle-command"],
+)
+def test_usage_errors_are_exit_1_with_json(argv, capsys):
+    code, out, err = run(argv, capsys)
+    assert code == 1
+    assert out == ""
+    assert "error" in json.loads(err)
+
+
+def test_help_still_exits_0(capsys):
+    with pytest.raises(SystemExit) as info:
+        main(["sumprod", "--help"])
+    assert info.value.code == 0
+    assert "--cap-tuples" in capsys.readouterr().out
+
+
+def test_repeated_calls_share_no_state(tmp_path, capsys):
+    doc = {
+        "family": "thr",
+        "n": 1,
+        "coefficients": ["1/2"],
+        "gates": [{"weights": [1], "threshold": 1}],
+    }
+    path = write(tmp_path, doc)
+    # unchecked, the count 1/2 fails the range check; checked again, the
+    # Boolean check must run first
+    code, _, err = run(["count-sat", "--unchecked", path], capsys)
+    assert code == 1
+    assert "Boolean" not in json.loads(err)["error"]
+    code, out, err = run(["count-sat", path], capsys)
+    assert code == 1
+    assert out == ""
+    assert "not Boolean-valued" in json.loads(err)["error"]
+
+
+def test_oracle_count_system_matches_count_system(tmp_path, capsys):
+    doc = {
+        "p": 3,
+        "n": 4,
+        "polys": [
+            {"monomials": [[[1], 1], [[2], 2]]},
+            {"monomials": [[[3, 4], 1], [[], 2]]},
+        ],
+        "targets": [0, 2],
+    }
+    path = write(tmp_path, doc)
+    code, out, _ = run(["oracle", "count-system", path], capsys)
+    assert code == 0
+    assert json.loads(out) == {"count": 6}
+    code, out, _ = run(["count-system", path], capsys)
+    assert json.loads(out) == {"count": 6}
+    code, out, err = run(["oracle", "count-system", path, "--cap-oracle-n", "3"], capsys)
+    assert code == 2
+    assert out == ""
+    assert "error" in json.loads(err)

@@ -81,13 +81,6 @@ def test_fp_rejects_composite_modulus():
         FpPolynomial(6, 2, {1: 1})
 
 
-def test_fp_degree_bound_must_cover_actual():
-    with pytest.raises(ValueError):
-        FpPolynomial(3, 3, {0b111: 1}, degree_bound=2)
-    q = FpPolynomial(3, 3, {0b111: 1}, degree_bound=3)
-    assert q.degree == 3
-
-
 def test_normalize_thr_ceils_threshold():
     g = ThresholdGate((Fraction(1, 2), Fraction(1)), Fraction(1, 3))
     scaled, scale = normalize_integer(g)
