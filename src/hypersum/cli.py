@@ -98,9 +98,10 @@ def _resolve_caps(args) -> None:
 
 
 def _int(x) -> int:
-    """An integer field: an int or a decimal string, never a float."""
-    if isinstance(x, float):
-        raise TypeError(f"floats are not accepted for integer fields: {x!r}")
+    """An integer field: an int or a decimal string, never a float or a
+    boolean."""
+    if isinstance(x, (float, bool)):
+        raise TypeError(f"{type(x).__name__}s are not accepted for integer fields: {x!r}")
     return int(x)
 
 

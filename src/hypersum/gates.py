@@ -28,10 +28,13 @@ def as_fraction(x: Rational) -> Fraction:
     """Coerce an int, decimal string ("3", "-1/2") or Fraction to Fraction.
 
     Floats are rejected: they would smuggle rounding into exact arithmetic.
-    A zero denominator raises ValueError.
+    So are booleans, which Python counts as ints but are not numbers.  A zero
+    denominator raises ValueError.
     """
     if isinstance(x, float):
         raise TypeError("floats are not accepted; use int, Fraction or 'p/q' string")
+    if isinstance(x, bool):
+        raise TypeError(f"booleans are not accepted as numbers: {x!r}")
     try:
         return Fraction(x)
     except ZeroDivisionError:

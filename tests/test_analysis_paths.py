@@ -1,0 +1,301 @@
+"""The two analysis paths against each other and against brute force.
+
+Combinations whose gates share one linear form are answered from one
+histogram of s = <w, x>; lowering ``analysis._HISTOGRAM_CELLS`` to 0 sends
+them through the Sum-Product expansion instead.  Both must agree with each
+other and with ``hypersum.oracle`` on every verdict, deviation, count and
+distance.
+"""
+
+import io
+import json
+from fractions import Fraction
+from itertools import product
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import hypersum.analysis as analysis
+from hypersum import (
+    ExactThresholdGate,
+    Family,
+    InvariantViolation,
+    LinComb,
+    ReluGate,
+    ThresholdGate,
+    check_boolean,
+    check_equal,
+    count_sat,
+    eval_lincomb,
+    oracle_check_boolean,
+    oracle_count_sat,
+)
+from hypersum.cli import main
+
+SETTINGS = settings(derandomize=True, deadline=None, max_examples=120)
+
+FAMILIES = ("thr", "ethr", "relu")
+HUGE = 2**70
+
+ratios = st.sampled_from([Fraction(x) for x in ("1", "-1", "2", "-3", "1/2", "-2/3", "5/4")])
+coefficients = st.one_of(
+    st.sampled_from([Fraction(x) for x in ("1", "-1", "2", "1/2", "-1/3", "0")]),
+    st.just(Fraction(HUGE)),
+)
+
+
+def _gate(family: str, weights, constant):
+    weights = tuple(Fraction(w) for w in weights)
+    if family == "thr":
+        return ThresholdGate(weights, constant)
+    if family == "ethr":
+        return ExactThresholdGate(weights, constant)
+    return ReluGate(weights, constant)
+
+
+OFFSETS = [Fraction(x) for x in ("0", "0", "1", "-1", "1/2", "-5/3")]
+
+
+@st.composite
+def constants(draw, family: str, weights):
+    """target, threshold or bias near the sums <weights, x>: an achievable
+    sum shifted by a small rational, or far out of reach."""
+    if draw(st.integers(0, 9)) == 0:
+        return Fraction(draw(st.sampled_from((HUGE, -HUGE))))
+    picks = draw(st.lists(st.booleans(), min_size=len(weights), max_size=len(weights)))
+    at = sum((w for w, b in zip(weights, picks) if b), Fraction(0))
+    return (-at if family == "relu" else at) + draw(st.sampled_from(OFFSETS))
+
+
+@st.composite
+def combinations(draw, n=None, family=None):
+    """(comb, one_form): gates are rational multiples of one integer vector
+    (zero weights allowed), all-zero gates, or, when one_form is False, also
+    independent weight vectors."""
+    n = n or draw(st.integers(1, 8))
+    family = family or draw(st.sampled_from(FAMILIES))
+    base = draw(st.lists(st.integers(-3, 3), min_size=n, max_size=n))
+    one_form = True
+    gates = []
+    for _ in range(draw(st.integers(1, 4))):
+        kind = draw(st.sampled_from(("copy", "copy", "copy", "zero", "other")))
+        if kind == "copy":
+            lam = draw(ratios)
+            weights = [lam * b for b in base]
+        elif kind == "zero":
+            weights = [0] * n
+        else:
+            weights = draw(st.lists(st.integers(-3, 3), min_size=n, max_size=n))
+            one_form = False
+        gates.append(_gate(family, weights, draw(constants(family, weights))))
+    coeffs = draw(st.lists(coefficients, min_size=len(gates), max_size=len(gates)))
+    return LinComb(Family(family), tuple(coeffs), tuple(gates), n), one_form
+
+
+@st.composite
+def boolean_combinations(draw):
+    """One-form combinations that are {0,1}-valued by construction, some
+    gates written with rescaled weights and constants."""
+    n = draw(st.integers(1, 8))
+    family = draw(st.sampled_from(FAMILIES))
+    base = [Fraction(b) for b in draw(st.lists(st.integers(-3, 3), min_size=n, max_size=n))]
+    lam = draw(st.sampled_from([Fraction(x) for x in ("1", "-1", "2", "-3")]))
+    mu = draw(st.sampled_from([Fraction(x) for x in ("1", "2", "1/2", "3")]))
+    low, high = sorted(draw(st.lists(st.integers(-8, 8), min_size=2, max_size=2)))
+    if family == "thr":
+        # [u >= low] - [u >= high], the second gate scaled by mu > 0
+        gates = [
+            ThresholdGate(tuple(lam * b for b in base), Fraction(low)),
+            ThresholdGate(tuple(mu * lam * b for b in base), mu * high),
+        ]
+        coeffs = [Fraction(1), Fraction(-1)]
+    elif family == "relu":
+        # relu(u - low + 1) - relu(u - low) = [u >= low] for integer u
+        gates = [
+            ReluGate(tuple(lam * b for b in base), Fraction(1 - low)),
+            ReluGate(tuple(mu * lam * b for b in base), -mu * low),
+        ]
+        coeffs = [Fraction(1), -1 / mu]
+    else:
+        # indicators of distinct values of u, one split 1/3 + 2/3
+        targets = sorted({low, high, low + 1})
+        gates = [ExactThresholdGate(tuple(lam * b for b in base), Fraction(t)) for t in targets]
+        coeffs = [Fraction(1)] * len(gates)
+        gates.append(ExactThresholdGate(tuple(mu * lam * b for b in base), mu * targets[0]))
+        coeffs[0] = Fraction(1, 3)
+        coeffs.append(Fraction(2, 3))
+    return LinComb(Family(family), tuple(coeffs), tuple(gates), n)
+
+
+def _points(n):
+    return product((0, 1), repeat=n)
+
+
+def _deviation(comb):
+    values = (eval_lincomb(comb, x) for x in _points(comb.n))
+    return sum((v * v * (v - 1) * (v - 1) for v in values), Fraction(0))
+
+
+def _distance(left, right):
+    return sum(
+        ((eval_lincomb(left, x) - eval_lincomb(right, x)) ** 2 for x in _points(left.n)),
+        Fraction(0),
+    )
+
+
+def _outcome(fn):
+    try:
+        return fn()
+    except InvariantViolation:
+        return InvariantViolation
+
+
+def _both_paths(fn):
+    """(answer from the default path, Sum-Product calls it made, answer with
+    the histogram path switched off)."""
+    calls = []
+    real = analysis.sumprod
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(analysis, "sumprod", lambda *a, **k: calls.append(1) or real(*a, **k))
+        fast = _outcome(fn)
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(analysis, "_HISTOGRAM_CELLS", 0)
+        slow = _outcome(fn)
+    return fast, len(calls), slow
+
+
+@SETTINGS
+@given(st.one_of(combinations(), boolean_combinations().map(lambda c: (c, True))))
+def test_check_boolean_paths_agree(case):
+    comb, one_form = case
+    fast, calls, slow = _both_paths(lambda: check_boolean(comb))
+    assert fast == slow
+    assert fast.deviation == _deviation(comb)
+    assert fast.is_boolean == oracle_check_boolean(comb).is_boolean
+    if one_form:
+        assert calls == 0
+
+
+@SETTINGS
+@given(st.one_of(combinations(), boolean_combinations().map(lambda c: (c, True))))
+def test_count_sat_paths_agree(case):
+    comb, one_form = case
+    if oracle_check_boolean(comb).is_boolean:
+        expected = oracle_count_sat(comb)
+    else:
+        expected = InvariantViolation
+    fast, calls, slow = _both_paths(lambda: count_sat(comb))
+    assert fast == slow == expected
+    if one_form:
+        assert calls == 0
+
+    total = sum((eval_lincomb(comb, x) for x in _points(comb.n)), Fraction(0))
+    if total.denominator == 1 and 0 <= total <= 2**comb.n:
+        expected = int(total)
+    else:
+        expected = InvariantViolation
+    fast, calls, slow = _both_paths(lambda: count_sat(comb, unchecked=True))
+    assert fast == slow == expected
+    if one_form:
+        assert calls == 0
+
+
+def _rescaled(comb, mu):
+    """The same function with every weight and constant times mu > 0."""
+    gates, coeffs = [], []
+    for c, g in zip(comb.coefficients, comb.gates):
+        weights = tuple(mu * w for w in g.weights)
+        if isinstance(g, ThresholdGate):
+            gates.append(ThresholdGate(weights, mu * g.threshold))
+        elif isinstance(g, ExactThresholdGate):
+            gates.append(ExactThresholdGate(weights, mu * g.target))
+        else:
+            gates.append(ReluGate(weights, mu * g.bias))
+            c = c / mu
+        coeffs.append(c)
+    return LinComb(comb.family, tuple(coeffs), tuple(gates), comb.n)
+
+
+@st.composite
+def pairs(draw):
+    left, one_form = draw(combinations())
+    variant = draw(st.sampled_from(("same", "same", "other")))
+    if variant == "same":
+        mu = draw(st.sampled_from([Fraction(x) for x in ("2", "1/2", "3")]))
+        right = _rescaled(left, mu)
+    else:
+        right, _ = draw(combinations(left.n, left.family.value))
+        one_form = False
+    return left, right, one_form
+
+
+@SETTINGS
+@given(pairs())
+def test_check_equal_paths_agree(case):
+    left, right, one_form = case
+    fast, calls, slow = _both_paths(lambda: check_equal(left, right))
+    assert fast == slow
+    assert fast.distance == _distance(left, right)
+    if one_form:
+        assert calls == 0
+
+
+# f = [x1 + ... + x60 >= 59] - [x1 + ... + x60 >= 60]: exactly 60 points
+N60_DOC = {
+    "family": "thr",
+    "n": 60,
+    "coefficients": [1, -1],
+    "gates": [
+        {"weights": [1] * 60, "threshold": 59},
+        {"weights": [1] * 60, "threshold": 60},
+    ],
+}
+
+
+def _no_sumprod(*args, **kwargs):
+    raise AssertionError("one-form combination reached sumprod")
+
+
+def _run(args, doc, capsys, monkeypatch):
+    monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(doc)))
+    code = main(args + ["-"])
+    out = capsys.readouterr()
+    return code, out.out, out.err
+
+
+def test_one_form_count_sat_at_n60_needs_no_sumprod(capsys, monkeypatch):
+    # the Sum-Product expansion would enumerate 2^30 half sums here
+    monkeypatch.setattr(analysis, "sumprod", _no_sumprod)
+    code, out, err = _run(["count-sat"], N60_DOC, capsys, monkeypatch)
+    assert (code, json.loads(out)) == (0, {"count": 60}), err
+    code, out, err = _run(["check-boolean"], N60_DOC, capsys, monkeypatch)
+    assert code == 0, err
+    assert json.loads(out)["is_boolean"] is True
+
+
+def test_multi_form_combination_still_calls_sumprod(monkeypatch):
+    calls = []
+    real = analysis.sumprod
+    monkeypatch.setattr(analysis, "sumprod", lambda *a, **k: calls.append(1) or real(*a, **k))
+    comb = LinComb(
+        Family.THR,
+        (Fraction(1), Fraction(1), Fraction(-1)),
+        (
+            ThresholdGate((1, 1, 0), 2),
+            ThresholdGate((0, 1, 1), 2),
+            ThresholdGate((1, 1, 1), 3),
+        ),
+    )
+    assert count_sat(comb) == oracle_count_sat(comb) == 3
+    assert calls
+
+
+def test_one_form_histogram_beyond_int64_counts(monkeypatch):
+    # 2^64 points, so the histogram holds Python ints; 2 [s = 1] - [2s = 2] = [s = 1]
+    monkeypatch.setattr(analysis, "sumprod", _no_sumprod)
+    gate = ExactThresholdGate((1,) * 64, 1)
+    doubled = ExactThresholdGate((2,) * 64, 2)
+    comb = LinComb(Family.ETHR, (Fraction(2), Fraction(-1)), (gate, doubled))
+    assert count_sat(comb) == 64
+    assert check_boolean(LinComb(Family.ETHR, (Fraction(2),), (gate,))).deviation == 4 * 64

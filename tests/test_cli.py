@@ -381,3 +381,29 @@ def test_oracle_count_system_matches_count_system(tmp_path, capsys):
     assert code == 2
     assert out == ""
     assert "error" in json.loads(err)
+
+
+JSON_BOOLEANS = [
+    ("sumprod", '{"family": "thr", "n": true, "gates": [{"weights": [1], "threshold": 1}]}'),
+    ("sumprod", '{"family": "thr", "n": 1, "gates": [{"weights": [true], "threshold": 1}]}'),
+    ("sumprod", '{"family": "thr", "n": 1, "gates": [{"weights": [1], "threshold": false}]}'),
+    ("check-boolean", '{"family": "thr", "n": 1, "coefficients": [true],'
+                      ' "gates": [{"weights": [1], "threshold": 1}]}'),
+    ("count-roots", '{"p": true, "n": 2, "monomials": [[[1], 1]]}'),
+    ("sumprod", '{"family": "ethr", "n": 1, "gates": [{"weights": [1], "target": true}]}'),
+    ("count-system", '{"p": 3, "n": 2, "polys": [{"monomials": [[[1], 1]]}], "targets": [true]}'),
+]
+
+
+@pytest.mark.parametrize(
+    "command, text", JSON_BOOLEANS,
+    ids=["n", "weight", "threshold", "coefficient", "p", "target", "system-target"],
+)
+def test_json_booleans_are_not_numbers(tmp_path, capsys, command, text):
+    # bool is an int subclass in Python: true must not be read as 1
+    path = tmp_path / "bool.json"
+    path.write_text(text)
+    code, out, err = run([command, str(path)], capsys)
+    assert code == 1
+    assert out == ""
+    assert "bool" in json.loads(err)["error"]

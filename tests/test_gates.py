@@ -30,6 +30,16 @@ def test_as_fraction_rejects_floats():
         as_fraction(0.5)
 
 
+def test_as_fraction_rejects_booleans():
+    for x in (True, False):
+        with pytest.raises(TypeError):
+            as_fraction(x)
+    with pytest.raises(TypeError):
+        ThresholdGate((True, 1), 1)
+    with pytest.raises(TypeError):
+        ExactThresholdGate((Fraction(1),), False)
+
+
 def test_as_fraction_rejects_zero_denominator():
     with pytest.raises(ValueError):
         as_fraction("1/0")
