@@ -28,7 +28,7 @@ import numpy as np
 from .errors import InvariantViolation
 from .fppoly import DEFAULT_DENSE_CAP
 from .gates import ExactThresholdGate, LinComb, ReluGate, ThresholdGate
-from .mitm import int_dtype
+from .mitm import histogram, int_dtype
 from .sumprod import DEFAULT_TUPLE_CAP, sumprod
 
 # one-form combinations whose histogram takes n * R cell updates or more go
@@ -110,20 +110,6 @@ def _common_form(gates) -> Optional[tuple[list[int], list[Fraction]]]:
     return w, lambdas
 
 
-def _histogram(w: list[int], lo: int, hi: int, n: int) -> np.ndarray:
-    """N(s) = |{x : <w, x> = s}| at index s - lo, for lo <= s <= hi."""
-    counts = np.zeros(hi - lo + 1, dtype=int_dtype(1 << n))
-    counts[-lo] = 1
-    for x in w:
-        if x > 0:
-            counts[x:] += counts[:-x]
-        elif x < 0:
-            counts[:x] += counts[-x:]
-        else:  # a free variable doubles every cell
-            counts *= 2
-    return counts
-
-
 def _piece(gate, lam: Fraction):
     """(slope, intercept, first, last) with the gate equal to
     slope * s + intercept for first <= s <= last and 0 elsewhere, as a
@@ -162,7 +148,7 @@ def _form_table(coefficients, gates, n: int) -> Optional[tuple]:
     hi = sum(x for x in w if x > 0)
     if n * (hi - lo + 1) >= _HISTOGRAM_CELLS:
         return None
-    counts = _histogram(w, lo, hi, n)
+    counts, _ = histogram([w], n)
     hit = np.flatnonzero(counts)
     counts = counts[hit]
     sums = hit + lo

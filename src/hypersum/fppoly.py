@@ -5,9 +5,11 @@ sums a modulus-amplified indicator over all suffix assignments, and reads
 per-prefix suffix-root counts out of the residues of a single polynomial over
 the remaining variables.  Systems reduce to root counts in one pass over the
 coefficient tuples b in F_p^k (``_accumulators``), and so do Sum-Products when
-m >= 1.  Below that split (m = 0) a Sum-Product is the sum of the pointwise
-product of the k dense value tables.  Every dense table comes from one zeta
-transform with a single reduction at the end.
+m >= 1.  Below that split both read the k dense value tables instead: a
+Sum-Product with m = 0 sums the tables' pointwise product, and a system with
+n < 6p (m = 0 at every degree) counts the points where every table hits its
+target.  Every dense table comes from one zeta transform with a single
+reduction at the end.
 """
 
 from __future__ import annotations
@@ -334,6 +336,16 @@ def _accumulators(
     return accs
 
 
+def _dense_tables(polys: Sequence[FpPolynomial], d: int, dense_cap: int):
+    """The value tables of ``polys``, one at a time, when m = floor(n/(6dp))
+    is 0; None when m >= 1."""
+    p, n = _shared_shape(polys)
+    if n // (6 * d * p):
+        return None
+    _require_dense(n, dense_cap)
+    return (_eval_table(MultilinearRingPoly(p, n, q.monomials)) for q in polys)
+
+
 def count_system(
     polys: Sequence[FpPolynomial],
     targets: Sequence[int],
@@ -343,14 +355,28 @@ def count_system(
 ):
     """|{x : polys[j](x) = targets[j] mod p for all j}|.
 
-    ``_accumulators`` for one target tuple: the accumulator sums, over all b
-    in F_p^k, the number of points where sum_j b_j (polys[j] - targets[j]) is
-    0 minus the number where it is 1, and is p^k times the answer.
+    When n < 6p, m = floor(n/(6dp)) is 0 for every degree d >= 1, so each
+    root count of the coefficient-tuple pass would evaluate a dense table:
+    the k value tables are compared with the targets point by point instead,
+    k * 2^n work for any p, and the accumulator is p^k times that count.
+    Otherwise ``_accumulators`` runs for one target tuple: the accumulator
+    sums, over all b in F_p^k, the number of points where
+    sum_j b_j (polys[j] - targets[j]) is 0 minus the number where it is 1,
+    and is p^k times the answer.
     """
     if len(targets) != len(polys):
         raise ValueError("polynomial/target count mismatch")
-    (acc,) = _accumulators(polys, [targets], dense_cap)
-    count = acc // polys[0].p ** len(polys)
+    tables = _dense_tables(polys, 1, dense_cap)
+    power = polys[0].p ** len(polys)
+    if tables is None:
+        (acc,) = _accumulators(polys, [targets], dense_cap)
+        count = acc // power
+    else:
+        hit = np.ones(1 << polys[0].n, dtype=bool)
+        for table, t in zip(tables, targets):
+            hit &= table == t % polys[0].p
+        count = int(np.count_nonzero(hit))
+        acc = count * power
     if with_accumulator:
         return count, acc
     return count
@@ -380,12 +406,11 @@ def sumprod_fp(
     if n is not None and n != shape_n:
         raise ValueError(f"explicit n={n} disagrees with the polynomials")
     k = len(polys)
-    d = max(1, *(q.degree for q in polys))
-    if shape_n // (6 * d * p) == 0:
-        _require_dense(shape_n, dense_cap)
+    tables = _dense_tables(polys, max(1, *(q.degree for q in polys)), dense_cap)
+    if tables is not None:
         prod = np.ones(1 << shape_n, dtype=int_dtype((p - 1) ** k << shape_n))
-        for q in polys:
-            prod *= _eval_table(MultilinearRingPoly(p, shape_n, q.monomials))
+        for table in tables:
+            prod *= table
         return int(prod.sum())
     tuples = list(itertools.product(range(1, p), repeat=k))
     accs = _accumulators(polys, tuples, dense_cap)

@@ -1,11 +1,13 @@
-"""Split-and-list counting over the hypercube.
+"""Split-and-list counting and subset-sum histograms over the hypercube.
 
 The variables are split into a first half of ceil(n/2) and a second half of
 floor(n/2); all partial assignments of each half are enumerated, the second
 half is aggregated into a table sorted by partial sum, and first-half entries
 are matched against it by binary search.  A module-level tally records how
 many partial assignments were enumerated (2^ceil(n/2) + 2^floor(n/2) per
-call, independent of the weights).
+call, independent of the weights).  ``histogram`` is the pseudo-polynomial
+alternative for small integer weights: Bellman's subset-sum dynamic program
+over the box of achievable sums of one or more linear forms.
 
 One rule, ``int_dtype``, decides the integer width for every kernel: numpy
 int64 when each magnitude a kernel can meet is below 2^62, and numpy object
@@ -15,6 +17,7 @@ either width.
 
 from __future__ import annotations
 
+import math
 from typing import Sequence
 
 import numpy as np
@@ -97,3 +100,33 @@ def count_subset_sum(weights: Sequence[int], target: int) -> int:
     hit = k2[idx] == need
     # the hit counts total at most 2^n, so their products never overflow
     return int(c1[hit] @ c2[idx[hit]])
+
+
+def histogram(weight_rows: Sequence[Sequence[int]], n: int):
+    """(N, lows): N[s_1 - lo_1, ..., s_d - lo_d] = |{x : <w_i, x> = s_i for
+    all i}| over the box of achievable sums, lo_i the sum of the negative
+    weights of row i.
+
+    Bellman's dynamic program on ``int_dtype(1 << n)`` cells.  The box is
+    flattened in C order, so variable j shifts every count by its packed
+    weight x_j = sum_i w_ij * stride_i; a count's shifted cell is itself an
+    achievable sum, so shifts never wrap between rows.  Each of the n
+    shift-and-add passes covers only the flat range reached so far, and a
+    variable whose weights are all zero doubles every cell.
+    """
+    lows = [sum(w for w in row if w < 0) for row in weight_rows]
+    shape = [sum(abs(w) for w in row) + 1 for row in weight_rows]
+    last = math.prod(shape) - 1
+    packed, start, stride = [0] * n, 0, last + 1
+    for row, lo, size in zip(weight_rows, lows, shape):
+        stride //= size
+        packed = [p + stride * w for p, w in zip(packed, row)]
+        start -= stride * lo
+    counts = np.zeros(last + 1, dtype=int_dtype(1 << n))
+    counts[start] = 1
+    a = b = start  # the flat range reached so far
+    for x in packed:
+        i, j = max(a, -x), min(b, last - x)
+        counts[i + x:j + x + 1] += counts[i:j + 1]
+        a, b = min(a, i + x), max(b, j + x)
+    return counts.reshape(shape), lows

@@ -321,11 +321,13 @@ def test_root_counts_per_call_are_bounded(monkeypatch, p, k, n):
 
 def test_invariant_violation_surfaces():
     # a poisoned count_roots breaks the p^k divisibility and must be caught;
-    # shifting exactly one call by 1 leaves the accumulator off by 1
+    # shifting exactly one call by 1 leaves the accumulator off by 1.  The
+    # system is in the suffix regime (m = 12 // (6 * 1 * 2) = 1), since a
+    # dense-regime system compares value tables and counts no roots
     import hypersum.fppoly as fp
 
     real = fp.count_roots
-    q = FpPolynomial(3, 4, {1: 1})
+    q = FpPolynomial(2, 12, {1: 1})
     calls = [0]
 
     def poisoned(poly, *, dense_cap=fp.DEFAULT_DENSE_CAP):
@@ -375,6 +377,27 @@ def test_dense_sumprod_fp_over_large_primes(p, k):
     for n in (3, 5, 6):
         polys = _dense_regime_polys(rng, p, n, k)
         assert sumprod_fp(polys, n) == oracle_sumprod(polys, n)
+
+
+def test_dense_count_system_compares_value_tables(monkeypatch):
+    # n <= 8 < 6p for every p: m = 0, so the tables are compared point by point
+    counted = _record_calls(monkeypatch, "count_roots")
+    rng = random.Random(98)
+    for p in (2, 3, 5, 7, 1000003):
+        for _ in range(8):
+            n = rng.randint(1, 8)
+            polys = _dense_regime_polys(rng, p, n, rng.randint(1, 3))
+            targets = [rng.randrange(p) for _ in polys]
+            count, acc = count_system(polys, targets, with_accumulator=True)
+            assert count == oracle_count_fp_system(polys, targets)
+            assert acc == count * p ** len(polys)
+    assert not counted
+
+
+def test_dense_count_system_over_a_large_prime():
+    # x1 x2 + 3 x1 + 4 = 8 mod 1000003 holds where x1 = 1 and x2 = 1
+    q = FpPolynomial.from_terms(1000003, 4, [((1, 2), 1), ((1,), 3), ((), 4)])
+    assert count_system([q], [8]) == oracle_count_fp_system([q], [8]) == 4
 
 
 def test_dense_sumprod_fp_respects_the_dense_cap():

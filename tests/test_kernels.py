@@ -1,0 +1,181 @@
+"""Both Sum-Product kernels, forced one at a time, against the oracle; and
+the rule that picks between them.
+
+``sumprod._use_histogram`` is replaced for the duration of a call to force
+the histogram (True) or split and list (False)."""
+
+import importlib
+import math
+import random
+from fractions import Fraction
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from hypersum import (
+    ExactThresholdGate,
+    ReluGate,
+    ThresholdGate,
+    oracle_sumprod,
+    sumprod,
+)
+
+sp = importlib.import_module("hypersum.sumprod")
+
+SETTINGS = settings(derandomize=True, deadline=None, max_examples=80)
+
+
+def forced(gates, histogram: bool):
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(sp, "_use_histogram", lambda *args: histogram)
+        return sumprod(gates)
+
+
+def assert_kernels_agree(gates, n):
+    expect = oracle_sumprod(gates, n)
+    assert forced(gates, True) == forced(gates, False) == expect
+    return expect
+
+
+# zero, negative and rational numbers
+number = st.builds(Fraction, st.integers(-6, 6), st.sampled_from((1, 1, 2, 3)))
+
+
+@st.composite
+def gate_inputs(draw):
+    """(n, [(weights, constant)]) with k = 1-3 gates over n <= 12 variables;
+    each constant is a subset sum of its weights plus an offset that is
+    often 0, so that exact-threshold answers are not all zero."""
+    n = draw(st.integers(1, 12))
+    rows = []
+    for _ in range(draw(st.integers(1, 3))):
+        ws = draw(st.lists(number, min_size=n, max_size=n))
+        picks = draw(st.lists(st.booleans(), min_size=n, max_size=n))
+        offset = draw(st.one_of(st.just(0), number))
+        rows.append((ws, sum(w for w, b in zip(ws, picks) if b) + offset))
+    return n, rows
+
+
+@SETTINGS
+@given(gate_inputs())
+def test_thr_kernels_agree(case):
+    n, rows = case
+    assert_kernels_agree([ThresholdGate(tuple(ws), t) for ws, t in rows], n)
+
+
+@SETTINGS
+@given(gate_inputs())
+def test_ethr_kernels_agree(case):
+    n, rows = case
+    assert_kernels_agree([ExactThresholdGate(tuple(ws), t) for ws, t in rows], n)
+
+
+@SETTINGS
+@given(gate_inputs())
+def test_relu_kernels_agree(case):
+    n, rows = case
+    assert_kernels_agree([ReluGate(tuple(ws), -b) for ws, b in rows], n)
+
+
+def test_ethr_target_outside_the_box_is_zero():
+    ws = (Fraction(3), Fraction(-2), Fraction(0), Fraction(1))
+    for target in (5, -3, 2**70, -(2**70)):
+        inside = ExactThresholdGate(ws, Fraction(1))
+        outside = ExactThresholdGate(ws, Fraction(target))
+        assert forced([outside], True) == 0
+        assert forced([inside, outside], True) == forced([outside, inside], True) == 0
+        assert assert_kernels_agree([inside, outside], 4) == 0
+
+
+def test_relu_totals_past_int64_take_the_object_path():
+    # every value is at least 2^40, so the product of two exceeds 2^62
+    big = Fraction(2**40)
+    gates = [
+        ReluGate((Fraction(1), Fraction(-2), Fraction(0), Fraction(3)), big),
+        ReluGate((Fraction(1, 2), Fraction(1), Fraction(1), Fraction(-1)), big + 1),
+    ]
+    assert assert_kernels_agree(gates, 4) > 2**80
+    # three narrow gates over 5 variables, each valued up to 2^21 + 5
+    gates = [ReluGate((Fraction(1),) * 5, Fraction(2**21 + j)) for j in range(3)]
+    assert assert_kernels_agree(gates, 5) > 2**62
+
+
+def test_histogram_counts_past_int64():
+    # 2^64 points: the histogram's cells hold Python ints
+    gate = ThresholdGate((Fraction(1),) * 64, Fraction(0))
+    assert forced([gate], True) == 2**64
+    gate = ThresholdGate((Fraction(1),) * 64, Fraction(63))
+    assert forced([gate, gate], True) == 65
+
+
+def test_ethr_at_n60_reads_one_cell(monkeypatch):
+    # split and list would enumerate two lists of 2^30 Python ints
+    def refuse(weights):
+        raise AssertionError("half enumeration on a narrow gate")
+
+    monkeypatch.setattr(sp, "half_sums", refuse)
+    gate = ExactThresholdGate((Fraction(1),) * 60, Fraction(30))
+    assert sumprod([gate]) == math.comb(60, 30) == 118264581564861424
+
+
+class _Chosen(Exception):
+    pass
+
+
+def chooses_histogram(gates) -> bool:
+    """The rule's decision for ``gates``, stopping the call right after it."""
+    real = sp._use_histogram
+    seen = []
+
+    def spy(*args):
+        seen.append(real(*args))
+        raise _Chosen
+
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(sp, "_use_histogram", spy)
+        with pytest.raises(_Chosen):
+            sumprod(gates)
+    return seen[0]
+
+
+def _weights(rng, n, bound):
+    return tuple(Fraction(rng.randint(-bound, bound)) for _ in range(n))
+
+
+def _thr(rng, n, terms, bound):
+    """A THR gate accepting exactly ``terms`` achievable sums, the largest."""
+    ws = _weights(rng, n, bound)
+    return ThresholdGate(ws, sum(w for w in ws if w > 0) - terms + 1)
+
+
+def _ethr(rng, n, bound):
+    ws = _weights(rng, n, bound)
+    return ExactThresholdGate(ws, sum(w for w in ws[: n // 2]))
+
+
+@pytest.mark.parametrize("n, terms", [
+    (18, (50, 50)), (18, (15, 15, 15)), (20, (12, 12, 12)), (22, (40, 40)),
+    (24, (35, 35)), (26, (10, 10, 10)),
+])
+def test_wide_thr_and_relu_stay_on_split_and_list(n, terms):
+    rng = random.Random(n)
+    gates = [_thr(rng, n, t, 100) for t in terms]
+    assert not chooses_histogram(gates)
+    relu = [ReluGate(g.weights, 1 - g.threshold) for g in gates]
+    assert not chooses_histogram(relu)
+
+
+@pytest.mark.parametrize("n", [32, 36, 40])
+@pytest.mark.parametrize("k", [2, 3])
+def test_ethr_conjunctions_stay_on_split_and_list(n, k):
+    rng = random.Random(n + k)
+    assert not chooses_histogram([_ethr(rng, n, 1000) for _ in range(k)])
+
+
+@pytest.mark.parametrize("n", [32, 36, 40])
+def test_narrow_gates_take_the_histogram(n):
+    rng = random.Random(n)
+    assert chooses_histogram([_ethr(rng, n, 1000)])
+    assert chooses_histogram([_thr(rng, n, 16, 1000)])
+    assert chooses_histogram([_thr(rng, n, 4, 8), _thr(rng, n, 4, 8)])
