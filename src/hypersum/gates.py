@@ -297,10 +297,14 @@ def normalize_integer(gate: Gate) -> tuple[Gate, Fraction]:
     ceiled (integer sums make [s >= t] and [s >= ceil(t)] agree) — same
     function.  ETHR: weights and target share the LCD — same function.
     RELU: weights and bias share the LCD; the normalized gate evaluates to
-    scale times the original, so callers divide by the returned scale.
+    scale times the original, so callers divide by the returned scale.  A
+    gate that is already integral (for THR, its threshold too) is returned
+    itself with scale 1.
     """
     if isinstance(gate, ThresholdGate):
         scale = math.lcm(*(w.denominator for w in gate.weights))
+        if scale == 1 and gate.threshold.denominator == 1:
+            return gate, Fraction(1)
         weights = tuple(Fraction(w * scale) for w in gate.weights)
         threshold = Fraction(math.ceil(gate.threshold * scale))
         return ThresholdGate(weights, threshold), Fraction(scale)
@@ -308,10 +312,14 @@ def normalize_integer(gate: Gate) -> tuple[Gate, Fraction]:
         scale = math.lcm(
             *(w.denominator for w in gate.weights), gate.target.denominator
         )
+        if scale == 1:
+            return gate, Fraction(1)
         weights = tuple(Fraction(w * scale) for w in gate.weights)
         return ExactThresholdGate(weights, Fraction(gate.target * scale)), Fraction(scale)
     if isinstance(gate, ReluGate):
         scale = math.lcm(*(w.denominator for w in gate.weights), gate.bias.denominator)
+        if scale == 1:
+            return gate, Fraction(1)
         weights = tuple(Fraction(w * scale) for w in gate.weights)
         return ReluGate(weights, Fraction(gate.bias * scale)), Fraction(scale)
     raise TypeError(f"cannot normalize {type(gate).__name__}")

@@ -20,8 +20,8 @@ the tuple cap is checked, and before anything is allocated,
   interval [U - L + s, U - L + h] of the widest gate, so prefix sums over
   the sorted second-half keys turn the whole widest gate into two binary
   searches.  ReLU values need a second prefix sum, of count times the key's
-  lowest digit.  An exact-threshold product collapses to one gate and
-  counts its subset sums.
+  lowest digit.  An exact-threshold product packs its gates the same way
+  into one weight vector and one target and counts its subset sums.
 
 ``mitm.int_dtype`` picks the width once per call from every magnitude the
 kernel can meet, and the same code runs on int64 arrays or on arrays of
@@ -47,7 +47,6 @@ from .gates import (
     normalize_integer,
 )
 from .mitm import count_subset_sum, half_sums, histogram, int_dtype, split_point
-from .transforms import collapse_ethr_conjunction
 
 DEFAULT_TUPLE_CAP = 10**7
 
@@ -280,22 +279,25 @@ def sumprod_ethr(
     n: Optional[int] = None,
 ) -> int:
     """sum over x of prod_i [<w_i, x> = t_i]: one cell of the joint
-    histogram, or collapse to one gate and count its subset sums."""
+    histogram, or the packed gate's subset sums Σ_j (Σ_i w_ij·B^i)·x_j =
+    Σ_i t_i·B^i counted by split and list."""
     n = _shared_n(gates, n)
     if not gates:
         return 1 << n
     scaled = [normalize_integer(g)[0] for g in gates]
     rows = [[w.numerator for w in g.weights] for g in scaled]
+    targets = [g.target.numerator for g in scaled]
     if _use_histogram(n, rows, 1):
         counts, lows = histogram(rows, n)
-        cell = tuple(g.target.numerator - lo for g, lo in zip(scaled, lows))
+        cell = tuple(t - lo for t, lo in zip(targets, lows))
         if all(0 <= c < size for c, size in zip(cell, counts.shape)):
             return int(counts[cell])
         return 0
-    merged = collapse_ethr_conjunction(scaled)
-    return count_subset_sum(
-        [w.numerator for w in merged.weights], merged.target.numerator
+    base = _packed_base(
+        [(sum(abs(w) for w in ws), abs(t)) for ws, t in zip(rows, targets)]
     )
+    target = sum(t * base**i for i, t in enumerate(targets))
+    return count_subset_sum(_packed_weights(rows, base, n), target)
 
 
 def sumprod(

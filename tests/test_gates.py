@@ -128,3 +128,30 @@ def test_lincomb_eval():
     comb = LinComb(Family.THR, (Fraction(1, 2),), (g,))
     assert eval_lincomb(comb, (1,)) == Fraction(1, 2)
     assert eval_lincomb(comb, (0,)) == 0
+
+
+def test_normalize_returns_integral_gates_themselves():
+    gates = [
+        ThresholdGate((Fraction(3), Fraction(-2)), Fraction(1)),
+        ExactThresholdGate((Fraction(3), Fraction(-2)), Fraction(-2)),
+        ReluGate((Fraction(3), Fraction(-2)), Fraction(4)),
+    ]
+    for g in gates:
+        scaled, scale = normalize_integer(g)
+        assert scaled is g
+        assert scale == 1
+
+
+def test_normalize_scales_fractional_gates():
+    # a fractional THR threshold alone is still ceiled, at scale 1
+    g = ThresholdGate((Fraction(3), Fraction(-2)), Fraction(1, 2))
+    scaled, scale = normalize_integer(g)
+    assert (scaled.weights, scaled.threshold, scale) == (g.weights, 1, 1)
+    g = ExactThresholdGate((Fraction(1, 2), Fraction(1)), Fraction(3, 4))
+    scaled, scale = normalize_integer(g)
+    assert (integer_weights(scaled), scaled.target, scale) == ([2, 4], 3, 4)
+    g = ReluGate((Fraction(1), Fraction(2)), Fraction(-1, 3))
+    scaled, scale = normalize_integer(g)
+    assert (integer_weights(scaled), scaled.bias, scale) == ([3, 6], -1, 3)
+    for x in ((0, 0), (1, 0), (0, 1), (1, 1)):
+        assert gate_value(scaled, x) == scale * gate_value(g, x)

@@ -1,7 +1,23 @@
+import importlib
 import random
+from collections import Counter
 from itertools import product
 
-from hypersum import count_subset_sum, half_sums, partials, split_point
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from hypersum import (
+    ExactThresholdGate,
+    count_subset_sum,
+    half_sums,
+    oracle_sumprod,
+    partials,
+    split_point,
+)
+
+mitm = importlib.import_module("hypersum.mitm")
+sp = importlib.import_module("hypersum.sumprod")
 
 
 def brute_count(ws, target):
@@ -66,3 +82,143 @@ def test_count_subset_sum_mixed_width_halves():
     # the first half alone fits int64 and the second does not; both are
     # matched on Python ints
     assert count_subset_sum([3, 1, 2**64, 1], 2**64 + 1) == 2
+
+
+# -- the semi-join in count_subset_sum -----------------------------------------
+
+SETTINGS = settings(derandomize=True, deadline=None, max_examples=60)
+
+
+def sum_counts(ws):
+    """Counter of every subset sum, by a dictionary dynamic program."""
+    counts = Counter({0: 1})
+    for w in ws:
+        shifted = Counter({s + w: c for s, c in counts.items()})
+        counts.update(shifted)
+    return counts
+
+
+def joined(m, on: bool):
+    """Force the semi-join on (thresholds 0) or off, and record its calls as
+    (entries in, first-half survivors, second-half survivors)."""
+    calls = []
+    if on:
+        m.setattr(mitm, "_JOIN_MIN_LOG", 0)
+        m.setattr(mitm, "_JOIN_SPAN_RATIO", 0)
+    else:
+        m.setattr(mitm, "_JOIN_MIN_LOG", 64)
+    real = mitm._semi_join
+
+    def recording(first, second, target, bits):
+        out = real(first, second, target, bits)
+        calls.append((len(first) + len(second), len(out[0]), len(out[1])))
+        return out
+
+    m.setattr(mitm, "_semi_join", recording)
+    return calls
+
+
+def count_both_ways(ws, target):
+    """count_subset_sum with the semi-join forced on and forced off."""
+    out = []
+    for on in (True, False):
+        with pytest.MonkeyPatch.context() as m:
+            calls = joined(m, on)
+            out.append(count_subset_sum(ws, target))
+            # the filter runs exactly when forced and both halves have a span
+            h = split_point(len(ws))
+            spans = [sum(map(abs, part)) for part in (ws[:h], ws[h:])]
+            assert len(calls) == int(on and min(spans) > 0)
+    return out
+
+
+# weights of every width the kernel meets: narrow, wide, multiples of the
+# largest presence table (every residue collides), and past int64
+weight = st.one_of(
+    st.integers(-6, 6),
+    st.integers(-10**6, 10**6),
+    st.integers(-5, 5).map(lambda k: k << 24),
+    st.integers(-(1 << 70), 1 << 70),
+)
+
+
+@st.composite
+def subset_sum_inputs(draw):
+    n = draw(st.integers(1, 16))
+    ws = draw(st.lists(weight, min_size=n, max_size=n))
+    picks = draw(st.lists(st.booleans(), min_size=n, max_size=n))
+    reachable = sum(w for w, b in zip(ws, picks) if b)
+    targets = [reachable, reachable + draw(st.integers(-3, 3)), draw(weight),
+               -sum(map(abs, ws)) - 1]
+    return ws, targets
+
+
+@SETTINGS
+@given(subset_sum_inputs())
+def test_count_subset_sum_with_and_without_semi_join(case):
+    ws, targets = case
+    counts = sum_counts(ws)
+    for t in targets:
+        assert count_both_ways(ws, t) == [counts[t]] * 2
+
+
+def test_semi_join_keeps_every_entry_when_all_residues_collide():
+    ws = [(j % 5 + 1) << 24 for j in range(12)]
+    target = sum(ws[::3])
+    with pytest.MonkeyPatch.context() as m:
+        calls = joined(m, True)
+        assert count_subset_sum(ws, target) == sum_counts(ws)[target]
+    assert calls == [(2 * 64, 64, 64)]
+
+
+def test_semi_join_where_nothing_survives():
+    # even weights never sum to an odd target, and their low bits show it
+    ws = [2 * (j + 1) * 1000 for j in range(14)]
+    for target in (1, -7, 2**63 + 1):
+        with pytest.MonkeyPatch.context() as m:
+            calls = joined(m, True)
+            assert count_subset_sum(ws, target) == 0
+        assert [c[1:] for c in calls] == [(0, 0)]
+
+
+def test_semi_join_on_python_ints_and_mixed_width_halves():
+    big = 1 << 64
+    assert count_both_ways([3, 1, big, 1], big + 1) == [2, 2]
+    ws = [big + j for j in range(6)] + [-(1 << 62), 5, 7]
+    for target in (big + 1 + 5, 2 * big + 1 - (1 << 62), -(1 << 62) + 12, -1):
+        assert count_both_ways(ws, target) == [sum_counts(ws)[target]] * 2
+
+
+def test_tally_is_structural_while_the_semi_join_runs():
+    for n in (2, 5, 10, 16):
+        ws = [(-1) ** j * (1000 + 7 * j) for j in range(n)]
+        with pytest.MonkeyPatch.context() as m:
+            calls = joined(m, True)
+            partials.reset()
+            count_subset_sum(ws, 3)
+        assert len(calls) == 1
+        assert partials.value == 2 ** ((n + 1) // 2) + 2 ** (n // 2)
+
+
+@st.composite
+def ethr_conjunctions(draw):
+    """2-3 exact-threshold gates over n <= 18 variables, targets taken at one
+    point or offset from it."""
+    n = draw(st.integers(2, 18))
+    x = draw(st.lists(st.booleans(), min_size=n, max_size=n))
+    gates = []
+    for _ in range(draw(st.integers(2, 3))):
+        ws = draw(st.lists(st.integers(-1000, 1000), min_size=n, max_size=n))
+        t = sum(w for w, b in zip(ws, x) if b) + draw(st.sampled_from((0, 0, 1, -2)))
+        gates.append(ExactThresholdGate(tuple(ws), t))
+    return n, gates
+
+
+@settings(derandomize=True, deadline=None, max_examples=30)
+@given(ethr_conjunctions())
+def test_packed_ethr_conjunctions_with_the_semi_join(case):
+    n, gates = case
+    with pytest.MonkeyPatch.context() as m:
+        joined(m, True)
+        m.setattr(sp, "_use_histogram", lambda *args: False)
+        assert sp.sumprod_ethr(gates) == oracle_sumprod(gates, n)
