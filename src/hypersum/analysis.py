@@ -27,7 +27,7 @@ import numpy as np
 
 from .errors import InvariantViolation
 from .fppoly import DEFAULT_DENSE_CAP
-from .gates import ExactThresholdGate, LinComb, ReluGate, ThresholdGate
+from .gates import ExactThresholdGate, LinComb, LinearGate, ThresholdGate
 from .mitm import histogram, int_dtype
 from .sumprod import DEFAULT_TUPLE_CAP, sumprod
 
@@ -89,9 +89,7 @@ def _common_form(gates) -> Optional[tuple[list[int], list[Fraction]]]:
     weight, its first nonzero entry positive; all-zero gates get lambda 0.
     F_p polynomials have no linear form.
     """
-    if not gates or not all(
-        isinstance(g, (ThresholdGate, ExactThresholdGate, ReluGate)) for g in gates
-    ):
+    if not gates or not all(isinstance(g, LinearGate) for g in gates):
         return None
     first = next((g for g in gates if any(g.weights)), None)
     if first is None:

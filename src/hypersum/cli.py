@@ -3,7 +3,8 @@
 Inputs are JSON documents (file path or - for stdin); rationals are written
 as integers or "p/q" strings, never floats.  Results go to stdout as JSON,
 errors to stderr.  Exit codes: 0 success, 1 malformed or unsuitable input,
-2 a resource cap was exceeded, 3 an internal invariant failed.
+2 a resource cap was exceeded or memory ran out, 3 an internal invariant
+failed.
 """
 
 from __future__ import annotations
@@ -360,6 +361,8 @@ def main(argv=None) -> int:
         return 0
     except CapExceeded as exc:
         return _fail(str(exc), 2)
+    except MemoryError as exc:
+        return _fail(str(exc) or "out of memory", 2)
     except InvariantViolation as exc:
         return _fail(str(exc), 3)
     except (ValueError, TypeError, KeyError, OSError, RecursionError) as exc:

@@ -4,12 +4,12 @@ The fast root counter splits off the last m = floor(n/(6dp)) variables,
 sums a modulus-amplified indicator over all suffix assignments, and reads
 per-prefix suffix-root counts out of the residues of a single polynomial over
 the remaining variables.  Systems reduce to root counts in one pass over the
-coefficient tuples b in F_p^k (``_accumulators``), and so do Sum-Products when
-m >= 1.  Below that split both read the k dense value tables instead: a
-Sum-Product with m = 0 sums the tables' pointwise product, and a system with
-n < 6p (m = 0 at every degree) counts the points where every table hits its
-target.  Every dense table comes from one zeta transform with a single
-reduction at the end.
+coefficient tuples b in F_p^k (``_accumulators``), and so do Sum-Products,
+when m >= 1 for d the largest degree.  Then every combination has m >= 1 as
+well.  Below that split both read the k dense value tables instead: a
+Sum-Product sums the tables' pointwise product, and a system counts the
+points where every table hits its target.  Every dense table comes from one
+zeta transform with a single reduction at the end.
 """
 
 from __future__ import annotations
@@ -174,6 +174,12 @@ def eval_all_points(
     return _eval_table(poly).tolist()
 
 
+def _suffix_vars(n: int, d: int, p: int) -> int:
+    """m = floor(n/(6dp)), the number of suffix variables the root counter
+    splits off for degree d; m = 0 means a dense value table instead."""
+    return n // (6 * d * p)
+
+
 @dataclass(frozen=True)
 class FpSumProdParams:
     """Shape parameters for the F_p pipeline; m is the suffix-variable count."""
@@ -191,7 +197,7 @@ class FpSumProdParams:
 
     @property
     def m(self) -> int:
-        return self.n // (6 * self.d * self.p)
+        return _suffix_vars(self.n, self.d, self.p)
 
 
 def amplifier_order(p: int, m: int) -> int:
@@ -272,7 +278,7 @@ def count_roots(q: FpPolynomial, *, dense_cap: int = DEFAULT_DENSE_CAP) -> int:
     if not nonconst:
         return (1 << q.n) if const % q.p == 0 else 0
     d = max(mask.bit_count() for mask in nonconst)
-    m = q.n // (6 * d * q.p)
+    m = _suffix_vars(q.n, d, q.p)
     if m >= 1:
         _require_dense(q.n - m, dense_cap)
         params = FpSumProdParams(p=q.p, d=d, k=1, n=q.n)
@@ -314,8 +320,9 @@ def _accumulators(
 
     With N_b(v) = |{x : sum_j b_j polys[j](x) = v}|, tuple t adds
     N_b(b.t) - N_b(b.t + 1) for each b in F_p^k.  One pass over b serves every
-    tuple, at most p root counts per b.  A non-divisible accumulator
-    indicates a bug and raises InvariantViolation.
+    tuple, at most p root counts per b.  Callers take the dense tables when
+    m = 0 for the largest degree, so every root count here has m >= 1.  A
+    non-divisible accumulator indicates a bug and raises InvariantViolation.
     """
     p, n = _shared_shape(polys)
     k = len(polys)
@@ -336,11 +343,12 @@ def _accumulators(
     return accs
 
 
-def _dense_tables(polys: Sequence[FpPolynomial], d: int, dense_cap: int):
+def _dense_tables(polys: Sequence[FpPolynomial], dense_cap: int):
     """The value tables of ``polys``, one at a time, when m = floor(n/(6dp))
-    is 0; None when m >= 1."""
+    is 0 for d the largest degree (at least 1); None when m >= 1, where
+    every combination of ``polys`` has m >= 1 too."""
     p, n = _shared_shape(polys)
-    if n // (6 * d * p):
+    if _suffix_vars(n, max(1, *(q.degree for q in polys)), p):
         return None
     _require_dense(n, dense_cap)
     return (_eval_table(MultilinearRingPoly(p, n, q.monomials)) for q in polys)
@@ -355,18 +363,17 @@ def count_system(
 ):
     """|{x : polys[j](x) = targets[j] mod p for all j}|.
 
-    When n < 6p, m = floor(n/(6dp)) is 0 for every degree d >= 1, so each
-    root count of the coefficient-tuple pass would evaluate a dense table:
-    the k value tables are compared with the targets point by point instead,
-    k * 2^n work for any p, and the accumulator is p^k times that count.
-    Otherwise ``_accumulators`` runs for one target tuple: the accumulator
+    With d the largest degree (at least 1), when m = floor(n/(6dp)) is 0 the
+    k value tables are compared with the targets point by point, k * 2^n
+    work for any p, and the accumulator is p^k times that count.  When
+    m >= 1, ``_accumulators`` runs for one target tuple: the accumulator
     sums, over all b in F_p^k, the number of points where
     sum_j b_j (polys[j] - targets[j]) is 0 minus the number where it is 1,
     and is p^k times the answer.
     """
     if len(targets) != len(polys):
         raise ValueError("polynomial/target count mismatch")
-    tables = _dense_tables(polys, 1, dense_cap)
+    tables = _dense_tables(polys, dense_cap)
     power = polys[0].p ** len(polys)
     if tables is None:
         (acc,) = _accumulators(polys, [targets], dense_cap)
@@ -406,7 +413,7 @@ def sumprod_fp(
     if n is not None and n != shape_n:
         raise ValueError(f"explicit n={n} disagrees with the polynomials")
     k = len(polys)
-    tables = _dense_tables(polys, max(1, *(q.degree for q in polys)), dense_cap)
+    tables = _dense_tables(polys, dense_cap)
     if tables is not None:
         prod = np.ones(1 << shape_n, dtype=int_dtype((p - 1) ** k << shape_n))
         for table in tables:

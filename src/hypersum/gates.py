@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import Iterable, Sequence, Union
+from typing import ClassVar, Iterable, Sequence, Union
 
 Rational = Union[int, str, Fraction]
 
@@ -66,51 +66,45 @@ def _fraction_weights(ws: Iterable[Rational]) -> tuple[Fraction, ...]:
 
 
 @dataclass(frozen=True)
-class ThresholdGate:
+class LinearGate:
+    """A gate that is a function of one linear form <w, x> and one rational
+    constant: the subclass's second field, named by ``_constant``."""
+
+    weights: tuple[Fraction, ...]
+    _constant: ClassVar[str]
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "weights", _fraction_weights(self.weights))
+        name = self._constant
+        object.__setattr__(self, name, as_fraction(getattr(self, name)))
+
+    @property
+    def n(self) -> int:
+        return len(self.weights)
+
+
+@dataclass(frozen=True)
+class ThresholdGate(LinearGate):
     """[sum_i w_i x_i >= t], valued in {0, 1}."""
 
-    weights: tuple[Fraction, ...]
     threshold: Fraction
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "weights", _fraction_weights(self.weights))
-        object.__setattr__(self, "threshold", as_fraction(self.threshold))
-
-    @property
-    def n(self) -> int:
-        return len(self.weights)
+    _constant = "threshold"
 
 
 @dataclass(frozen=True)
-class ExactThresholdGate:
+class ExactThresholdGate(LinearGate):
     """[sum_i w_i x_i = t], valued in {0, 1}."""
 
-    weights: tuple[Fraction, ...]
     target: Fraction
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "weights", _fraction_weights(self.weights))
-        object.__setattr__(self, "target", as_fraction(self.target))
-
-    @property
-    def n(self) -> int:
-        return len(self.weights)
+    _constant = "target"
 
 
 @dataclass(frozen=True)
-class ReluGate:
+class ReluGate(LinearGate):
     """max{0, sum_i w_i x_i + a}, valued in the non-negative rationals."""
 
-    weights: tuple[Fraction, ...]
     bias: Fraction
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "weights", _fraction_weights(self.weights))
-        object.__setattr__(self, "bias", as_fraction(self.bias))
-
-    @property
-    def n(self) -> int:
-        return len(self.weights)
+    _constant = "bias"
 
 
 def _is_prime(p: int) -> bool:
@@ -190,30 +184,26 @@ _FAMILY_TYPES = {
 }
 
 
-def eval_thr(g: ThresholdGate, x: Sequence[int]) -> int:
+def _form(g: LinearGate, x: Sequence[int]) -> Fraction:
+    """<w, x> for the gate's weights w."""
     _check_point(x, g.n)
     acc = Fraction(0)
     for w, b in zip(g.weights, x):
         if b:
             acc += w
-    return 1 if acc >= g.threshold else 0
+    return acc
+
+
+def eval_thr(g: ThresholdGate, x: Sequence[int]) -> int:
+    return 1 if _form(g, x) >= g.threshold else 0
 
 
 def eval_ethr(g: ExactThresholdGate, x: Sequence[int]) -> int:
-    _check_point(x, g.n)
-    acc = Fraction(0)
-    for w, b in zip(g.weights, x):
-        if b:
-            acc += w
-    return 1 if acc == g.target else 0
+    return 1 if _form(g, x) == g.target else 0
 
 
 def eval_relu(g: ReluGate, x: Sequence[int]) -> Fraction:
-    _check_point(x, g.n)
-    acc = g.bias
-    for w, b in zip(g.weights, x):
-        if b:
-            acc += w
+    acc = _form(g, x) + g.bias
     return acc if acc > 0 else Fraction(0)
 
 
@@ -293,39 +283,28 @@ def eval_lincomb(c: LinComb, x: Sequence[int]) -> Fraction:
 def normalize_integer(gate: Gate) -> tuple[Gate, Fraction]:
     """Rescale a gate to integer weights, returning (gate, scale).
 
-    THR: weights scaled by the LCD of the weights, threshold scaled and then
-    ceiled (integer sums make [s >= t] and [s >= ceil(t)] agree) — same
-    function.  ETHR: weights and target share the LCD — same function.
-    RELU: weights and bias share the LCD; the normalized gate evaluates to
-    scale times the original, so callers divide by the returned scale.  A
-    gate that is already integral (for THR, its threshold too) is returned
-    itself with scale 1.
+    Weights and constant are scaled by the LCD of the weights' denominators
+    and, except for THR, the constant's, then the constant is ceiled.  THR:
+    integer sums make [s >= t] and [s >= ceil(t)] agree — same function.
+    ETHR: the scaled target is already an integer — same function.  RELU:
+    the normalized gate evaluates to scale times the original, so callers
+    divide by the returned scale.  A gate that is already integral is
+    returned itself with scale 1.
     """
-    if isinstance(gate, ThresholdGate):
-        scale = math.lcm(*(w.denominator for w in gate.weights))
-        if scale == 1 and gate.threshold.denominator == 1:
-            return gate, Fraction(1)
-        weights = tuple(Fraction(w * scale) for w in gate.weights)
-        threshold = Fraction(math.ceil(gate.threshold * scale))
-        return ThresholdGate(weights, threshold), Fraction(scale)
-    if isinstance(gate, ExactThresholdGate):
-        scale = math.lcm(
-            *(w.denominator for w in gate.weights), gate.target.denominator
-        )
-        if scale == 1:
-            return gate, Fraction(1)
-        weights = tuple(Fraction(w * scale) for w in gate.weights)
-        return ExactThresholdGate(weights, Fraction(gate.target * scale)), Fraction(scale)
-    if isinstance(gate, ReluGate):
-        scale = math.lcm(*(w.denominator for w in gate.weights), gate.bias.denominator)
-        if scale == 1:
-            return gate, Fraction(1)
-        weights = tuple(Fraction(w * scale) for w in gate.weights)
-        return ReluGate(weights, Fraction(gate.bias * scale)), Fraction(scale)
-    raise TypeError(f"cannot normalize {type(gate).__name__}")
+    if not isinstance(gate, LinearGate):
+        raise TypeError(f"cannot normalize {type(gate).__name__}")
+    constant = getattr(gate, gate._constant)
+    denominators = [w.denominator for w in gate.weights]
+    if not isinstance(gate, ThresholdGate):
+        denominators.append(constant.denominator)
+    scale = math.lcm(*denominators)
+    if scale == 1 and constant.denominator == 1:
+        return gate, Fraction(1)
+    weights = tuple(Fraction(w * scale) for w in gate.weights)
+    return type(gate)(weights, Fraction(math.ceil(constant * scale))), Fraction(scale)
 
 
-def integer_weights(gate: Union[ThresholdGate, ExactThresholdGate, ReluGate]) -> list[int]:
+def integer_weights(gate: LinearGate) -> list[int]:
     """The weights as plain ints; raises if any weight is fractional."""
     out = []
     for w in gate.weights:

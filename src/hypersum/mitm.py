@@ -29,8 +29,6 @@ import numpy as np
 
 # int64 is used only when every magnitude involved stays below this bound
 _INT64_BOUND = 1 << 62
-# half tables beyond 2^24 entries are not enumerated with numpy
-_NP_HALF_LIMIT = 24
 # the semi-join's presence table has at most 2^_JOIN_MAX_BITS cells
 _JOIN_MAX_BITS = 24
 # the semi-join runs only when each half has at least 2^_JOIN_MIN_LOG entries
@@ -76,11 +74,10 @@ def half_sums(weights: Sequence[int]):
     """All 2^h subset sums of ``weights`` in little-endian assignment order.
 
     Entry m is the sum over the variables whose bit is set in m.  Returns an
-    int64 numpy array when ``int_dtype`` allows it for the sum of |weights|
-    and there are at most 24 weights, and a list of Python ints otherwise.
+    int64 numpy array, 8 bytes per sum, when ``int_dtype`` allows it for the
+    sum of |weights|, and a list of Python ints otherwise.
     """
-    span = sum(abs(w) for w in weights)
-    if int_dtype(span) is np.int64 and len(weights) <= _NP_HALF_LIMIT:
+    if int_dtype(sum(abs(w) for w in weights)) is np.int64:
         sums = np.empty(1 << len(weights), dtype=np.int64)
         sums[0] = 0
         m = 1

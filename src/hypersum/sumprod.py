@@ -42,6 +42,7 @@ from .gates import (
     ExactThresholdGate,
     FpPolynomial,
     Gate,
+    LinearGate,
     ReluGate,
     ThresholdGate,
     normalize_integer,
@@ -84,13 +85,14 @@ def _shared_n(gates: Sequence, n: Optional[int]) -> int:
     return size
 
 
-def _packed_base(span_and_targets: Sequence[tuple[int, int]]) -> int:
+def _packed_base(rows_and_targets: Sequence[tuple[Sequence[int], int]]) -> int:
     """Base B so per-gate digits of any packed target/sum cannot interfere.
 
-    Each entry is (sum of |weights|, max |target|) for one gate; B exceeds
-    twice every digit magnitude that can arise.
+    Each entry is (integer weights, max |target|) for one gate; B exceeds
+    twice every digit magnitude that can arise, so a packed form is zero iff
+    every digit is zero.
     """
-    return 2 * sum(span + tmax for span, tmax in span_and_targets) + 1
+    return 2 * sum(sum(abs(w) for w in ws) + tmax for ws, tmax in rows_and_targets) + 1
 
 
 def _packed_weights(
@@ -105,12 +107,21 @@ def _packed_weights(
     return packed
 
 
+def _packed_ethr(
+    weight_rows: Sequence[Sequence[int]], targets: Sequence[int], n: int
+) -> tuple[list[int], int]:
+    """(weights, target) of the one exact-threshold gate that fires exactly
+    where every gate [<weight_rows[i], x> = targets[i]] fires: row i and
+    target i sit at digit B^i."""
+    base = _packed_base([(ws, abs(t)) for ws, t in zip(weight_rows, targets)])
+    target = sum(t * base**i for i, t in enumerate(targets))
+    return _packed_weights(weight_rows, base, n), target
+
+
 _Row = tuple[list[int], int, int, int]
 
 
-def _gate_row(
-    gate: Union[ThresholdGate, ReluGate], first: int, bias: int
-) -> Optional[_Row]:
+def _gate_row(gate: LinearGate, first: int, bias: int) -> Optional[_Row]:
     """(weights, s, h, bias) for a gate with integer weights, or None.
 
     [s, h] is the achievable part of [first, sum of positive weights]; None
@@ -158,9 +169,7 @@ def _range_sum(rows: Sequence[_Row], n: int, tuple_cap: int, weighted: bool) -> 
             raise CapExceeded(f"product expansion needs > {tuple_cap} tuples")
     if _use_histogram(n, [ws for ws, *_ in rows], n_tuples):
         return _box_sum(rows, n, weighted)
-    base = _packed_base(
-        [(sum(abs(w) for w in ws), max(abs(s), abs(h))) for ws, s, h, _ in rows]
-    )
+    base = _packed_base([(ws, max(abs(s), abs(h))) for ws, s, h, _ in rows])
     packed = _packed_weights([ws for ws, *_ in rows], base, n)
     # upper tuples: packed targets of every gate but the widest, and the
     # product of those gates' values there
@@ -293,11 +302,7 @@ def sumprod_ethr(
         if all(0 <= c < size for c, size in zip(cell, counts.shape)):
             return int(counts[cell])
         return 0
-    base = _packed_base(
-        [(sum(abs(w) for w in ws), abs(t)) for ws, t in zip(rows, targets)]
-    )
-    target = sum(t * base**i for i, t in enumerate(targets))
-    return count_subset_sum(_packed_weights(rows, base, n), target)
+    return count_subset_sum(*_packed_ethr(rows, targets, n))
 
 
 def sumprod(

@@ -14,6 +14,7 @@ from typing import Sequence
 
 from .errors import CapExceeded
 from .gates import ExactThresholdGate, ReluGate, ThresholdGate, integer_weights
+from .sumprod import _packed_base, _packed_ethr
 
 DEFAULT_TERM_CAP = 10**6
 
@@ -57,11 +58,7 @@ def collapse_base(gates: Sequence[ExactThresholdGate]) -> int:
     digits of a packed sum cannot interfere: the packed form is zero iff every
     digit is zero.
     """
-    total = 0
-    for g in gates:
-        ws, t = _integral_ethr(g)
-        total += sum(abs(w) for w in ws) + abs(t)
-    return 2 * total + 1
+    return _packed_base([(ws, abs(t)) for ws, t in map(_integral_ethr, gates)])
 
 
 def collapse_ethr_conjunction(
@@ -70,7 +67,8 @@ def collapse_ethr_conjunction(
     """One exact-threshold gate firing exactly where all inputs fire.
 
     Weights are sum_i B^(i-1) * w_i componentwise and the target is
-    sum_i B^(i-1) * t_i.  Requires integer weights and targets sharing n.
+    sum_i B^(i-1) * t_i, B = ``collapse_base(gates)``.  Requires integer
+    weights and targets sharing n.
     """
     if not gates:
         raise ValueError("cannot collapse an empty conjunction")
@@ -78,16 +76,8 @@ def collapse_ethr_conjunction(
     for g in gates:
         if g.n != n:
             raise ValueError("gates disagree on the number of variables")
-    base = collapse_base(gates)
-    weights = [0] * n
-    target = 0
-    scale = 1
-    for g in gates:
-        ws, t = _integral_ethr(g)
-        for j, w in enumerate(ws):
-            weights[j] += scale * w
-        target += scale * t
-        scale *= base
+    rows, targets = zip(*(_integral_ethr(g) for g in gates))
+    weights, target = _packed_ethr(rows, targets, n)
     return ExactThresholdGate(tuple(Fraction(w) for w in weights), Fraction(target))
 
 

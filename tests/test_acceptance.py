@@ -269,6 +269,6 @@ def test_criterion_10_beats_brute_force():
     extrapolated = brute28 * 2 ** (36 - 28)
 
     ok = fast < 30 and extrapolated > 300
-    _verdict(10, ok, f"n=36 split-and-list {fast:.2f}s (< 30s, value {value}); "
+    _verdict(10, ok, f"n=36 histogram {fast:.2f}s (< 30s, value {value}); "
                      f"oracle n=28 {brute28:.1f}s -> ~{extrapolated:.0f}s "
                      f"extrapolated at n=36 (> 300s)")

@@ -407,3 +407,19 @@ def test_json_booleans_are_not_numbers(tmp_path, capsys, command, text):
     assert code == 1
     assert out == ""
     assert "bool" in json.loads(err)["error"]
+
+
+@pytest.mark.parametrize("message", ["", "Unable to allocate 8.00 GiB"])
+def test_memory_error_is_exit_2_with_json(tmp_path, capsys, monkeypatch, message):
+    # a document such as {"family": "thr", "n": 10**12, "gates": []} asks for
+    # 2^n; the command is stubbed so that nothing is allocated here
+    import hypersum.cli as cli
+
+    def exhausted(doc, args):
+        raise MemoryError(message)
+
+    monkeypatch.setitem(cli._COMMANDS, "sumprod", ("stub", exhausted))
+    code, out, err = run(["sumprod", write(tmp_path, THR_DOC)], capsys)
+    assert code == 2
+    assert out == ""
+    assert json.loads(err)["error"] == (message or "out of memory")

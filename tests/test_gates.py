@@ -1,3 +1,4 @@
+import dataclasses
 from fractions import Fraction
 
 import pytest
@@ -155,3 +156,47 @@ def test_normalize_scales_fractional_gates():
     assert (integer_weights(scaled), scaled.bias, scale) == ([3, 6], -1, 3)
     for x in ((0, 0), (1, 0), (0, 1), (1, 1)):
         assert gate_value(scaled, x) == scale * gate_value(g, x)
+
+
+@pytest.mark.parametrize(
+    "cls, constant",
+    [(ThresholdGate, "threshold"), (ExactThresholdGate, "target"), (ReluGate, "bias")],
+)
+def test_linear_gate_shape(cls, constant):
+    fields = [f.name for f in dataclasses.fields(cls)]
+    assert fields == ["weights", constant]
+    g = cls((1, "1/2"), "-3/4")
+    assert g == cls(weights=(Fraction(1), Fraction(1, 2)), **{constant: Fraction(-3, 4)})
+    assert hash(g) == hash(cls((Fraction(1), Fraction(1, 2)), Fraction(-3, 4)))
+    assert g != cls((1, "1/2"), 0)
+    assert g.weights == (Fraction(1), Fraction(1, 2))
+    assert getattr(g, constant) == Fraction(-3, 4)
+    assert g.n == 2
+    assert repr(g) == (
+        f"{cls.__name__}(weights=(Fraction(1, 1), Fraction(1, 2)), "
+        f"{constant}=Fraction(-3, 4))"
+    )
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        g.weights = (Fraction(1),)
+    with pytest.raises(ValueError):
+        cls((), 1)
+
+
+def test_gate_families_never_compare_equal():
+    w = (Fraction(1), Fraction(2))
+    thr, ethr, relu = ThresholdGate(w, 1), ExactThresholdGate(w, 1), ReluGate(w, 1)
+    assert thr != ethr and ethr != relu and thr != relu
+    assert len({thr, ethr, relu}) == 3
+
+
+def test_normalize_integral_weights_fractional_threshold():
+    # the weights are already integral, so the scale stays 1 and only the
+    # threshold is ceiled; the indicator is unchanged on every point
+    for t, ceiled in ((Fraction(-5, 2), -2), (Fraction(7, 3), 3), (Fraction(1, 5), 1)):
+        g = ThresholdGate((Fraction(2), Fraction(-1), Fraction(3)), t)
+        scaled, scale = normalize_integer(g)
+        assert type(scaled) is ThresholdGate
+        assert (scaled.weights, scaled.threshold, scale) == (g.weights, ceiled, 1)
+        for mask in range(8):
+            x = bits_from_mask(mask, 3)
+            assert gate_value(scaled, x) == gate_value(g, x)
