@@ -27,7 +27,7 @@ import numpy as np
 
 from .errors import InvariantViolation
 from .fppoly import DEFAULT_DENSE_CAP
-from .gates import ExactThresholdGate, LinComb, LinearGate, ThresholdGate
+from .gates import LinComb, LinearGate, linear_piece
 from .mitm import histogram, int_dtype
 from .sumprod import DEFAULT_TUPLE_CAP, sumprod
 
@@ -108,31 +108,6 @@ def _common_form(gates) -> Optional[tuple[list[int], list[Fraction]]]:
     return w, lambdas
 
 
-def _piece(gate, lam: Fraction):
-    """(slope, intercept, first, last) with the gate equal to
-    slope * s + intercept for first <= s <= last and 0 elsewhere, as a
-    function of s = <w, x>; None bounds are open, None means always 0."""
-    if isinstance(gate, ThresholdGate):  # [lam s >= t]
-        t = gate.threshold
-        if lam > 0:
-            return 0, 1, math.ceil(t / lam), None
-        if lam < 0:
-            return 0, 1, None, math.floor(t / lam)
-        return (0, 1, None, None) if t <= 0 else None
-    if isinstance(gate, ExactThresholdGate):  # [lam s = t]
-        t = gate.target
-        if lam:
-            q = t / lam
-            return (0, 1, q.numerator, q.numerator) if q.denominator == 1 else None
-        return (0, 1, None, None) if t == 0 else None
-    b = gate.bias  # max(0, lam s + b), positive exactly for s beyond -b/lam
-    if lam > 0:
-        return lam, b, math.floor(-b / lam) + 1, None
-    if lam < 0:
-        return lam, b, None, math.ceil(-b / lam) - 1
-    return (0, b, None, None) if b > 0 else None
-
-
 def _form_table(coefficients, gates, n: int) -> Optional[tuple]:
     """f = sum_j coefficients[j] * gates[j] on its achievable sums s, as
     (n, counts, values, scale, bound): ``counts`` holds N(s) > 0 and
@@ -152,7 +127,7 @@ def _form_table(coefficients, gates, n: int) -> Optional[tuple]:
     sums = hit + lo
     terms = []
     for c, gate, lam in zip(coefficients, gates, lambdas):
-        piece = _piece(gate, lam) if c else None
+        piece = linear_piece(gate, lam) if c else None
         if piece is not None:
             slope, intercept, first, last = piece
             terms.append((c * slope, c * intercept, first, last))

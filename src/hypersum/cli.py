@@ -24,15 +24,7 @@ from . import mitm
 from .analysis import check_boolean, check_equal, count_sat
 from .errors import CapExceeded, InvariantViolation
 from .fppoly import DEFAULT_DENSE_CAP, count_roots, count_system
-from .gates import (
-    ExactThresholdGate,
-    Family,
-    FpPolynomial,
-    LinComb,
-    ReluGate,
-    ThresholdGate,
-    as_fraction,
-)
+from .gates import _FAMILY_TYPES, Family, FpPolynomial, LinComb, as_fraction
 from .oracle import (
     DEFAULT_ORACLE_CAP,
     oracle_check_boolean,
@@ -118,13 +110,10 @@ def _parse_gate(family: Family, obj: dict, n: int, p: Optional[int]):
     weights = [as_fraction(w) for w in obj["weights"]]
     if len(weights) != n:
         raise ValueError(f"gate has {len(weights)} weights, expected n={n}")
-    if family is Family.THR:
-        return ThresholdGate(tuple(weights), as_fraction(obj["threshold"]))
-    if family is Family.ETHR:
-        return ExactThresholdGate(tuple(weights), as_fraction(obj["target"]))
-    if family is Family.RELU:
-        return ReluGate(tuple(weights), as_fraction(obj["bias"]))
-    raise ValueError(f"unknown family {family}")
+    # THR, ETHR and ReLU each name their constant's JSON field by its
+    # dataclass field
+    kind = _FAMILY_TYPES[family]
+    return kind(tuple(weights), obj[kind._constant])
 
 
 def _parse_gates(data: dict):

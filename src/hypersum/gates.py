@@ -207,6 +207,36 @@ def eval_relu(g: ReluGate, x: Sequence[int]) -> Fraction:
     return acc if acc > 0 else Fraction(0)
 
 
+def linear_piece(gate: LinearGate, lam: Rational = 1):
+    """The gate with weights lam * w as a function of an integer s = <w, x>.
+
+    Returns (slope, intercept, first, last): the gate is slope * s +
+    intercept for first <= s <= last and 0 at every other integer s.  A None
+    bound is open; None instead of a tuple means the gate is 0 everywhere.
+    At lam = 1 this is the gate itself on its own integer sums.
+    """
+    c = getattr(gate, gate._constant)
+    relu = isinstance(gate, ReluGate)
+    exact = isinstance(gate, ExactThresholdGate)
+    if not lam:
+        if relu:
+            return (0, c, None, None) if c > 0 else None
+        return (0, 1, None, None) if c == 0 or (c < 0 and not exact) else None
+    # the sum where lam s meets the constant (ReLU: its negation); at the
+    # common lam = 1 no Fraction division is needed
+    q = -c if relu else c
+    if lam != 1:
+        q /= lam
+    if relu:  # max(0, lam s + c) is positive exactly beyond q
+        if lam > 0:
+            return lam, c, math.floor(q) + 1, None
+        return lam, c, None, math.ceil(q) - 1
+    if exact:  # [lam s = c]
+        return (0, 1, q.numerator, q.numerator) if q.denominator == 1 else None
+    # [lam s >= c]
+    return (0, 1, math.ceil(q), None) if lam > 0 else (0, 1, None, math.floor(q))
+
+
 def eval_fp(q: FpPolynomial, x: Sequence[int]) -> int:
     """Value in {0, ..., p-1}; a monomial contributes iff all its variables are 1."""
     _check_point(x, q.n)

@@ -1,27 +1,31 @@
 """Exact Sum-Products of gate products over the Boolean hypercube.
 
-Every threshold, ReLU or exact-threshold gate is rescaled to integers.  Once
-the tuple cap is checked, and before anything is allocated,
+Threshold, exact-threshold and ReLU products share one body.  Each gate is
+rescaled to integers and reduced, by the acceptance rule
+``gates.linear_piece``, to a row (weights, s, h, b): it accepts the
+achievable sums <w, x> in [s, h] and there takes the value <w, x> + b (ReLU)
+or 1 (threshold, exact threshold).  An exact-threshold row has s = h = t.
+Only the gates other than the widest are expanded into target tuples, and
+once the tuple cap is checked, and before anything is allocated,
 ``_use_histogram`` picks one of two kernels from a work estimate:
 
 - Histogram: when the box of the gates' achievable sums is small, Bellman's
   dynamic program (``mitm.histogram``) counts the points at every cell in
-  n passes.  An exact-threshold product is one cell, a threshold product a
-  box sum, and a ReLU product contracts each axis with the gate's values.
-- Split and list: threshold and ReLU products share one range-sum kernel.
-  Each gate is reduced to a row (weights, s, h, b): it accepts the sums
-  <w, x> in [s, h] and there takes the value <w, x> + b (ReLU) or 1
-  (threshold).  The gates' weight vectors are packed into one vector in a
+  n passes.  A threshold product is the sum over the box prod [s_i, h_i],
+  and a ReLU product contracts each axis with the gate's values.
+- Split and list: the gates' weight vectors are packed into one vector in a
   base B large enough that per-gate digits of any packed sum cannot
-  interfere; the gate with the widest [s, h] sits at the lowest digit.  Both
-  halves of the variables are enumerated once, and only the targets of the
-  other gates are expanded into packed tuples U.  For a first-half key L and
-  a tuple U, the matching second-half keys are exactly those in the
-  interval [U - L + s, U - L + h] of the widest gate, so prefix sums over
-  the sorted second-half keys turn the whole widest gate into two binary
-  searches.  ReLU values need a second prefix sum, of count times the key's
-  lowest digit.  An exact-threshold product packs its gates the same way
-  into one weight vector and one target and counts its subset sums.
+  interfere; the gate with the widest [s, h] sits at the lowest digit, and
+  the targets of the other gates are expanded into packed tuples U.  When
+  every row has width 0 (an exact-threshold product, or threshold gates
+  that each accept one sum) there is one tuple, and ``mitm.count_subset_sum``
+  counts the packed gate's subset sums.  Otherwise both halves of the
+  variables are enumerated once.  For a first-half key L and a tuple U, the
+  matching second-half keys are exactly those in the interval
+  [U - L + s, U - L + h] of the widest gate, so prefix sums over the sorted
+  second-half keys turn the whole widest gate into two binary searches.
+  ReLU values need a second prefix sum, of count times the key's lowest
+  digit.
 
 ``mitm.int_dtype`` picks the width once per call from every magnitude the
 kernel can meet, and the same code runs on int64 arrays or on arrays of
@@ -45,6 +49,7 @@ from .gates import (
     LinearGate,
     ReluGate,
     ThresholdGate,
+    linear_piece,
     normalize_integer,
 )
 from .mitm import count_subset_sum, half_sums, histogram, int_dtype, split_point
@@ -64,10 +69,11 @@ _BOX_CELLS = 1 << 22
 _BOX_RATIO = 16
 
 
-def _use_histogram(n: int, weight_rows: Sequence[Sequence[int]], tuples: int) -> bool:
+def _use_histogram(n: int, spans: Sequence[int], tuples: int) -> bool:
     """Whether the histogram answers rather than split and list, for gates
-    with integer weights ``weight_rows`` and ``tuples`` expanded targets."""
-    box = math.prod(sum(abs(w) for w in ws) + 1 for ws in weight_rows)
+    whose weights have absolute sums ``spans`` and ``tuples`` expanded
+    targets."""
+    box = math.prod(span + 1 for span in spans)
     return box <= _BOX_CELLS and n * box <= _BOX_RATIO * (1 << split_point(n)) * tuples
 
 
@@ -85,14 +91,14 @@ def _shared_n(gates: Sequence, n: Optional[int]) -> int:
     return size
 
 
-def _packed_base(rows_and_targets: Sequence[tuple[Sequence[int], int]]) -> int:
+def _packed_base(spans_and_targets: Sequence[tuple[int, int]]) -> int:
     """Base B so per-gate digits of any packed target/sum cannot interfere.
 
-    Each entry is (integer weights, max |target|) for one gate; B exceeds
+    Each entry is (sum of |weights|, max |target|) for one gate; B exceeds
     twice every digit magnitude that can arise, so a packed form is zero iff
     every digit is zero.
     """
-    return 2 * sum(sum(abs(w) for w in ws) + tmax for ws, tmax in rows_and_targets) + 1
+    return 2 * sum(span + tmax for span, tmax in spans_and_targets) + 1
 
 
 def _packed_weights(
@@ -107,47 +113,40 @@ def _packed_weights(
     return packed
 
 
-def _packed_ethr(
-    weight_rows: Sequence[Sequence[int]], targets: Sequence[int], n: int
-) -> tuple[list[int], int]:
-    """(weights, target) of the one exact-threshold gate that fires exactly
-    where every gate [<weight_rows[i], x> = targets[i]] fires: row i and
-    target i sit at digit B^i."""
-    base = _packed_base([(ws, abs(t)) for ws, t in zip(weight_rows, targets)])
-    target = sum(t * base**i for i, t in enumerate(targets))
-    return _packed_weights(weight_rows, base, n), target
+_Row = tuple[list[int], int, int, int, int]
 
 
-_Row = tuple[list[int], int, int, int]
+def _gate_row(gate: LinearGate) -> Optional[_Row]:
+    """(weights, s, h, b, span) for a gate with integer weights, or None.
 
-
-def _gate_row(gate: LinearGate, first: int, bias: int) -> Optional[_Row]:
-    """(weights, s, h, bias) for a gate with integer weights, or None.
-
-    [s, h] is the achievable part of [first, sum of positive weights]; None
-    means no achievable sum reaches ``first``, so the gate is zero everywhere.
+    The gate accepts the achievable integer sums in [s, h] and there equals
+    <w, x> + b (ReLU) or 1; span is the sum of |weights|.  None means it
+    accepts no achievable sum, so it is zero everywhere.
     """
+    piece = linear_piece(gate)
+    if piece is None:
+        return None
+    _, b, first, last = piece
     ws = [w.numerator for w in gate.weights]
     lo = sum(w for w in ws if w < 0)
-    hi = sum(w for w in ws if w > 0)
-    start = max(lo, first)
-    if start > hi:
-        return None
-    return ws, start, hi, bias
+    hi = sum(ws) - lo
+    s = lo if first is None else max(lo, first)
+    h = hi if last is None else min(hi, last)
+    return (ws, s, h, b.numerator, hi - lo) if s <= h else None
 
 
 def _box_sum(rows: Sequence[_Row], n: int, weighted: bool) -> int:
     """``_range_sum`` from the joint histogram: the counts over the box
     prod [s_i, h_i], contracted axis by axis with the gates' values there."""
-    counts, lows = histogram([ws for ws, *_ in rows], n)
-    box = counts[tuple(slice(s - lo, h - lo + 1) for (_, s, h, _), lo in zip(rows, lows))]
+    counts, lows = histogram([row[0] for row in rows], n)
+    box = counts[tuple(slice(s - lo, h - lo + 1) for (_, s, h, *_), lo in zip(rows, lows))]
+    if not weighted:
+        return int(box.sum())
     # accepted ReLU values run from s + b >= 1 up to h + b
-    top = math.prod(h + b for _, _, h, b in rows) if weighted else 1
-    dtype = int_dtype(top << n)
+    dtype = int_dtype(math.prod(h + b for _, _, h, b, _ in rows) << n)
     total = box.astype(dtype, copy=False)
-    for _, s, h, b in reversed(rows):
-        values = range(s + b, h + b + 1) if weighted else [1] * (h - s + 1)
-        total = total @ np.array(values, dtype=dtype)
+    for _, s, h, b, _ in reversed(rows):
+        total = total @ np.array(range(s + b, h + b + 1), dtype=dtype)
     return int(total)
 
 
@@ -160,31 +159,34 @@ def _range_sum(rows: Sequence[_Row], n: int, tuple_cap: int, weighted: bool) -> 
     """
     if not rows:
         return 1 << n
-    widest = max(range(len(rows)), key=lambda i: rows[i][2] - rows[i][1])
+    widths = [h - s for _, s, h, _, _ in rows]
+    widest = widths.index(max(widths))
     rows = [rows[widest], *rows[:widest], *rows[widest + 1:]]
     n_tuples = 1
-    for _, s, h, _ in rows[1:]:
+    for _, s, h, _, _ in rows[1:]:
         n_tuples *= h - s + 1
         if n_tuples > tuple_cap:
             raise CapExceeded(f"product expansion needs > {tuple_cap} tuples")
-    if _use_histogram(n, [ws for ws, *_ in rows], n_tuples):
+    if _use_histogram(n, [row[4] for row in rows], n_tuples):
         return _box_sum(rows, n, weighted)
-    base = _packed_base([(ws, max(abs(s), abs(h))) for ws, s, h, _ in rows])
+    base = _packed_base([(span, max(abs(s), abs(h))) for _, s, h, _, span in rows])
     packed = _packed_weights([ws for ws, *_ in rows], base, n)
     # upper tuples: packed targets of every gate but the widest, and the
     # product of those gates' values there
     uppers, values = [0], [1]
     scale = base
-    for _, s, h, b in rows[1:]:
+    for _, s, h, b, _ in rows[1:]:
         uppers = [u + scale * t for u in uppers for t in range(s, h + 1)]
         if weighted:
             values = [v * (t + b) for v in values for t in range(s, h + 1)]
         scale *= base
+    _, s0, h0, b0, span0 = rows[0]
     if not weighted:
+        if s0 == h0 and len(uppers) == 1:
+            # every gate accepts one sum: count the points at the packed target
+            return count_subset_sum(packed, uppers[0] + s0)
         values = values * len(uppers)
 
-    ws0, s0, h0, b0 = rows[0]
-    span0 = sum(abs(w) for w in ws0)
     key_bound = sum(abs(w) for w in packed)
     magnitudes = [
         key_bound + base,
@@ -234,26 +236,40 @@ def _range_sum(rows: Sequence[_Row], n: int, tuple_cap: int, weighted: bool) -> 
     return total
 
 
+def _linear_sumprod(
+    gates: Sequence[LinearGate], n: Optional[int], tuple_cap: int, weighted: bool
+) -> Union[int, Fraction]:
+    """The range-sum kernel over the rows of gates rescaled to integers.
+
+    Only ReLU values change under rescaling, so only ``weighted`` products
+    are divided back by the product of the rescaling factors.
+    """
+    n = _shared_n(gates, n)
+    denom = 1
+    rows = []
+    for gate in gates:
+        scaled, scale = normalize_integer(gate)
+        row = _gate_row(scaled)
+        if row is None:
+            total = 0
+            break
+        rows.append(row)
+        if weighted:
+            denom *= scale
+    else:
+        total = _range_sum(rows, n, tuple_cap, weighted)
+    return Fraction(total) / denom if weighted else total
+
+
 def sumprod_thr(
     gates: Sequence[ThresholdGate],
     n: Optional[int] = None,
     *,
     tuple_cap: int = DEFAULT_TUPLE_CAP,
 ) -> int:
-    """sum over x of prod_i [<w_i, x> >= t_i], exactly.
-
-    Each gate accepts the achievable integer sums from its threshold up; the
-    range-sum kernel counts the points every gate accepts.
-    """
-    n = _shared_n(gates, n)
-    rows = []
-    for gate in gates:
-        scaled, _ = normalize_integer(gate)
-        row = _gate_row(scaled, scaled.threshold.numerator, 0)
-        if row is None:
-            return 0
-        rows.append(row)
-    return _range_sum(rows, n, tuple_cap, weighted=False)
+    """sum over x of prod_i [<w_i, x> >= t_i], exactly: each gate accepts
+    the achievable integer sums from its threshold up."""
+    return _linear_sumprod(gates, n, tuple_cap, weighted=False)
 
 
 def sumprod_relu(
@@ -262,47 +278,18 @@ def sumprod_relu(
     *,
     tuple_cap: int = DEFAULT_TUPLE_CAP,
 ) -> Fraction:
-    """sum over x of prod_i max(0, <w_i, x> + a_i), exactly.
-
-    Gates are rescaled to integers, each is positive on the sums from
-    1 - a_i up, the range-sum kernel totals the product of the values there,
-    and the integer total is divided back by the product of the rescaling
-    factors.
-    """
-    n = _shared_n(gates, n)
-    denom = 1
-    rows = []
-    for gate in gates:
-        scaled, scale = normalize_integer(gate)
-        denom *= scale
-        bias = scaled.bias.numerator
-        row = _gate_row(scaled, 1 - bias, bias)
-        if row is None:
-            return Fraction(0)
-        rows.append(row)
-    return Fraction(_range_sum(rows, n, tuple_cap, weighted=True)) / denom
+    """sum over x of prod_i max(0, <w_i, x> + a_i), exactly: each gate is
+    positive on the sums from 1 - a_i up."""
+    return _linear_sumprod(gates, n, tuple_cap, weighted=True)
 
 
 def sumprod_ethr(
     gates: Sequence[ExactThresholdGate],
     n: Optional[int] = None,
 ) -> int:
-    """sum over x of prod_i [<w_i, x> = t_i]: one cell of the joint
-    histogram, or the packed gate's subset sums Σ_j (Σ_i w_ij·B^i)·x_j =
-    Σ_i t_i·B^i counted by split and list."""
-    n = _shared_n(gates, n)
-    if not gates:
-        return 1 << n
-    scaled = [normalize_integer(g)[0] for g in gates]
-    rows = [[w.numerator for w in g.weights] for g in scaled]
-    targets = [g.target.numerator for g in scaled]
-    if _use_histogram(n, rows, 1):
-        counts, lows = histogram(rows, n)
-        cell = tuple(t - lo for t, lo in zip(targets, lows))
-        if all(0 <= c < size for c, size in zip(cell, counts.shape)):
-            return int(counts[cell])
-        return 0
-    return count_subset_sum(*_packed_ethr(rows, targets, n))
+    """sum over x of prod_i [<w_i, x> = t_i], exactly: each gate accepts the
+    one sum t_i, so the expansion is a single tuple and no cap applies."""
+    return _linear_sumprod(gates, n, 1, weighted=False)
 
 
 def sumprod(
@@ -319,9 +306,7 @@ def sumprod(
     An empty product is the constant 1, so the result is 2^n.
     """
     if not gates:
-        if n is None:
-            raise ValueError("n is required when no gates are given")
-        return 1 << n
+        return 1 << _shared_n(gates, n)
     kinds = {type(g) for g in gates}
     if len(kinds) != 1:
         raise ValueError("gates must share one family")

@@ -8,13 +8,12 @@ difference of two ReLU gates.
 
 from __future__ import annotations
 
-import math
 from fractions import Fraction
 from typing import Sequence
 
 from .errors import CapExceeded
 from .gates import ExactThresholdGate, ReluGate, ThresholdGate, integer_weights
-from .sumprod import _packed_base, _packed_ethr
+from .sumprod import _gate_row, _packed_base, _packed_weights
 
 DEFAULT_TERM_CAP = 10**6
 
@@ -30,12 +29,11 @@ def thr_to_ethrs(
     pruned.  Exactly one returned gate fires on any point the threshold gate
     accepts, and none fires elsewhere.
     """
-    ws = integer_weights(gate)
-    lo = sum(w for w in ws if w < 0)
-    hi = sum(w for w in ws if w > 0)
-    start = max(math.ceil(gate.threshold), lo)
-    if start > hi:
+    integer_weights(gate)
+    row = _gate_row(gate)
+    if row is None:
         return []
+    _, start, hi, _, _ = row
     count = hi - start + 1
     if count > term_cap:
         raise CapExceeded(
@@ -58,7 +56,8 @@ def collapse_base(gates: Sequence[ExactThresholdGate]) -> int:
     digits of a packed sum cannot interfere: the packed form is zero iff every
     digit is zero.
     """
-    return _packed_base([(ws, abs(t)) for ws, t in map(_integral_ethr, gates)])
+    pairs = map(_integral_ethr, gates)
+    return _packed_base([(sum(map(abs, ws)), abs(t)) for ws, t in pairs])
 
 
 def collapse_ethr_conjunction(
@@ -77,7 +76,9 @@ def collapse_ethr_conjunction(
         if g.n != n:
             raise ValueError("gates disagree on the number of variables")
     rows, targets = zip(*(_integral_ethr(g) for g in gates))
-    weights, target = _packed_ethr(rows, targets, n)
+    base = collapse_base(gates)
+    weights = _packed_weights(rows, base, n)
+    target = sum(t * base**i for i, t in enumerate(targets))
     return ExactThresholdGate(tuple(Fraction(w) for w in weights), Fraction(target))
 
 

@@ -423,3 +423,31 @@ def test_memory_error_is_exit_2_with_json(tmp_path, capsys, monkeypatch, message
     assert code == 2
     assert out == ""
     assert json.loads(err)["error"] == (message or "out of memory")
+
+
+@pytest.mark.parametrize("family, field", [
+    ("thr", "threshold"), ("ethr", "target"), ("relu", "bias"),
+])
+def test_missing_constant_is_exit_1(tmp_path, capsys, family, field):
+    doc = {"family": family, "n": 2, "gates": [{"weights": [1, 2]}]}
+    code, out, err = run(["sumprod", write(tmp_path, doc)], capsys)
+    assert code == 1 and out == ""
+    assert field in json.loads(err)["error"]
+
+
+def _two_gates(family, field, constants):
+    rows = ([1, 1, 1, 1], [1, 2, 0, 0])
+    gates = [{"weights": w, field: c} for w, c in zip(rows, constants)]
+    return {"family": family, "n": 4, "gates": gates}
+
+
+def test_tuple_cap_never_limits_ethr(tmp_path, capsys):
+    # an exact-threshold product expands into one tuple whatever the cap
+    doc = _two_gates("ethr", "target", (2, 1))
+    code, out, _ = run(["sumprod", write(tmp_path, doc), "--cap-tuples", "0"], capsys)
+    assert code == 0
+    assert out.strip() == '{"value": 2}'
+    doc = _two_gates("thr", "threshold", (2, 3))
+    code, _, err = run(["sumprod", write(tmp_path, doc), "--cap-tuples", "0"], capsys)
+    assert code == 2
+    assert "error" in json.loads(err)

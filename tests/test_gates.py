@@ -1,7 +1,10 @@
 import dataclasses
 from fractions import Fraction
+from itertools import product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hypersum import (
     ExactThresholdGate,
@@ -17,7 +20,7 @@ from hypersum import (
     mask_from_bits,
     normalize_integer,
 )
-from hypersum.gates import integer_weights
+from hypersum.gates import eval_ethr, eval_relu, eval_thr, integer_weights, linear_piece
 
 
 def test_as_fraction_accepts_exact_forms():
@@ -200,3 +203,36 @@ def test_normalize_integral_weights_fractional_threshold():
         for mask in range(8):
             x = bits_from_mask(mask, 3)
             assert gate_value(scaled, x) == gate_value(g, x)
+
+
+_EVAL = {ThresholdGate: eval_thr, ExactThresholdGate: eval_ethr, ReluGate: eval_relu}
+_RATIOS = (Fraction(-2), Fraction(-1, 3), Fraction(0), Fraction(1), Fraction(5, 2))
+
+
+@st.composite
+def scaled_gates(draw):
+    """(w, lam, gate) with gate weights lam * w over n <= 6 variables; the
+    constant is lam times a subset sum of w plus an offset that is often 0."""
+    n = draw(st.integers(1, 6))
+    w = draw(st.lists(st.integers(-4, 4), min_size=n, max_size=n))
+    lam = draw(st.sampled_from(_RATIOS))
+    picks = draw(st.lists(st.booleans(), min_size=n, max_size=n))
+    offset = draw(st.sampled_from((0, 0, 1, -1, Fraction(1, 2), Fraction(-2, 3))))
+    constant = lam * sum(x for x, b in zip(w, picks) if b) + offset
+    cls = draw(st.sampled_from(list(_EVAL)))
+    return w, lam, cls(tuple(lam * x for x in w), constant)
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(scaled_gates())
+def test_linear_piece_matches_pointwise_evaluation(case):
+    w, lam, gate = case
+    piece = linear_piece(gate, lam)
+    for x in product((0, 1), repeat=len(w)):
+        s = sum(a for a, b in zip(w, x) if b)
+        value = 0
+        if piece is not None:
+            slope, intercept, first, last = piece
+            if (first is None or first <= s) and (last is None or s <= last):
+                value = slope * s + intercept
+        assert value == _EVAL[type(gate)](gate, x)

@@ -179,3 +179,30 @@ def test_narrow_gates_take_the_histogram(n):
     assert chooses_histogram([_ethr(rng, n, 1000)])
     assert chooses_histogram([_thr(rng, n, 16, 1000)])
     assert chooses_histogram([_thr(rng, n, 4, 8), _thr(rng, n, 4, 8)])
+
+
+@pytest.mark.parametrize("n", [1, 6, 11, 16])
+def test_point_gates_count_one_packed_subset_sum(n):
+    # each gate accepts one achievable sum: its sum of positive weights
+    rng = random.Random(n)
+    gates = []
+    for _ in range(3):
+        ws = _weights(rng, n, 9)
+        gates.append(ThresholdGate(ws, sum(w for w in ws if w > 0)))
+    real = sp.count_subset_sum
+    calls = []
+
+    def spy(weights, target):
+        calls.append(target)
+        return real(weights, target)
+
+    mitm = importlib.import_module("hypersum.mitm")
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(sp, "_use_histogram", lambda *args: False)
+        m.setattr(sp, "count_subset_sum", spy)
+        before = mitm.partials.value
+        value = sumprod(gates)
+        grown = mitm.partials.value - before
+    assert len(calls) == 1
+    assert value == oracle_sumprod(gates, n)
+    assert grown == 2 ** ((n + 1) // 2) + 2 ** (n // 2)

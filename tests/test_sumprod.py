@@ -248,3 +248,19 @@ def test_kernel_edge_cases(rows, build, kernel):
     expect = oracle_sumprod(gates)
     assert kernel(gates) == expect
     assert kernel(gates[::-1]) == expect
+
+
+def test_ethr_conjunction_ignores_the_tuple_cap():
+    gates = [
+        ExactThresholdGate((1, 1, 1, 1), 2),
+        ExactThresholdGate((1, 2, 0, 0), 1),
+    ]
+    assert sumprod(gates, tuple_cap=0) == oracle_sumprod(gates, 4) == 2
+
+
+def test_empty_products_keep_their_types():
+    relu = sumprod_relu([], 3)
+    assert relu == 8 and type(relu) is Fraction
+    for fn in (sumprod_thr, sumprod_ethr):
+        value = fn([], 3)
+        assert value == 8 and type(value) is int
