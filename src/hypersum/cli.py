@@ -354,7 +354,9 @@ def main(argv=None) -> int:
         return _fail(str(exc) or "out of memory", 2)
     except InvariantViolation as exc:
         return _fail(str(exc), 3)
-    except (ValueError, TypeError, KeyError, OSError, RecursionError) as exc:
+    except KeyError as exc:
+        return _fail(f"missing field {exc.args[0]!r}", 1)
+    except (ValueError, TypeError, OSError, RecursionError) as exc:
         return _fail(str(exc), 1)
 
 

@@ -3,13 +3,15 @@
 The fast root counter splits off the last m = floor(n/(6dp)) variables,
 sums a modulus-amplified indicator over all suffix assignments, and reads
 per-prefix suffix-root counts out of the residues of a single polynomial over
-the remaining variables.  Systems reduce to root counts in one pass over the
-coefficient tuples b in F_p^k (``_accumulators``), and so do Sum-Products,
-when m >= 1 for d the largest degree.  Then every combination has m >= 1 as
-well.  Below that split both read the k dense value tables instead: a
-Sum-Product sums the tables' pointwise product, and a system counts the
-points where every table hits its target.  Every dense table comes from one
-zeta transform with a single reduction at the end.
+the remaining variables.  Systems and Sum-Products of k polynomials either
+read the k dense value tables (a Sum-Product sums the tables' pointwise
+product, a system counts the points where every table hits its target) or
+reduce to root counts in one pass over the coefficient tuples b in F_p^k
+(``_accumulators``).  ``_reads_dense`` picks by table entries touched: the
+dense tables when m = 0 for d the largest degree, and otherwise when they fit
+``dense_cap`` and their k * 2^n entries are fewer than the pass's
+L * (p^k - 1) root counts of 2^(n-m) entries each.  Every dense table comes
+from one zeta transform with a single reduction at the end.
 """
 
 from __future__ import annotations
@@ -28,6 +30,7 @@ from .gates import FpPolynomial, _is_prime
 from .mitm import int_dtype
 
 DEFAULT_DENSE_CAP = 26
+_INT32_BOUND = 1 << 31
 
 
 def _poly_mul_dense(a: list[int], b: list[int]) -> list[int]:
@@ -153,10 +156,14 @@ def _eval_table(poly: MultilinearRingPoly) -> np.ndarray:
     variable i, entry ``mask`` holds the sum of coefficients over monomials
     contained in ``mask`` restricted to the processed variables.  Every
     coefficient is below modulus and an entry sums at most 2^n_vars of them,
-    so entries stay below modulus << n_vars; ``int_dtype`` of that bound picks
-    int64 or Python ints, and the table is reduced once, at the end.
+    so entries stay below modulus << n_vars.  Below 2^31 the table is int32,
+    which halves the memory the transform streams through; above it
+    ``int_dtype`` picks int64 or Python ints.  The table is reduced once, at
+    the end.
     """
-    f = np.zeros(1 << poly.n_vars, dtype=int_dtype(poly.modulus << poly.n_vars))
+    bound = poly.modulus << poly.n_vars
+    dtype = np.int32 if bound < _INT32_BOUND else int_dtype(bound)
+    f = np.zeros(1 << poly.n_vars, dtype=dtype)
     for mask, c in poly.coeffs.items():
         f[mask] = c
     for i in range(poly.n_vars):
@@ -320,9 +327,11 @@ def _accumulators(
 
     With N_b(v) = |{x : sum_j b_j polys[j](x) = v}|, tuple t adds
     N_b(b.t) - N_b(b.t + 1) for each b in F_p^k.  One pass over b serves every
-    tuple, at most p root counts per b.  Callers take the dense tables when
-    m = 0 for the largest degree, so every root count here has m >= 1.  A
-    non-divisible accumulator indicates a bug and raises InvariantViolation.
+    tuple, at most p root counts per b.  Callers take this pass only when
+    ``_reads_dense`` declines the dense tables, so m >= 1 for the largest
+    degree and every root count here reads a suffix-count table of at most
+    2^(n-m) entries.  A non-divisible accumulator indicates a bug and raises
+    InvariantViolation.
     """
     p, n = _shared_shape(polys)
     k = len(polys)
@@ -343,15 +352,25 @@ def _accumulators(
     return accs
 
 
-def _dense_tables(polys: Sequence[FpPolynomial], dense_cap: int):
-    """The value tables of ``polys``, one at a time, when m = floor(n/(6dp))
-    is 0 for d the largest degree (at least 1); None when m >= 1, where
-    every combination of ``polys`` has m >= 1 too."""
+def _reads_dense(polys: Sequence[FpPolynomial], levels: int, dense_cap: int) -> bool:
+    """True when the k dense value tables of ``polys`` touch fewer entries
+    than the ``_accumulators`` pass, which makes ``levels`` root counts
+    (L = 2 for one target tuple, L = p for a Sum-Product) for each of the
+    p^k - 1 nonzero b, each on 2^(n-m) entries, m = floor(n/(6dp)) for d the
+    largest degree (at least 1).
+
+    With m = 0 there is no suffix to split off and the tables are always read,
+    within ``dense_cap``.  With m >= 1 they are read iff n <= dense_cap and
+    k * 2^n < L * (p^k - 1) * 2^(n-m), i.e. k * 2^m < L * (p^k - 1); a tie
+    keeps the pass, which stays the only route when n > dense_cap >= n - m.
+    """
     p, n = _shared_shape(polys)
-    if _suffix_vars(n, max(1, *(q.degree for q in polys)), p):
-        return None
+    k = len(polys)
+    m = _suffix_vars(n, max(1, *(q.degree for q in polys)), p)
+    if m and (n > dense_cap or k << m >= levels * (p**k - 1)):
+        return False
     _require_dense(n, dense_cap)
-    return (_eval_table(MultilinearRingPoly(p, n, q.monomials)) for q in polys)
+    return True
 
 
 def count_system(
@@ -363,27 +382,28 @@ def count_system(
 ):
     """|{x : polys[j](x) = targets[j] mod p for all j}|.
 
-    With d the largest degree (at least 1), when m = floor(n/(6dp)) is 0 the
-    k value tables are compared with the targets point by point, k * 2^n
-    work for any p, and the accumulator is p^k times that count.  When
-    m >= 1, ``_accumulators`` runs for one target tuple: the accumulator
-    sums, over all b in F_p^k, the number of points where
+    ``_reads_dense`` (with L = 2) picks the kernel.  The dense one compares
+    the k value tables with the targets point by point, k * 2^n work for any
+    p, and the accumulator is p^k times that count.  Otherwise
+    ``_accumulators`` runs for one target tuple: the accumulator sums, over
+    all b in F_p^k, the number of points where
     sum_j b_j (polys[j] - targets[j]) is 0 minus the number where it is 1,
     and is p^k times the answer.
     """
     if len(targets) != len(polys):
         raise ValueError("polynomial/target count mismatch")
-    tables = _dense_tables(polys, dense_cap)
-    power = polys[0].p ** len(polys)
-    if tables is None:
-        (acc,) = _accumulators(polys, [targets], dense_cap)
-        count = acc // power
-    else:
-        hit = np.ones(1 << polys[0].n, dtype=bool)
-        for table, t in zip(tables, targets):
-            hit &= table == t % polys[0].p
+    p, n = _shared_shape(polys)
+    power = p ** len(polys)
+    if _reads_dense(polys, 2, dense_cap):
+        hit = np.ones(1 << n, dtype=bool)
+        # one value table at a time: each is dropped once compared
+        for q, t in zip(polys, targets):
+            hit &= _eval_table(MultilinearRingPoly(p, n, q.monomials)) == t % p
         count = int(np.count_nonzero(hit))
         acc = count * power
+    else:
+        (acc,) = _accumulators(polys, [targets], dense_cap)
+        count = acc // power
     if with_accumulator:
         return count, acc
     return count
@@ -397,13 +417,13 @@ def sumprod_fp(
 ) -> int:
     """sum over x of prod_i lift(polys[i](x)), values lifted to {0..p-1}.
 
-    With d the largest degree (at least 1) and m = floor(n/(6dp)), the dense
-    regime m = 0 multiplies the k value tables pointwise and sums the
-    product: k * 2^n work for any p.  When m >= 1 the product is expanded over
-    value tuples: tuples containing a zero value carry weight zero and are
-    skipped; each remaining tuple contributes its integer product of values
-    times the number of points realizing it.  One ``_accumulators`` pass
-    counts all (p-1)^k tuples in <= p^(k+1) root counts.
+    ``_reads_dense`` (with L = p) picks the kernel.  The dense one multiplies
+    the k value tables pointwise and sums the product: k * 2^n work for any
+    p.  Otherwise the product is expanded over value tuples: tuples
+    containing a zero value carry weight zero and are skipped; each
+    remaining tuple contributes its integer product of values times the
+    number of points realizing it.  One ``_accumulators`` pass counts all
+    (p-1)^k tuples in <= p^(k+1) root counts.
     """
     if not polys:
         if n is None:
@@ -413,11 +433,10 @@ def sumprod_fp(
     if n is not None and n != shape_n:
         raise ValueError(f"explicit n={n} disagrees with the polynomials")
     k = len(polys)
-    tables = _dense_tables(polys, dense_cap)
-    if tables is not None:
+    if _reads_dense(polys, p, dense_cap):
         prod = np.ones(1 << shape_n, dtype=int_dtype((p - 1) ** k << shape_n))
-        for table in tables:
-            prod *= table
+        for q in polys:
+            prod *= _eval_table(MultilinearRingPoly(p, shape_n, q.monomials))
         return int(prod.sum())
     tuples = list(itertools.product(range(1, p), repeat=k))
     accs = _accumulators(polys, tuples, dense_cap)

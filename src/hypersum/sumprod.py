@@ -120,8 +120,10 @@ def _gate_row(gate: LinearGate) -> Optional[_Row]:
     """(weights, s, h, b, span) for a gate with integer weights, or None.
 
     The gate accepts the achievable integer sums in [s, h] and there equals
-    <w, x> + b (ReLU) or 1; span is the sum of |weights|.  None means it
-    accepts no achievable sum, so it is zero everywhere.
+    <w, x> + b (ReLU) or 1; span is the sum of |weights|.  Every achievable
+    sum is a multiple of g = gcd(weights), so s and h are rounded inward to
+    that lattice.  None means it accepts no achievable sum, so it is zero
+    everywhere.
     """
     piece = linear_piece(gate)
     if piece is None:
@@ -132,6 +134,9 @@ def _gate_row(gate: LinearGate) -> Optional[_Row]:
     hi = sum(ws) - lo
     s = lo if first is None else max(lo, first)
     h = hi if last is None else min(hi, last)
+    g = math.gcd(*ws)
+    if g > 1:
+        s, h = -(-s // g) * g, h // g * g
     return (ws, s, h, b.numerator, hi - lo) if s <= h else None
 
 

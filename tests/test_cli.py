@@ -451,3 +451,13 @@ def test_tuple_cap_never_limits_ethr(tmp_path, capsys):
     code, _, err = run(["sumprod", write(tmp_path, doc), "--cap-tuples", "0"], capsys)
     assert code == 2
     assert "error" in json.loads(err)
+
+
+@pytest.mark.parametrize("doc, field", [
+    ({"family": "relu", "n": 2, "gates": [{"weights": [1, 1]}]}, "bias"),
+    ({"family": "thr"}, "n"),
+])
+def test_missing_field_is_named(tmp_path, capsys, doc, field):
+    code, out, err = run(["sumprod", write(tmp_path, doc)], capsys)
+    assert code == 1 and out == ""
+    assert json.loads(err) == {"error": f"missing field '{field}'"}

@@ -1,3 +1,4 @@
+import math
 import random
 
 import numpy as np
@@ -5,6 +6,7 @@ import pytest
 
 from hypersum import (
     CapExceeded,
+    DEFAULT_DENSE_CAP,
     FpPolynomial,
     FpSumProdParams,
     InvariantViolation,
@@ -105,6 +107,50 @@ def test_eval_all_points_python_path_for_big_modulus():
     for mask in range(8):
         expect = ((1 << 39) * (mask & 1) + 3 * (mask == 7)) % mod
         assert table[mask] == expect
+
+
+@pytest.mark.parametrize("n_vars", [4, 10])
+@pytest.mark.parametrize("offset, dtype", [(-1, np.int32), (0, np.int64), (1, np.int64)])
+def test_eval_table_at_the_int32_bound(n_vars, offset, dtype):
+    # modulus << n_vars is 2^31 + offset * 2^n_vars; with every coefficient
+    # at modulus - 1 the full-mask entry sums 2^n_vars of them before the
+    # reduction, which just fits int32 below the bound
+    from hypersum.fppoly import _eval_table
+
+    modulus = (1 << (31 - n_vars)) + offset
+    coeffs = {mask: modulus - 1 for mask in range(1 << n_vars)}
+    table = _eval_table(MultilinearRingPoly(modulus, n_vars, coeffs))
+    assert table.dtype == dtype
+    assert table.tolist() == brute_values(modulus, n_vars, coeffs).tolist()
+
+
+def _prime_from(start, step):
+    p = start
+    while any(p % f == 0 for f in range(2, math.isqrt(p) + 1)):
+        p += step
+    return p
+
+
+# at n = 6 the value tables are int32 iff p < 2^25; three factors of p - 1
+# push the Sum-Product past 2^62, onto Python ints multiplied by those tables
+@pytest.mark.parametrize("p", [_prime_from((1 << 25) - 1, -1), _prime_from(1 << 25, 1)])
+def test_fp_kernels_stay_exact_at_the_int32_bound(p):
+    from hypersum.fppoly import _eval_table
+
+    n = 6
+    rng = random.Random(p)
+    polys = [rand_fp_poly(rng, p, n, 3) for _ in range(3)]
+    table = _eval_table(MultilinearRingPoly(p, n, polys[0].monomials))
+    assert table.dtype == (np.int32 if p < 1 << 25 else np.int64)
+    point = rng.randrange(1 << n)
+    # targets read at one point, so that every count is at least 1
+    targets = [int(brute_values(p, n, q.monomials)[point]) for q in polys]
+    for q, t in zip(polys, targets):
+        root = FpPolynomial(p, n, {**q.monomials, 0: q.monomials.get(0, 0) - t})
+        assert count_roots(root) == oracle_count_fp_system([q], [t]) >= 1
+    assert count_system(polys, targets) == oracle_count_fp_system(polys, targets) >= 1
+    for k in (1, 2, 3):
+        assert sumprod_fp(polys[:k], n) == oracle_sumprod(polys[:k], n)
 
 
 def test_eval_all_points_cap():
@@ -268,20 +314,131 @@ def _record_calls(monkeypatch, name):
     return seen
 
 
-def test_systems_in_suffix_regime_match_oracle(monkeypatch):
-    # p = 2, d = 1, n = 12..14 gives m = 1: every non-constant combination is
-    # counted through the suffix construction, never a full dense table
-    suffix_calls = _record_calls(monkeypatch, "suffix_count_poly")
+def _force_kernel(monkeypatch, dense):
+    """Make ``fppoly._reads_dense`` answer ``dense`` for every system."""
+    import hypersum.fppoly as fp
+
+    monkeypatch.setattr(fp, "_reads_dense", lambda polys, levels, dense_cap: dense)
+
+
+def _suffix_regime_systems():
+    """(n, polys, targets) at p = 2, d = 1, n = 12..14, k = 2..3: m = 1."""
     rng = random.Random(94)
     for n in (12, 13, 14):
         for k in (2, 3):
             polys = [rand_fp_poly(rng, 2, n, 1) for _ in range(k)]
             targets = [rng.randrange(2) for _ in range(k)]
-            count, acc = count_system(polys, targets, with_accumulator=True)
-            assert acc % 2**k == 0
-            assert count == oracle_count_fp_system(polys, targets)
-            assert sumprod_fp(polys, n) == oracle_sumprod(polys, n)
+            yield n, polys, targets
+
+
+def test_systems_in_suffix_regime_match_oracle(monkeypatch):
+    # with the pass forced, every non-constant combination is counted through
+    # the suffix construction, never a full dense table
+    _force_kernel(monkeypatch, dense=False)
+    suffix_calls = _record_calls(monkeypatch, "suffix_count_poly")
+    for n, polys, targets in _suffix_regime_systems():
+        k = len(polys)
+        count, acc = count_system(polys, targets, with_accumulator=True)
+        assert acc % 2**k == 0
+        assert count == oracle_count_fp_system(polys, targets)
+        assert sumprod_fp(polys, n) == oracle_sumprod(polys, n)
     assert suffix_calls
+
+
+def test_small_suffix_regime_systems_read_dense_tables(monkeypatch):
+    # k * 2^m = k * 2 is below 2 * (2^k - 1) for k = 2, 3: the k dense tables
+    # touch fewer entries than the pass, so no suffix polynomial is built
+    suffix_calls = _record_calls(monkeypatch, "suffix_count_poly")
+    for n, polys, targets in _suffix_regime_systems():
+        count, acc = count_system(polys, targets, with_accumulator=True)
+        assert count == oracle_count_fp_system(polys, targets)
+        assert acc == count * 2 ** len(polys)
+        assert sumprod_fp(polys, n) == oracle_sumprod(polys, n)
+    assert not suffix_calls
+
+
+# p = 2 and 3 split one suffix variable at n = 6p for degree 1; p = 5 would
+# need n = 30, past the oracle, so there the split is moved down to n = 8, 9
+@pytest.mark.parametrize("p, sizes", [(2, (12, 13)), (3, (18,)), (5, (8, 9))])
+def test_forced_kernels_agree_with_the_oracle(monkeypatch, p, sizes):
+    import hypersum.fppoly as fp
+
+    if p == 5:
+        monkeypatch.setattr(fp, "_suffix_vars", lambda n, d, p: 1)
+    counted = _record_calls(monkeypatch, "count_roots")
+    rng = random.Random(99 + p)
+    for n in sizes:
+        for k in (1, 2, 3):
+            polys = [rand_fp_poly(rng, p, n, 1) for _ in range(k)]
+            targets = [rng.randrange(p) for _ in range(k)]
+            assert fp._suffix_vars(n, 1, p) >= 1
+            expect_count = oracle_count_fp_system(polys, targets)
+            expect_sum = oracle_sumprod(polys, n)
+            for dense in (True, False):
+                _force_kernel(monkeypatch, dense)
+                counted.clear()
+                count, acc = count_system(polys, targets, with_accumulator=True)
+                assert count == expect_count
+                assert acc % p**k == 0
+                assert len(counted) <= 2 * p**k and bool(counted) != dense
+                counted.clear()
+                assert sumprod_fp(polys, n) == expect_sum
+                assert len(counted) <= p ** (k + 1) and bool(counted) != dense
+
+
+# (p, n, k, levels, cap, dense): with degree 1, m = n // (6p), and the dense
+# tables are read iff n <= cap and k * 2^m < levels * (p^k - 1)
+@pytest.mark.parametrize("p, n, k, levels, cap, dense", [
+    (5, 10, 3, 5, 26, True),    # m = 0
+    (2, 12, 1, 2, 26, False),   # 1 * 2 = 2 * 1: a tie keeps the pass
+    (2, 12, 2, 2, 26, True),    # 2 * 2 < 2 * 3
+    (2, 24, 1, 2, 26, False),   # m = 2: 4 > 2
+    (3, 36, 1, 2, 36, False),   # m = 2: 4 = 2 * 2
+    (3, 36, 1, 3, 36, True),    # 4 < 3 * 2: a Sum-Product's p levels tip it
+    (2, 27, 3, 2, 26, False),   # 3 * 4 < 2 * 7, but 2^27 entries pass the cap
+])
+def test_dense_rule_compares_table_entries(p, n, k, levels, cap, dense):
+    from hypersum.fppoly import _reads_dense
+
+    polys = [FpPolynomial(p, n, {1 << j: 1}) for j in range(k)]
+    assert _reads_dense(polys, levels, cap) is dense
+
+
+def test_sumprods_weigh_p_levels_and_systems_two(monkeypatch):
+    import hypersum.fppoly as fp
+
+    levels_seen = []
+
+    def recording(polys, levels, dense_cap):
+        levels_seen.append(levels)
+        return True
+
+    monkeypatch.setattr(fp, "_reads_dense", recording)
+    polys = [FpPolynomial(5, 4, {1: 1}), FpPolynomial(5, 4, {2: 3})]
+    assert sumprod_fp(polys) == oracle_sumprod(polys, 4)
+    assert count_system(polys, [0, 3]) == oracle_count_fp_system(polys, [0, 3])
+    assert levels_seen == [5, 2]
+
+
+def test_dense_rule_keeps_the_cap_without_a_suffix():
+    from hypersum.fppoly import _reads_dense
+
+    with pytest.raises(CapExceeded):
+        _reads_dense([FpPolynomial(5, 27, {1: 1})], 5, DEFAULT_DENSE_CAP)
+
+
+def test_pass_answers_when_only_the_suffix_table_fits(monkeypatch):
+    # dense_cap = n - 1 = n - m: the 2^n dense tables would exceed the cap,
+    # each 2^(n-1)-entry suffix-count table does not
+    counted = _record_calls(monkeypatch, "count_roots")
+    for n, polys, targets in _suffix_regime_systems():
+        assert count_system(polys, targets, dense_cap=n - 1) == oracle_count_fp_system(
+            polys, targets
+        )
+        assert sumprod_fp(polys, n, dense_cap=n - 1) == oracle_sumprod(polys, n)
+        with pytest.raises(CapExceeded):
+            count_system(polys, targets, dense_cap=n - 2)
+    assert counted
 
 
 def test_mixed_degree_system_splits_by_largest_degree(monkeypatch):

@@ -250,6 +250,27 @@ def test_kernel_edge_cases(rows, build, kernel):
     assert kernel(gates[::-1]) == expect
 
 
+def test_rows_round_inward_to_the_weights_gcd():
+    # only even sums are achievable under weights (2, 2): the gate's [3, 4]
+    # holds one of them, so expanding it next to a wider gate takes 1 tuple
+    from hypersum.sumprod import _gate_row
+
+    narrow = ThresholdGate((Fraction(2), Fraction(2)), Fraction(3))
+    assert _gate_row(narrow)[1:3] == (4, 4)
+    gates = [narrow, ThresholdGate((Fraction(1), Fraction(1)), Fraction(0))]
+    assert sumprod_thr(gates, tuple_cap=1) == oracle_sumprod(gates) == 1
+    # an exact target off the lattice leaves an empty range
+    assert _gate_row(ExactThresholdGate((Fraction(2), Fraction(2)), Fraction(3))) is None
+    # 3x1 + 6x2 - 3x3 - 7 is positive at the one sum 9 that is past 7
+    relu = ReluGate((Fraction(3), Fraction(6), Fraction(-3)), Fraction(-7))
+    assert _gate_row(relu)[1:3] == (9, 9)
+    # 2x1 + 4x2 + 6x3 - 4 is positive from the sum 5 up, so from 6 up
+    wide = ReluGate((Fraction(2), Fraction(4), Fraction(6)), Fraction(-4))
+    assert _gate_row(wide)[1:3] == (6, 12)
+    for gates in ([relu], [wide], [relu, wide]):
+        assert sumprod_relu(gates) == oracle_sumprod(gates)
+
+
 def test_ethr_conjunction_ignores_the_tuple_cap():
     gates = [
         ExactThresholdGate((1, 1, 1, 1), 2),
