@@ -11,7 +11,11 @@ N(s) = |{x : <w, x> = s}|, built by Bellman's subset-sum dynamic program in
 n shift-and-add passes over the R = sum|w_i| + 1 achievable sums, then
 answers all three sums cell by cell.  Every other combination, and any whose
 n * R reaches ``_HISTOGRAM_CELLS``, expands its sum into Sum-Products of at
-most four gates at a time; F_p combinations always do.
+most four gates at a time; F_p combinations always do.  The expansion first
+merges equal gates.  THR, ETHR and F_2 gates are 0/1-valued, so g * g = g
+and a product depends only on the set of gates in it: such families make one
+Sum-Product per distinct set of gates within a call, ReLU and F_p for p > 2
+one per multiset.
 """
 
 from __future__ import annotations
@@ -27,7 +31,14 @@ import numpy as np
 
 from .errors import InvariantViolation
 from .fppoly import DEFAULT_DENSE_CAP
-from .gates import LinComb, LinearGate, linear_piece
+from .gates import (
+    ExactThresholdGate,
+    FpPolynomial,
+    LinComb,
+    LinearGate,
+    ThresholdGate,
+    linear_piece,
+)
 from .mitm import histogram, int_dtype
 from .sumprod import DEFAULT_TUPLE_CAP, sumprod
 
@@ -52,34 +63,70 @@ class EqualityVerdict:
     distance: Fraction
 
 
-def _power_sum(
-    coefficients,
-    gates,
-    n: int,
-    k: int,
-    *,
-    tuple_cap: int,
-    dense_cap: int,
-) -> Fraction:
-    """sum over x of (sum_j coefficients[j] * gates[j](x))^k."""
-    total = Fraction(0)
-    for combo in combinations_with_replacement(range(len(gates)), k):
-        mult = math.factorial(k)
-        for c in Counter(combo).values():
-            mult //= math.factorial(c)
-        coeff = Fraction(mult)
-        for j in combo:
-            coeff *= coefficients[j]
-        if not coeff:
-            continue
-        value = sumprod(
-            [gates[j] for j in combo],
-            n,
-            tuple_cap=tuple_cap,
-            dense_cap=dense_cap,
-        )
-        total += coeff * value
-    return total
+# sums of powers as (k, w_k) pairs: sum_x sum_k w_k f(x)^k
+_DEVIATION = ((2, 1), (3, -2), (4, 1))  # f^2 (f - 1)^2 = f^2 - 2 f^3 + f^4
+_SQUARE = ((2, 1),)
+_SUM = ((1, 1),)
+
+
+def _is_indicator(gate) -> bool:
+    """Whether the gate takes only the values 0 and 1, so g * g = g."""
+    if isinstance(gate, FpPolynomial):
+        return gate.p == 2
+    return isinstance(gate, (ThresholdGate, ExactThresholdGate))
+
+
+class _Expansion:
+    """Sums of powers of f = sum_j coefficients[j] * gates[j] over the cube,
+    expanded into Sum-Products, for one library call.
+
+    Equal gates are merged by adding their coefficients, and gates left with
+    coefficient 0 are dropped.  A product of 0/1-valued gates is keyed by the
+    sorted set of its gate indices, any other by the multiset, and each key's
+    Sum-Product is computed at most once per expansion, in ``values``.
+    """
+
+    def __init__(self, coefficients, gates, n: int, caps: dict):
+        merged, totals = [], []
+        for c, g in zip(coefficients, gates):
+            if g in merged:
+                totals[merged.index(g)] += c
+            else:
+                merged.append(g)
+                totals.append(Fraction(c))
+        self.coefficients = [c for c in totals if c]
+        self.gates = [g for g, c in zip(merged, totals) if c]
+        self.sets = all(_is_indicator(g) for g in self.gates)
+        self.n = n
+        self.caps = caps
+        self.values: dict[tuple, object] = {}
+
+    def power_sum(self, powers) -> Fraction:
+        """sum_x sum_k w_k f(x)^k for ``powers`` given as (k, w_k) pairs: one
+        Sum-Product per key whose summed coefficient is nonzero."""
+        weights: dict[tuple, Fraction] = {}
+        for k, w in powers:
+            for combo in combinations_with_replacement(range(len(self.gates)), k):
+                counts = Counter(combo)
+                mult = math.factorial(k)
+                coeff = Fraction(w)
+                for j, e in counts.items():
+                    mult //= math.factorial(e)
+                    coeff *= self.coefficients[j] ** e
+                key = tuple(counts) if self.sets else combo
+                weights[key] = weights.get(key, 0) + mult * coeff
+        total = Fraction(0)
+        for key, coeff in weights.items():
+            if coeff:
+                total += coeff * self._value(key)
+        return total
+
+    def _value(self, key: tuple):
+        if key not in self.values:
+            self.values[key] = sumprod(
+                [self.gates[j] for j in key], self.n, **self.caps
+            )
+        return self.values[key]
 
 
 def _common_form(gates) -> Optional[tuple[list[int], list[Fraction]]]:
@@ -167,15 +214,18 @@ def _boolean_verdict(deviation: Fraction) -> BooleanVerdict:
     return BooleanVerdict(deviation == 0, deviation)
 
 
-def _deviation(comb: LinComb, table: Optional[tuple], caps: dict) -> Fraction:
+def _deviation(table: Optional[tuple], expansion: Optional[_Expansion]) -> Fraction:
     """sum_x f^2 (f-1)^2: from the table, or as sum_x (f^2 - 2 f^3 + f^4)
-    through Sum-Products of 2, 3 and 4 gates."""
+    through one expansion into Sum-Products of up to four gates."""
     if table is not None:
         return _cell_sum(table, 4, lambda f, d: f * f * (f - d) * (f - d))
-    p2 = _power_sum(comb.coefficients, comb.gates, comb.n, 2, **caps)
-    p3 = _power_sum(comb.coefficients, comb.gates, comb.n, 3, **caps)
-    p4 = _power_sum(comb.coefficients, comb.gates, comb.n, 4, **caps)
-    return p2 - 2 * p3 + p4
+    return expansion.power_sum(_DEVIATION)
+
+
+def _expansion(table: Optional[tuple], comb: LinComb, caps: dict) -> Optional[_Expansion]:
+    if table is not None:
+        return None
+    return _Expansion(comb.coefficients, comb.gates, comb.n, caps)
 
 
 def check_boolean(
@@ -187,13 +237,15 @@ def check_boolean(
     """Decide whether the combination is {0,1}-valued on the whole cube.
 
     A one-form combination sums N(s) f(s)^2 (f(s)-1)^2 over its histogram;
-    any other evaluates sum_x (f^2 - 2 f^3 + f^4) through Sum-Products of 2,
-    3 and 4 gates.  The sum is pointwise nonnegative, so a negative result
-    can only come from a broken kernel and raises InvariantViolation.
+    any other merges its equal gates and evaluates sum_x (f^2 - 2 f^3 + f^4)
+    in one expansion into Sum-Products of up to four gates: one per distinct
+    set of gates for THR, ETHR and F_2, one per multiset for ReLU and F_p
+    with p > 2.  The sum is pointwise nonnegative, so a negative result can
+    only come from a broken kernel and raises InvariantViolation.
     """
     caps = dict(tuple_cap=tuple_cap, dense_cap=dense_cap)
     table = _form_table(comb.coefficients, comb.gates, comb.n)
-    return _boolean_verdict(_deviation(comb, table, caps))
+    return _boolean_verdict(_deviation(table, _expansion(table, comb, caps)))
 
 
 def count_sat(
@@ -208,13 +260,15 @@ def count_sat(
     Verifies Boolean-valuedness first unless ``unchecked`` is set; for a
     Boolean f the count is just sum_x f(x), which a one-form combination
     reads from the same histogram as its check and any other takes from one
-    Sum-Product per gate.  A result outside [0, 2^n] or non-integral means f
-    was not Boolean after all.
+    Sum-Product per merged gate, shared with the check for THR, ETHR and
+    F_2.  A result outside [0, 2^n] or non-integral means f was not Boolean
+    after all.
     """
     caps = dict(tuple_cap=tuple_cap, dense_cap=dense_cap)
     table = _form_table(comb.coefficients, comb.gates, comb.n)
+    expansion = _expansion(table, comb, caps)
     if not unchecked:
-        verdict = _boolean_verdict(_deviation(comb, table, caps))
+        verdict = _boolean_verdict(_deviation(table, expansion))
         if not verdict.is_boolean:
             raise InvariantViolation(
                 f"combination is not Boolean-valued (deviation {verdict.deviation})"
@@ -222,9 +276,7 @@ def count_sat(
     if table is not None:
         total = _cell_sum(table, 1, lambda f, d: f)
     else:
-        total = Fraction(0)
-        for coeff, gate in zip(comb.coefficients, comb.gates):
-            total += coeff * sumprod([gate], comb.n, **caps)
+        total = expansion.power_sum(_SUM)
     if total.denominator != 1 or not 0 <= total <= (1 << comb.n):
         raise InvariantViolation(
             f"satisfying-assignment count {total} is not in [0, 2^{comb.n}]"
@@ -243,7 +295,9 @@ def check_equal(
 
     sum_x (f - g)^2 is the k=2 power sum of the merged combination with the
     right-hand coefficients negated: read from its histogram when all the
-    merged gates share one linear form, else through Sum-Products of pairs.
+    merged gates share one linear form, else expanded into Sum-Products of
+    pairs after equal gates are merged, one per distinct set of gates for
+    THR, ETHR and F_2 and one per multiset for ReLU and F_p with p > 2.
     """
     if left.family != right.family:
         raise ValueError("combinations belong to different families")
@@ -255,14 +309,8 @@ def check_equal(
     if table is not None:
         distance = _cell_sum(table, 2, lambda f, d: f * f)
     else:
-        distance = _power_sum(
-            coefficients,
-            gates,
-            left.n,
-            2,
-            tuple_cap=tuple_cap,
-            dense_cap=dense_cap,
-        )
+        caps = dict(tuple_cap=tuple_cap, dense_cap=dense_cap)
+        distance = _Expansion(coefficients, gates, left.n, caps).power_sum(_SQUARE)
     if distance < 0:
         raise InvariantViolation(
             f"negative squared distance {distance}: kernel inconsistency"

@@ -77,9 +77,13 @@ def _format(value) -> object:
 
 def _load(path: str) -> dict:
     if path == "-":
-        return json.load(sys.stdin)
-    with open(path) as fh:
-        return json.load(fh)
+        data = json.load(sys.stdin)
+    else:
+        with open(path) as fh:
+            data = json.load(fh)
+    if not isinstance(data, dict):
+        raise TypeError("the document must be a JSON object")
+    return data
 
 
 def _resolve_caps(args) -> None:
@@ -90,24 +94,54 @@ def _resolve_caps(args) -> None:
             setattr(args, name, int(raw) if raw else default)
 
 
-def _int(x) -> int:
+def _int(x, field: str) -> int:
     """An integer field: an int or a decimal string, never a float or a
     boolean."""
-    if isinstance(x, (float, bool)):
-        raise TypeError(f"{type(x).__name__}s are not accepted for integer fields: {x!r}")
-    return int(x)
+    if isinstance(x, bool) or not isinstance(x, (int, str)):
+        raise TypeError(f"field {field!r} takes integers, not {type(x).__name__} {x!r}")
+    try:
+        return int(x)
+    except ValueError as exc:
+        raise ValueError(f"field {field!r}: {exc}") from None
+
+
+_KINDS = {list: "a list", dict: "an object"}
+
+
+def _field(data: dict, field: str, kind: type):
+    """A field that holds a JSON list or object."""
+    value = data[field]
+    if not isinstance(value, kind):
+        raise TypeError(f"field {field!r} must be {_KINDS[kind]}")
+    return value
+
+
+def _objects(data: dict, field: str) -> list:
+    """A field that holds a list of JSON objects."""
+    items = _field(data, field, list)
+    if not all(isinstance(x, dict) for x in items):
+        raise TypeError(f"field {field!r} must be a list of objects")
+    return items
 
 
 def _terms(obj: dict) -> list:
-    return [(vars_, _int(coeff)) for vars_, coeff in obj["monomials"]]
+    terms = []
+    for term in _field(obj, "monomials", list):
+        if not (isinstance(term, list) and len(term) == 2 and isinstance(term[0], list)):
+            raise TypeError(
+                f"field 'monomials' holds [variables, coefficient] pairs, not {term!r}"
+            )
+        variables, coeff = term
+        terms.append(([_int(v, "monomials") for v in variables], _int(coeff, "monomials")))
+    return terms
 
 
 def _parse_gate(family: Family, obj: dict, n: int, p: Optional[int]):
     if family is Family.FP_POLY:
         if p is None:
             raise ValueError('family "fp" requires a top-level "p"')
-        return FpPolynomial.from_terms(_int(p), n, _terms(obj))
-    weights = [as_fraction(w) for w in obj["weights"]]
+        return FpPolynomial.from_terms(_int(p, "p"), n, _terms(obj))
+    weights = [as_fraction(w) for w in _field(obj, "weights", list)]
     if len(weights) != n:
         raise ValueError(f"gate has {len(weights)} weights, expected n={n}")
     # THR, ETHR and ReLU each name their constant's JSON field by its
@@ -118,32 +152,33 @@ def _parse_gate(family: Family, obj: dict, n: int, p: Optional[int]):
 
 def _parse_gates(data: dict):
     family = Family(data["family"])
-    n = _int(data["n"])
-    gates = [_parse_gate(family, g, n, data.get("p")) for g in data["gates"]]
+    n = _int(data["n"], "n")
+    gates = [_parse_gate(family, g, n, data.get("p")) for g in _objects(data, "gates")]
     return family, n, gates
 
 
 def _parse_comb(data: dict) -> LinComb:
     family, n, gates = _parse_gates(data)
-    coefficients = tuple(as_fraction(c) for c in data["coefficients"])
+    coefficients = tuple(as_fraction(c) for c in _field(data, "coefficients", list))
     return LinComb(family, coefficients, tuple(gates), n)
 
 
 def _parse_poly(data: dict) -> FpPolynomial:
-    return FpPolynomial.from_terms(_int(data["p"]), _int(data["n"]), _terms(data))
+    return FpPolynomial.from_terms(_int(data["p"], "p"), _int(data["n"], "n"), _terms(data))
 
 
 def _parse_system(data: dict) -> tuple[list[FpPolynomial], list[int]]:
-    p = _int(data["p"])
-    n = _int(data["n"])
-    polys = [FpPolynomial.from_terms(p, n, _terms(obj)) for obj in data["polys"]]
-    targets = [_int(t) for t in data.get("targets", [0] * len(polys))]
+    p = _int(data["p"], "p")
+    n = _int(data["n"], "n")
+    polys = [FpPolynomial.from_terms(p, n, _terms(obj)) for obj in _objects(data, "polys")]
+    targets = _field(data, "targets", list) if "targets" in data else [0] * len(polys)
+    targets = [_int(t, "targets") for t in targets]
     return polys, targets
 
 
 def _scaled(data: dict, value) -> dict:
     """A Sum-Product payload, times the document's optional coefficients."""
-    for c in data.get("coefficients", []):
+    for c in _field(data, "coefficients", list) if "coefficients" in data else []:
         value = as_fraction(c) * value
     return {"value": _format(value)}
 
@@ -188,8 +223,8 @@ def _count_sat(data: dict, args) -> dict:
 
 def _check_equal(data: dict, args) -> dict:
     verdict = check_equal(
-        _parse_comb(data["left"]),
-        _parse_comb(data["right"]),
+        _parse_comb(_field(data, "left", dict)),
+        _parse_comb(_field(data, "right", dict)),
         tuple_cap=args.tuple_cap,
         dense_cap=args.dense_cap,
     )

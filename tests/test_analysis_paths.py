@@ -4,7 +4,9 @@ Combinations whose gates share one linear form are answered from one
 histogram of s = <w, x>; lowering ``analysis._HISTOGRAM_CELLS`` to 0 sends
 them through the Sum-Product expansion instead.  Both must agree with each
 other and with ``hypersum.oracle`` on every verdict, deviation, count and
-distance.
+distance.  The expansion merges equal gates and keys products of 0/1-valued
+gates by their set of gates, so repeated, cancelling and disjoint gates are
+drawn on purpose, and the number of Sum-Products it makes is pinned.
 """
 
 import io
@@ -20,6 +22,7 @@ import hypersum.analysis as analysis
 from hypersum import (
     ExactThresholdGate,
     Family,
+    FpPolynomial,
     InvariantViolation,
     LinComb,
     ReluGate,
@@ -299,3 +302,174 @@ def test_one_form_histogram_beyond_int64_counts(monkeypatch):
     comb = LinComb(Family.ETHR, (Fraction(2), Fraction(-1)), (gate, doubled))
     assert count_sat(comb) == 64
     assert check_boolean(LinComb(Family.ETHR, (Fraction(2),), (gate,))).deviation == 4 * 64
+
+
+# -- the expansion: merged gates, products keyed by their set of gates ------
+
+KINDS = ("thr", "ethr", "relu", "f2", "f3")
+TOTALS = [Fraction(x) for x in ("0", "1", "1", "1", "-1", "2", "1/2")]
+SPLITS = [Fraction(x) for x in ("1", "-1", "1/3", "2")]
+
+
+@st.composite
+def pools(draw, kind: str, n: int):
+    """One to three gates of a kind; an ETHR gate may copy an earlier gate's
+    weights with another target, so that their product is 0."""
+    gates = []
+    for _ in range(draw(st.integers(1, 3))):
+        if kind in ("f2", "f3"):
+            p = 2 if kind == "f2" else 3
+            masks = st.integers(0, (1 << n) - 1)
+            monomials = draw(st.dictionaries(masks, st.integers(1, p - 1), max_size=4))
+            gates.append(FpPolynomial(p, n, monomials))
+        elif kind == "ethr" and gates and draw(st.booleans()):
+            weights = draw(st.sampled_from(gates)).weights
+            gates.append(ExactThresholdGate(weights, draw(constants(kind, weights))))
+        else:
+            weights = draw(st.lists(st.integers(-3, 3), min_size=n, max_size=n))
+            gates.append(_gate(kind, weights, draw(constants(kind, weights))))
+    return gates
+
+
+@st.composite
+def repeated_terms(draw, kind: str, n: int, pool):
+    """A combination over the pool in which each gate appears once or twice,
+    its coefficients splitting a total that may be 0."""
+    coeffs, gates = [], []
+    for gate in pool:
+        total = draw(st.sampled_from(TOTALS))
+        parts = [draw(st.sampled_from(SPLITS)) for _ in range(draw(st.integers(0, 1)))]
+        parts.append(total - sum(parts))
+        coeffs += parts
+        gates += [gate] * len(parts)
+    order = draw(st.permutations(range(len(gates))))
+    family = Family.FP_POLY if kind in ("f2", "f3") else Family(kind)
+    return LinComb(family, tuple(coeffs[i] for i in order), tuple(gates[i] for i in order), n)
+
+
+@st.composite
+def repeated_combinations(draw):
+    kind = draw(st.sampled_from(KINDS))
+    n = draw(st.integers(1, 10))
+    return draw(repeated_terms(kind, n, draw(pools(kind, n))))
+
+
+@st.composite
+def repeated_pairs(draw):
+    """Two combinations over one pool, so gates recur across the sides."""
+    kind = draw(st.sampled_from(KINDS))
+    n = draw(st.integers(1, 10))
+    pool = draw(pools(kind, n))
+    return draw(repeated_terms(kind, n, pool)), draw(repeated_terms(kind, n, pool))
+
+
+@SETTINGS
+@given(repeated_combinations())
+def test_merged_expansion_check_boolean(comb):
+    fast, _, slow = _both_paths(lambda: check_boolean(comb))
+    assert fast == slow
+    assert fast.deviation == _deviation(comb)
+    assert fast.is_boolean == oracle_check_boolean(comb).is_boolean
+
+
+@SETTINGS
+@given(repeated_combinations())
+def test_merged_expansion_count_sat(comb):
+    if oracle_check_boolean(comb).is_boolean:
+        expected = oracle_count_sat(comb)
+    else:
+        expected = InvariantViolation
+    fast, _, slow = _both_paths(lambda: count_sat(comb))
+    assert fast == slow == expected
+
+    total = sum((eval_lincomb(comb, x) for x in _points(comb.n)), Fraction(0))
+    if total.denominator == 1 and 0 <= total <= 2**comb.n:
+        expected = int(total)
+    else:
+        expected = InvariantViolation
+    fast, _, slow = _both_paths(lambda: count_sat(comb, unchecked=True))
+    assert fast == slow == expected
+
+
+@SETTINGS
+@given(repeated_pairs())
+def test_merged_expansion_check_equal(pair):
+    left, right = pair
+    fast, _, slow = _both_paths(lambda: check_equal(left, right))
+    assert fast == slow
+    assert fast.distance == _distance(left, right)
+    fast, _, slow = _both_paths(lambda: check_equal(left, left))
+    assert fast == slow == analysis.EqualityVerdict(True, Fraction(0))
+
+
+def _sumprod_sizes(monkeypatch) -> list:
+    """The number of gates in each Sum-Product ``analysis`` asks for."""
+    sizes = []
+    real = analysis.sumprod
+    monkeypatch.setattr(
+        analysis, "sumprod", lambda gates, *a, **k: sizes.append(len(gates)) or real(gates, *a, **k)
+    )
+    return sizes
+
+
+INDEPENDENT = ((1, 2, 0, 1), (0, 1, 3, 1), (2, 0, 1, 1))
+COEFFICIENTS = (Fraction(2), Fraction(3), Fraction(5))
+
+
+@pytest.mark.parametrize("family, gate", [
+    (Family.ETHR, lambda w: ExactThresholdGate(w, 2)),
+    (Family.THR, lambda w: ThresholdGate(w, 2)),
+    (Family.FP_POLY, lambda w: FpPolynomial(2, 4, {1 << i: 1 for i, x in enumerate(w) if x})),
+])
+def test_indicator_products_are_keyed_by_their_gate_set(monkeypatch, family, gate):
+    sizes = _sumprod_sizes(monkeypatch)
+    comb = LinComb(family, COEFFICIENTS, tuple(gate(w) for w in INDEPENDENT))
+    assert check_boolean(comb).deviation == _deviation(comb)
+    # one Sum-Product per nonempty set of the three gates
+    assert sorted(sizes) == [1, 1, 1, 2, 2, 2, 3]
+
+
+def test_relu_products_keep_the_multiset_expansion(monkeypatch):
+    sizes = _sumprod_sizes(monkeypatch)
+    comb = LinComb(Family.RELU, COEFFICIENTS, tuple(ReluGate(w, -1) for w in INDEPENDENT))
+    assert check_boolean(comb).deviation == _deviation(comb)
+    # every multiset of 2, 3 and 4 of the three gates: 6 + 10 + 15
+    assert sorted(sizes) == [2] * 6 + [3] * 10 + [4] * 15
+
+
+@pytest.mark.parametrize("gate", [ReluGate((1, 2, 0), -1), FpPolynomial(3, 3, {3: 1, 4: 2})])
+def test_equal_gates_merge_before_the_expansion(monkeypatch, gate):
+    monkeypatch.setattr(analysis, "_HISTOGRAM_CELLS", 0)
+    sizes = _sumprod_sizes(monkeypatch)
+    family = Family.RELU if isinstance(gate, ReluGate) else Family.FP_POLY
+    comb = LinComb(family, (Fraction(1), Fraction(1, 2)), (gate, gate))
+    assert check_boolean(comb).deviation == _deviation(comb)
+    assert sorted(sizes) == [2, 3, 4]
+    sizes.clear()
+    cancelled = LinComb(family, (Fraction(1), Fraction(-1)), (gate, gate))
+    assert check_boolean(cancelled).deviation == 0
+    assert check_equal(comb, comb).equal
+    assert sizes == []
+
+
+def test_checked_count_sat_reads_the_check_products(monkeypatch):
+    # 2 [x1 + x2 >= 1] - [x1 >= 1] - [x2 >= 1] = x1 XOR x2, on three forms;
+    # no coefficient is 0 or 1, so the check needs every single gate too
+    checked = []
+    real_verdict = analysis._boolean_verdict
+    monkeypatch.setattr(
+        analysis, "_boolean_verdict", lambda d: checked.append(1) or real_verdict(d)
+    )
+    calls = []
+    real = analysis.sumprod
+    monkeypatch.setattr(
+        analysis, "sumprod", lambda *a, **k: calls.append(bool(checked)) or real(*a, **k)
+    )
+    comb = LinComb(
+        Family.THR,
+        (Fraction(2), Fraction(-1), Fraction(-1)),
+        (ThresholdGate((1, 1), 1), ThresholdGate((1, 0), 1), ThresholdGate((0, 1), 1)),
+    )
+    assert count_sat(comb) == oracle_count_sat(comb) == 2
+    assert checked and calls
+    assert not any(calls), "a Sum-Product ran after the Boolean check"

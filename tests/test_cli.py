@@ -461,3 +461,30 @@ def test_missing_field_is_named(tmp_path, capsys, doc, field):
     code, out, err = run(["sumprod", write(tmp_path, doc)], capsys)
     assert code == 1 and out == ""
     assert json.loads(err) == {"error": f"missing field '{field}'"}
+
+
+@pytest.mark.parametrize("command, doc, field", [
+    ("sumprod", {"family": "thr", "n": 2, "gates": {"weights": [1, 1], "threshold": 1}},
+     "gates"),
+    ("sumprod", {"family": "fp", "p": 2, "n": 2, "gates": [{"monomials": [[[1.5], 1]]}]},
+     "monomials"),
+    ("count-system", {"p": 3, "n": 2, "polys": ["x"]}, "polys"),
+    ("count-roots", {"p": 3, "n": 2, "monomials": [[1, 1]]}, "monomials"),
+    ("sumprod", {"family": "thr", "n": 2, "gates": [{"weights": 5, "threshold": 1}]},
+     "weights"),
+    ("check-boolean", {"family": "thr", "n": 1, "coefficients": 3,
+                       "gates": [{"weights": [1], "threshold": 1}]}, "coefficients"),
+    ("count-system", {"p": 3, "n": 2, "polys": [{"monomials": [[[1], 1]]}], "targets": 7},
+     "targets"),
+    ("check-equal", {"left": "x", "right": "y"}, "left"),
+])
+def test_badly_typed_fields_are_named(tmp_path, capsys, command, doc, field):
+    code, out, err = run([command, write(tmp_path, doc)], capsys)
+    assert code == 1 and out == ""
+    assert f"field '{field}'" in json.loads(err)["error"]
+
+
+def test_a_document_that_is_not_an_object_is_exit_1(tmp_path, capsys):
+    code, out, err = run(["sumprod", write(tmp_path, [1, 2])], capsys)
+    assert code == 1 and out == ""
+    assert json.loads(err) == {"error": "the document must be a JSON object"}
