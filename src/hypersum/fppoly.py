@@ -11,7 +11,12 @@ reduce to root counts in one pass over the coefficient tuples b in F_p^k
 dense tables when m = 0 for d the largest degree, and otherwise when they fit
 ``dense_cap`` and their k * 2^n entries are fewer than the pass's
 L * (p^k - 1) root counts of 2^(n-m) entries each.  Every dense table comes
-from one zeta transform with a single reduction at the end.
+from one zeta transform with a single reduction at the end.  Past 2^13
+entries the transform is blocked: the table is viewed as rows of 2^8 points
+that share the high bits of their masks, the passes for the 8 low bits run
+only on the rows that hold a monomial, on transposed blocks so that each
+pass adds along a contiguous axis, and the passes for the high bits then run
+in place over the whole table.
 """
 
 from __future__ import annotations
@@ -31,6 +36,17 @@ from .mitm import int_dtype
 
 DEFAULT_DENSE_CAP = 26
 _INT32_BOUND = 1 << 31
+# tables over at most this many variables run every zeta pass in place; timed
+# at n = 11-16 with 6-100 monomials between cache-evicting calls, the blocked
+# transform's fixed cost lost up to n = 13 and won from n = 14 on
+_DIRECT_VARS = 13
+# the blocked transform's rows hold 2^_LOW_BITS points, and its transposed
+# blocks _BLOCK_ROWS rows (1 MiB of int32); 256-4096 rows timed alike at n = 18-22
+_LOW_BITS = 8
+_BLOCK_ROWS = 1 << 10
+# entries the blocked transform reduces at once: of 2^12-2^22 timed at n = 22,
+# 2^16 was fastest
+_REDUCE_CHUNK = 1 << 16
 
 
 def _poly_mul_dense(a: list[int], b: list[int]) -> list[int]:
@@ -160,17 +176,78 @@ def _eval_table(poly: MultilinearRingPoly) -> np.ndarray:
     which halves the memory the transform streams through; above it
     ``int_dtype`` picks int64 or Python ints.  The table is reduced once, at
     the end.
+
+    Above 2^``_DIRECT_VARS`` entries the transform is blocked.  The table is
+    viewed as rows of 2^``_LOW_BITS`` points, one row per value of
+    ``mask >> _LOW_BITS``.  ``_low_passes`` runs the passes for the low bits
+    only on the rows that hold a monomial, since every other row stays zero,
+    and runs them on transposed blocks so that each pass adds along a
+    contiguous axis.  The passes for the high bits then run in place over the
+    whole table, on inner axes of at least 2^``_LOW_BITS`` entries.  Smaller
+    tables run every pass in place.
     """
-    bound = poly.modulus << poly.n_vars
+    n = poly.n_vars
+    bound = poly.modulus << n
     dtype = np.int32 if bound < _INT32_BOUND else int_dtype(bound)
-    f = np.zeros(1 << poly.n_vars, dtype=dtype)
-    for mask, c in poly.coeffs.items():
-        f[mask] = c
-    for i in range(poly.n_vars):
-        view = f.reshape(-1, 2, 1 << i)
-        view[:, 1, :] += view[:, 0, :]
-    f %= poly.modulus
+    f = np.zeros(1 << n, dtype=dtype)
+    if n <= _DIRECT_VARS:
+        for mask, c in poly.coeffs.items():
+            f[mask] = c
+        _zeta_passes(f, range(n))
+        f %= poly.modulus
+        return f
+    low = min(n, _LOW_BITS)
+    _low_passes(f.reshape(-1, 1 << low), poly.coeffs, low)
+    _zeta_passes(f, range(low, n))
+    _reduce(f, poly.modulus)
     return f
+
+
+def _zeta_passes(table: np.ndarray, bits: range, inner: int = 1) -> None:
+    """The zeta passes for the bits in ``bits``, in place: the pass for bit i
+    adds each entry whose bit i is clear into its partner with bit i set,
+    ``inner << i`` entries further along the flat table."""
+    for i in bits:
+        view = table.reshape(-1, 2, inner << i)
+        view[:, 1, :] += view[:, 0, :]
+
+
+def _low_passes(rows: np.ndarray, coeffs: Mapping[int, int], low: int) -> None:
+    """Write into the zero table ``rows``, of shape (2^(n-low), 2^low), the
+    coefficients ``coeffs`` (mask -> value) with the zeta passes for the
+    ``low`` low bits applied.
+
+    Only the rows that hold a monomial are written.  They are taken
+    ``_BLOCK_ROWS`` at a time into a transposed block of shape (2^low, rows
+    in the block), so the pass for bit i adds along a contiguous axis of 2^i
+    times the rows in the block, and each block is written back once.
+    """
+    masks = np.fromiter(coeffs, dtype=np.int64, count=len(coeffs))
+    order = np.argsort(masks)
+    masks = masks[order]
+    values = np.array(list(coeffs.values()), dtype=rows.dtype)[order]
+    held, pos = np.unique(masks >> low, return_inverse=True)
+    cols = masks & (rows.shape[1] - 1)
+    for start in range(0, len(held), _BLOCK_ROWS):
+        lo, hi = np.searchsorted(pos, (start, start + _BLOCK_ROWS))
+        sel = held[start:start + _BLOCK_ROWS]
+        block = np.zeros((rows.shape[1], len(sel)), dtype=rows.dtype)
+        block[cols[lo:hi], pos[lo:hi] - start] = values[lo:hi]
+        _zeta_passes(block, range(low), len(sel))
+        rows[sel] = block.T
+
+
+def _reduce(f: np.ndarray, modulus: int) -> None:
+    """f %= modulus in place for nonnegative entries.  On numpy integers it
+    runs as f - (f // modulus) * modulus in slices of ``_REDUCE_CHUNK``
+    entries: numpy divides them by a scalar several times faster than it
+    takes their remainder, and the slices bound the quotient's temporary."""
+    if f.dtype == object:
+        f %= modulus
+        return
+    for start in range(0, len(f), _REDUCE_CHUNK):
+        part = f[start:start + _REDUCE_CHUNK]
+        part -= part // modulus * modulus
 
 
 def eval_all_points(

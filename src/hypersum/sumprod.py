@@ -5,9 +5,11 @@ rescaled to integers and reduced, by the acceptance rule
 ``gates.linear_piece``, to a row (weights, s, h, b): it accepts the
 achievable sums <w, x> in [s, h] and there takes the value <w, x> + b (ReLU)
 or 1 (threshold, exact threshold).  An exact-threshold row has s = h = t.
-Only the gates other than the widest are expanded into target tuples, and
-once the tuple cap is checked, and before anything is allocated,
-``_use_histogram`` picks one of two kernels from a work estimate:
+Only the gates other than the widest are expanded into target tuples, a
+threshold or exact-threshold row first divided by the gcd of its weights so
+that each of its targets is reachable.  Once the tuple cap is checked, and
+before anything is allocated, ``_use_histogram`` picks one of two kernels
+from a work estimate:
 
 - Histogram: when the box of the gates' achievable sums is small, Bellman's
   dynamic program (``mitm.histogram``) counts the points at every cell in
@@ -140,6 +142,19 @@ def _gate_row(gate: LinearGate) -> Optional[_Row]:
     return (ws, s, h, b.numerator, hi - lo) if s <= h else None
 
 
+def _unit_row(row: _Row) -> _Row:
+    """A threshold or exact-threshold row with its weights, s, h and span
+    divided by g = gcd(weights).  Such a gate is 1 on its whole range, so it
+    can read the sums in units of g, and then every target between s and h
+    is reachable.  ReLU rows keep their weights, since their values are the
+    sums themselves."""
+    ws, s, h, b, span = row
+    g = math.gcd(*ws)
+    if g < 2:
+        return row
+    return [w // g for w in ws], s // g, h // g, b, span // g
+
+
 def _box_sum(rows: Sequence[_Row], n: int, weighted: bool) -> int:
     """``_range_sum`` from the joint histogram: the counts over the box
     prod [s_i, h_i], contracted axis by axis with the gates' values there."""
@@ -160,13 +175,18 @@ def _range_sum(rows: Sequence[_Row], n: int, tuple_cap: int, weighted: bool) -> 
     in [s_i, h_i], and there is <w_i, x> + b_i if ``weighted``, else 1.
 
     Only the gates other than the widest are expanded into target tuples;
-    their number is what ``tuple_cap`` limits.
+    their number is what ``tuple_cap`` limits.  Unless ``weighted``, those
+    rows are first put in units of their weights' gcd (``_unit_row``), so
+    only reachable targets are expanded and counted; the widest is decided
+    in those units and keeps its own, since its whole range is summed at
+    once.
     """
     if not rows:
         return 1 << n
-    widths = [h - s for _, s, h, _, _ in rows]
+    units = rows if weighted else [_unit_row(row) for row in rows]
+    widths = [h - s for _, s, h, _, _ in units]
     widest = widths.index(max(widths))
-    rows = [rows[widest], *rows[:widest], *rows[widest + 1:]]
+    rows = [rows[widest], *units[:widest], *units[widest + 1:]]
     n_tuples = 1
     for _, s, h, _, _ in rows[1:]:
         n_tuples *= h - s + 1

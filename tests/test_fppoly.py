@@ -124,6 +124,60 @@ def test_eval_table_at_the_int32_bound(n_vars, offset, dtype):
     assert table.tolist() == brute_values(modulus, n_vars, coeffs).tolist()
 
 
+def _eval_table_cases():
+    """(modulus, n_vars, coeffs) covering n = 0-14, the zero polynomial and
+    constants, monomials only in the high or only in the low bits of the
+    blocked layout, a monomial in every row, and all three table widths."""
+    rng = random.Random(18)
+    cases = []
+    for n in range(15):
+        for modulus in (3, 1 << 40):
+            coeffs = {rng.randrange(1 << n): rng.randrange(1, modulus)
+                      for _ in range(rng.randint(1, 40))}
+            cases.append((modulus, n, coeffs))
+    for n in (0, 7, 8, 9, 14):
+        cases.append((5, n, {}))
+        cases.append((5, n, {0: 4}))
+    for n in (9, 12, 14):
+        high = {rng.randrange(1, 1 << (n - 8)) << 8: rng.randrange(1, 7) for _ in range(9)}
+        low = {rng.randrange(1, 1 << 8): rng.randrange(1, 7) for _ in range(9)}
+        every_row = {row << 8 | rng.randrange(1 << 8): 1 for row in range(1 << (n - 8))}
+        cases += [(7, n, high), (7, n, low), (7, n, every_row), (7, n, {**high, **low, **every_row})]
+    # modulus << n at or past 2^62: Python-int tables
+    for n in (3, 8, 9):
+        coeffs = {rng.randrange(1 << n): rng.randrange(1, 1 << 60) for _ in range(12)}
+        cases.append(((1 << 60) + 3, n, coeffs))
+    return cases
+
+
+def _python_values(modulus, n, coeffs):
+    """Values straight from the definition, on Python ints."""
+    return [sum(c for m, c in coeffs.items() if m & x == m) % modulus for x in range(1 << n)]
+
+
+# as shipped, and with the blocked transform forced onto every table, in
+# blocks of a few rows and with narrower rows than it ships with
+@pytest.mark.parametrize("layout", [
+    {},
+    {"_DIRECT_VARS": -1, "_BLOCK_ROWS": 2},
+    {"_DIRECT_VARS": -1, "_LOW_BITS": 3, "_BLOCK_ROWS": 3},
+])
+def test_eval_table_matches_brute_force(layout, monkeypatch):
+    from hypersum import fppoly
+
+    for name, value in layout.items():
+        monkeypatch.setattr(fppoly, name, value)
+    for modulus, n, coeffs in _eval_table_cases():
+        table = fppoly._eval_table(MultilinearRingPoly(modulus, n, coeffs))
+        bound = modulus << n
+        assert table.dtype == (np.int32 if bound < 1 << 31 else np.int64 if bound < 1 << 62 else object)
+        assert table.shape == (1 << n,)
+        if table.dtype == object:
+            assert table.tolist() == _python_values(modulus, n, coeffs)
+        else:
+            assert table.tolist() == brute_values(modulus, n, coeffs).tolist()
+
+
 def _prime_from(start, step):
     p = start
     while any(p % f == 0 for f in range(2, math.isqrt(p) + 1)):

@@ -271,6 +271,32 @@ def test_rows_round_inward_to_the_weights_gcd():
         assert sumprod_relu(gates) == oracle_sumprod(gates)
 
 
+def test_threshold_rows_expand_only_lattice_targets():
+    # weights (2, 2, 2, 2, 0) reach the sums 0, 2, ..., 8: the gate accepts
+    # four of them, so next to the wider count gate it expands 4 targets,
+    # not the 7 integers from 2 to 8
+    gates = [ThresholdGate((2, 2, 2, 2, 0), 1), ThresholdGate((1, 1, 1, 1, 1), 0)]
+    assert sumprod(gates, tuple_cap=4) == oracle_sumprod(gates) == 30
+    with pytest.raises(CapExceeded):
+        sumprod(gates, tuple_cap=3)
+
+
+@pytest.mark.parametrize("histogram", [True, False])
+def test_threshold_rows_with_common_factors_on_both_kernels(histogram, monkeypatch):
+    module = importlib.import_module("hypersum.sumprod")
+    monkeypatch.setattr(module, "_use_histogram", lambda *args: histogram)
+    rng = random.Random(19)
+    for _ in range(40):
+        n = rng.randint(1, 8)
+        kind = rng.choice([ThresholdGate, ExactThresholdGate])
+        gates = []
+        for _ in range(rng.randint(1, 3)):
+            g = rng.choice([1, 2, 3, 6])
+            ws = tuple(g * rng.randint(-3, 3) for _ in range(n))
+            gates.append(kind(ws, rng.randint(-4 * g, 4 * g)))
+        assert sumprod(gates) == oracle_sumprod(gates)
+
+
 def test_ethr_conjunction_ignores_the_tuple_cap():
     gates = [
         ExactThresholdGate((1, 1, 1, 1), 2),
