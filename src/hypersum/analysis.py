@@ -11,11 +11,13 @@ N(s) = |{x : <w, x> = s}|, built by Bellman's subset-sum dynamic program in
 n shift-and-add passes over the R = sum|w_i| + 1 achievable sums, then
 answers all three sums cell by cell.  Every other combination, and any whose
 n * R reaches ``_HISTOGRAM_CELLS``, expands its sum into Sum-Products of at
-most four gates at a time; F_p combinations always do.  The expansion first
-merges equal gates.  THR, ETHR and F_2 gates are 0/1-valued, so g * g = g
-and a product depends only on the set of gates in it: such families make one
-Sum-Product per distinct set of gates within a call, ReLU and F_p for p > 2
-one per multiset.
+most four gates at a time; F_p combinations always do.  ``_PowerSums`` makes
+that choice once per library call, and each question is written once, as
+the (k, w_k) pairs of its sum of powers.  The expansion first merges equal
+gates.  THR, ETHR and F_2 gates are 0/1-valued, so g * g = g and a product
+depends only on the set of gates in it: such families make one Sum-Product
+per distinct set of gates within a call, ReLU and F_p for p > 2 one per
+multiset.
 """
 
 from __future__ import annotations
@@ -74,59 +76,6 @@ def _is_indicator(gate) -> bool:
     if isinstance(gate, FpPolynomial):
         return gate.p == 2
     return isinstance(gate, (ThresholdGate, ExactThresholdGate))
-
-
-class _Expansion:
-    """Sums of powers of f = sum_j coefficients[j] * gates[j] over the cube,
-    expanded into Sum-Products, for one library call.
-
-    Equal gates are merged by adding their coefficients, and gates left with
-    coefficient 0 are dropped.  A product of 0/1-valued gates is keyed by the
-    sorted set of its gate indices, any other by the multiset, and each key's
-    Sum-Product is computed at most once per expansion, in ``values``.
-    """
-
-    def __init__(self, coefficients, gates, n: int, caps: dict):
-        merged, totals = [], []
-        for c, g in zip(coefficients, gates):
-            if g in merged:
-                totals[merged.index(g)] += c
-            else:
-                merged.append(g)
-                totals.append(Fraction(c))
-        self.coefficients = [c for c in totals if c]
-        self.gates = [g for g, c in zip(merged, totals) if c]
-        self.sets = all(_is_indicator(g) for g in self.gates)
-        self.n = n
-        self.caps = caps
-        self.values: dict[tuple, object] = {}
-
-    def power_sum(self, powers) -> Fraction:
-        """sum_x sum_k w_k f(x)^k for ``powers`` given as (k, w_k) pairs: one
-        Sum-Product per key whose summed coefficient is nonzero."""
-        weights: dict[tuple, Fraction] = {}
-        for k, w in powers:
-            for combo in combinations_with_replacement(range(len(self.gates)), k):
-                counts = Counter(combo)
-                mult = math.factorial(k)
-                coeff = Fraction(w)
-                for j, e in counts.items():
-                    mult //= math.factorial(e)
-                    coeff *= self.coefficients[j] ** e
-                key = tuple(counts) if self.sets else combo
-                weights[key] = weights.get(key, 0) + mult * coeff
-        total = Fraction(0)
-        for key, coeff in weights.items():
-            if coeff:
-                total += coeff * self._value(key)
-        return total
-
-    def _value(self, key: tuple):
-        if key not in self.values:
-            self.values[key] = sumprod(
-                [self.gates[j] for j in key], self.n, **self.caps
-            )
-        return self.values[key]
 
 
 def _common_form(gates) -> Optional[tuple[list[int], list[Fraction]]]:
@@ -197,13 +146,83 @@ def _form_table(coefficients, gates, n: int) -> Optional[tuple]:
     return n, counts, values, scale, int(bound)
 
 
-def _cell_sum(table: tuple, degree: int, term) -> Fraction:
-    """sum_s N(s) term(scale * f(s), scale) / scale^degree over a table from
-    ``_form_table``, where term is a polynomial of that degree."""
+def _cell_sum(table: tuple, powers) -> Fraction:
+    """sum_s N(s) sum_k w_k f(s)^k over a table from ``_form_table``, for
+    ``powers`` given as (k, w_k) pairs: Horner's rule on the integers
+    V = scale * f(s) gives sum_k w_k V^k scale^(K-k), K the largest k."""
     n, counts, values, scale, bound = table
-    dtype = int_dtype((1 << n) * (bound + scale) ** degree)
-    total = counts.astype(dtype) @ term(values.astype(dtype), scale)
-    return Fraction(int(total), scale**degree)
+    weights = dict(powers)
+    top = max(weights)
+    # every Horner step is a partial sum of |w_k| (bound + scale)^K
+    reach = sum(abs(w) for w in weights.values()) * (bound + scale) ** top
+    dtype = int_dtype((1 << n) * reach)
+    cells = values.astype(dtype)
+    total = weights[top]
+    for k in range(top - 1, -1, -1):
+        total = total * cells
+        if k in weights:
+            total = total + weights[k] * scale ** (top - k)
+    return Fraction(int(counts.astype(dtype) @ total), scale**top)
+
+
+class _PowerSums:
+    """sum_x sum_k w_k f(x)^k for f = sum_j coefficients[j] * gates[j], for
+    one library call, called with the (k, w_k) pairs of a question.
+
+    A one-form combination reads every question from one ``_form_table``.
+    Any other is expanded into Sum-Products: equal gates are merged by
+    adding their coefficients, and gates left with coefficient 0 are
+    dropped.  A product of 0/1-valued gates is keyed by the sorted set of
+    its gate indices, any other by the multiset, and each key's Sum-Product
+    is computed at most once per call, in ``values``.
+    """
+
+    def __init__(self, coefficients, gates, n: int, caps: dict):
+        self.table = _form_table(coefficients, gates, n)
+        if self.table is not None:
+            return
+        merged, totals = [], []
+        for c, g in zip(coefficients, gates):
+            if g in merged:
+                totals[merged.index(g)] += c
+            else:
+                merged.append(g)
+                totals.append(Fraction(c))
+        self.coefficients = [c for c in totals if c]
+        self.gates = [g for g, c in zip(merged, totals) if c]
+        self.sets = all(_is_indicator(g) for g in self.gates)
+        self.n = n
+        self.caps = caps
+        self.values: dict[tuple, object] = {}
+
+    def __call__(self, powers) -> Fraction:
+        """The table's cell sum, or one Sum-Product per key whose summed
+        coefficient is nonzero."""
+        if self.table is not None:
+            return _cell_sum(self.table, powers)
+        weights: dict[tuple, Fraction] = {}
+        for k, w in powers:
+            for combo in combinations_with_replacement(range(len(self.gates)), k):
+                counts = Counter(combo)
+                mult = math.factorial(k)
+                coeff = Fraction(w)
+                for j, e in counts.items():
+                    mult //= math.factorial(e)
+                    coeff *= self.coefficients[j] ** e
+                key = tuple(counts) if self.sets else combo
+                weights[key] = weights.get(key, 0) + mult * coeff
+        total = Fraction(0)
+        for key, coeff in weights.items():
+            if coeff:
+                total += coeff * self._value(key)
+        return total
+
+    def _value(self, key: tuple):
+        if key not in self.values:
+            self.values[key] = sumprod(
+                [self.gates[j] for j in key], self.n, **self.caps
+            )
+        return self.values[key]
 
 
 def _boolean_verdict(deviation: Fraction) -> BooleanVerdict:
@@ -214,20 +233,6 @@ def _boolean_verdict(deviation: Fraction) -> BooleanVerdict:
     return BooleanVerdict(deviation == 0, deviation)
 
 
-def _deviation(table: Optional[tuple], expansion: Optional[_Expansion]) -> Fraction:
-    """sum_x f^2 (f-1)^2: from the table, or as sum_x (f^2 - 2 f^3 + f^4)
-    through one expansion into Sum-Products of up to four gates."""
-    if table is not None:
-        return _cell_sum(table, 4, lambda f, d: f * f * (f - d) * (f - d))
-    return expansion.power_sum(_DEVIATION)
-
-
-def _expansion(table: Optional[tuple], comb: LinComb, caps: dict) -> Optional[_Expansion]:
-    if table is not None:
-        return None
-    return _Expansion(comb.coefficients, comb.gates, comb.n, caps)
-
-
 def check_boolean(
     comb: LinComb,
     *,
@@ -236,16 +241,14 @@ def check_boolean(
 ) -> BooleanVerdict:
     """Decide whether the combination is {0,1}-valued on the whole cube.
 
-    A one-form combination sums N(s) f(s)^2 (f(s)-1)^2 over its histogram;
-    any other merges its equal gates and evaluates sum_x (f^2 - 2 f^3 + f^4)
-    in one expansion into Sum-Products of up to four gates: one per distinct
-    set of gates for THR, ETHR and F_2, one per multiset for ReLU and F_p
-    with p > 2.  The sum is pointwise nonnegative, so a negative result can
-    only come from a broken kernel and raises InvariantViolation.
+    sum_x f^2 (f-1)^2 = sum_x (f^2 - 2 f^3 + f^4), read from the histogram
+    of a one-form combination or expanded into Sum-Products of up to four
+    merged gates.  The sum is pointwise nonnegative, so a negative result
+    can only come from a broken kernel and raises InvariantViolation.
     """
     caps = dict(tuple_cap=tuple_cap, dense_cap=dense_cap)
-    table = _form_table(comb.coefficients, comb.gates, comb.n)
-    return _boolean_verdict(_deviation(table, _expansion(table, comb, caps)))
+    sums = _PowerSums(comb.coefficients, comb.gates, comb.n, caps)
+    return _boolean_verdict(sums(_DEVIATION))
 
 
 def count_sat(
@@ -258,25 +261,20 @@ def count_sat(
     """|{x : f(x) = 1}| for a Boolean-valued combination f.
 
     Verifies Boolean-valuedness first unless ``unchecked`` is set; for a
-    Boolean f the count is just sum_x f(x), which a one-form combination
-    reads from the same histogram as its check and any other takes from one
-    Sum-Product per merged gate, shared with the check for THR, ETHR and
-    F_2.  A result outside [0, 2^n] or non-integral means f was not Boolean
-    after all.
+    Boolean f the count is just sum_x f(x), read from the same histogram or
+    Sum-Products as the check (for THR, ETHR and F_2 the check makes every
+    single-gate one).  A result outside [0, 2^n] or non-integral means f was
+    not Boolean after all.
     """
     caps = dict(tuple_cap=tuple_cap, dense_cap=dense_cap)
-    table = _form_table(comb.coefficients, comb.gates, comb.n)
-    expansion = _expansion(table, comb, caps)
+    sums = _PowerSums(comb.coefficients, comb.gates, comb.n, caps)
     if not unchecked:
-        verdict = _boolean_verdict(_deviation(table, expansion))
+        verdict = _boolean_verdict(sums(_DEVIATION))
         if not verdict.is_boolean:
             raise InvariantViolation(
                 f"combination is not Boolean-valued (deviation {verdict.deviation})"
             )
-    if table is not None:
-        total = _cell_sum(table, 1, lambda f, d: f)
-    else:
-        total = expansion.power_sum(_SUM)
+    total = sums(_SUM)
     if total.denominator != 1 or not 0 <= total <= (1 << comb.n):
         raise InvariantViolation(
             f"satisfying-assignment count {total} is not in [0, 2^{comb.n}]"
@@ -293,11 +291,8 @@ def check_equal(
 ) -> EqualityVerdict:
     """Decide pointwise equality of two same-family combinations.
 
-    sum_x (f - g)^2 is the k=2 power sum of the merged combination with the
-    right-hand coefficients negated: read from its histogram when all the
-    merged gates share one linear form, else expanded into Sum-Products of
-    pairs after equal gates are merged, one per distinct set of gates for
-    THR, ETHR and F_2 and one per multiset for ReLU and F_p with p > 2.
+    sum_x (f - g)^2 is the k=2 power sum of the combination of both sides'
+    gates, the right-hand coefficients negated.
     """
     if left.family != right.family:
         raise ValueError("combinations belong to different families")
@@ -305,12 +300,8 @@ def check_equal(
         raise ValueError("combinations disagree on the number of variables")
     coefficients = tuple(left.coefficients) + tuple(-c for c in right.coefficients)
     gates = tuple(left.gates) + tuple(right.gates)
-    table = _form_table(coefficients, gates, left.n)
-    if table is not None:
-        distance = _cell_sum(table, 2, lambda f, d: f * f)
-    else:
-        caps = dict(tuple_cap=tuple_cap, dense_cap=dense_cap)
-        distance = _Expansion(coefficients, gates, left.n, caps).power_sum(_SQUARE)
+    caps = dict(tuple_cap=tuple_cap, dense_cap=dense_cap)
+    distance = _PowerSums(coefficients, gates, left.n, caps)(_SQUARE)
     if distance < 0:
         raise InvariantViolation(
             f"negative squared distance {distance}: kernel inconsistency"

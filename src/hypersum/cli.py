@@ -105,6 +105,17 @@ def _int(x, field: str) -> int:
         raise ValueError(f"field {field!r}: {exc}") from None
 
 
+def _rational(x, field: str) -> Fraction:
+    """A rational field: an int or an "a/b" string, never a float or a
+    boolean."""
+    if isinstance(x, bool) or not isinstance(x, (int, str)):
+        raise TypeError(f"field {field!r} takes rationals, not {type(x).__name__} {x!r}")
+    try:
+        return as_fraction(x)
+    except ValueError as exc:
+        raise ValueError(f"field {field!r}: {exc}") from None
+
+
 _KINDS = {list: "a list", dict: "an object"}
 
 
@@ -141,13 +152,13 @@ def _parse_gate(family: Family, obj: dict, n: int, p: Optional[int]):
         if p is None:
             raise ValueError('family "fp" requires a top-level "p"')
         return FpPolynomial.from_terms(_int(p, "p"), n, _terms(obj))
-    weights = [as_fraction(w) for w in _field(obj, "weights", list)]
+    weights = [_rational(w, "weights") for w in _field(obj, "weights", list)]
     if len(weights) != n:
         raise ValueError(f"gate has {len(weights)} weights, expected n={n}")
     # THR, ETHR and ReLU each name their constant's JSON field by its
     # dataclass field
     kind = _FAMILY_TYPES[family]
-    return kind(tuple(weights), obj[kind._constant])
+    return kind(tuple(weights), _rational(obj[kind._constant], kind._constant))
 
 
 def _parse_gates(data: dict):
@@ -159,8 +170,8 @@ def _parse_gates(data: dict):
 
 def _parse_comb(data: dict) -> LinComb:
     family, n, gates = _parse_gates(data)
-    coefficients = tuple(as_fraction(c) for c in _field(data, "coefficients", list))
-    return LinComb(family, coefficients, tuple(gates), n)
+    coefficients = [_rational(c, "coefficients") for c in _field(data, "coefficients", list)]
+    return LinComb(family, coefficients, gates, n)
 
 
 def _parse_poly(data: dict) -> FpPolynomial:
@@ -179,7 +190,7 @@ def _parse_system(data: dict) -> tuple[list[FpPolynomial], list[int]]:
 def _scaled(data: dict, value) -> dict:
     """A Sum-Product payload, times the document's optional coefficients."""
     for c in _field(data, "coefficients", list) if "coefficients" in data else []:
-        value = as_fraction(c) * value
+        value = _rational(c, "coefficients") * value
     return {"value": _format(value)}
 
 

@@ -491,6 +491,7 @@ def sumprod_fp(
     n: Optional[int] = None,
     *,
     dense_cap: int = DEFAULT_DENSE_CAP,
+    tuple_cap: Optional[int] = None,
 ) -> int:
     """sum over x of prod_i lift(polys[i](x)), values lifted to {0..p-1}.
 
@@ -500,8 +501,12 @@ def sumprod_fp(
     containing a zero value carry weight zero and are skipped; each
     remaining tuple contributes its integer product of values times the
     number of points realizing it.  One ``_accumulators`` pass counts all
-    (p-1)^k tuples in <= p^(k+1) root counts.
+    (p-1)^k tuples in <= p^(k+1) root counts; it holds one accumulator per
+    tuple, so only this kernel is refused, with CapExceeded, when
+    (p-1)^k exceeds ``tuple_cap`` (None: no cap).
     """
+    if n is not None and n < 0:
+        raise ValueError("n must be non-negative")
     if not polys:
         if n is None:
             raise ValueError("n is required when the polynomial list is empty")
@@ -515,6 +520,8 @@ def sumprod_fp(
         for q in polys:
             prod *= _eval_table(MultilinearRingPoly(p, shape_n, q.monomials))
         return int(prod.sum())
+    if tuple_cap is not None and (p - 1) ** k > tuple_cap:
+        raise CapExceeded(f"product expansion needs > {tuple_cap} value tuples")
     tuples = list(itertools.product(range(1, p), repeat=k))
     accs = _accumulators(polys, tuples, dense_cap)
     return sum(math.prod(t) * acc for t, acc in zip(tuples, accs)) // p**k

@@ -80,6 +80,8 @@ def _use_histogram(n: int, spans: Sequence[int], tuples: int) -> bool:
 
 
 def _shared_n(gates: Sequence, n: Optional[int]) -> int:
+    if n is not None and n < 0:
+        raise ValueError("n must be non-negative")
     if not gates:
         if n is None:
             raise ValueError("n is required when no gates are given")
@@ -343,8 +345,5 @@ def sumprod(
     if kind is ReluGate:
         return sumprod_relu(gates, n, tuple_cap=tuple_cap)
     if kind is FpPolynomial:
-        # sumprod_fp holds one accumulator per nonzero value tuple
-        if (gates[0].p - 1) ** len(gates) > tuple_cap:
-            raise CapExceeded(f"product expansion needs > {tuple_cap} value tuples")
-        return sumprod_fp(list(gates), n, dense_cap=dense_cap)
+        return sumprod_fp(list(gates), n, dense_cap=dense_cap, tuple_cap=tuple_cap)
     raise TypeError(f"unsupported gate type {kind.__name__}")

@@ -294,6 +294,27 @@ def test_multi_form_combination_still_calls_sumprod(monkeypatch):
     assert calls
 
 
+@pytest.mark.parametrize("cells, built", [(analysis._HISTOGRAM_CELLS, 1), (0, 0)])
+def test_one_histogram_per_call(monkeypatch, cells, built):
+    # x1 XOR x2 on one form: [x1 + x2 >= 1] - [x1 + x2 >= 2]
+    comb = LinComb(
+        Family.THR, (Fraction(1), Fraction(-1)),
+        (ThresholdGate((1, 1), 1), ThresholdGate((2, 2), 4)),
+    )
+    monkeypatch.setattr(analysis, "_HISTOGRAM_CELLS", cells)
+    calls = []
+    real = analysis.histogram
+    monkeypatch.setattr(analysis, "histogram", lambda *a: calls.append(1) or real(*a))
+    for answer, expected in (
+        (lambda: count_sat(comb), 2),
+        (lambda: check_boolean(comb).is_boolean, True),
+        (lambda: check_equal(comb, comb).equal, True),
+    ):
+        calls.clear()
+        assert answer() == expected
+        assert len(calls) == built
+
+
 def test_one_form_histogram_beyond_int64_counts(monkeypatch):
     # 2^64 points, so the histogram holds Python ints; 2 [s = 1] - [2s = 2] = [s = 1]
     monkeypatch.setattr(analysis, "sumprod", _no_sumprod)

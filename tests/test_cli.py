@@ -266,12 +266,15 @@ JUNK_NUMBERS = [
     ("sumprod", '{"family": "fp", "p": 3, "n": 2, "gates": [{"monomials": [[[1], 1e400]]}]}'),
     ("count-roots", '{"p": 1e400, "n": 2, "monomials": [[[1], 1]]}'),
     ("count-system", '{"p": 3, "n": 2, "polys": [{"monomials": [[[1], 1]]}], "targets": [1e400]}'),
+    ("sumprod", '{"family": "thr", "n": 1, "gates": [{"weights": [1], "threshold": [1]}]}'),
+    ("sumprod", '{"family": "thr", "n": 2, "gates": [{"weights": ["abc", 1], "threshold": 1}]}'),
 ]
 
 
 @pytest.mark.parametrize(
     "command, text", JUNK_NUMBERS,
-    ids=["weight", "coefficient", "n", "fp-coefficient", "p", "target"],
+    ids=["weight", "coefficient", "n", "fp-coefficient", "p", "target",
+         "list-threshold", "junk-weight"],
 )
 def test_zero_denominator_and_infinite_numbers_are_exit_1(tmp_path, capsys, command, text):
     # 1e400 parses as an infinite float: it must be rejected, not converted
@@ -283,17 +286,69 @@ def test_zero_denominator_and_infinite_numbers_are_exit_1(tmp_path, capsys, comm
     assert "error" in json.loads(err)
 
 
+RATIONAL_FIELDS = [
+    ('{"family": "thr", "n": 1, "gates": [{"weights": [1], "threshold": [1]}]}', "threshold"),
+    ('{"family": "ethr", "n": 2, "gates": [{"weights": ["abc", 1], "target": 1}]}', "weights"),
+    ('{"family": "relu", "n": 1, "gates": [{"weights": [1], "bias": "1/0"}]}', "bias"),
+    ('{"family": "thr", "n": 1, "coefficients": [0.5],'
+     ' "gates": [{"weights": [1], "threshold": 1}]}', "coefficients"),
+]
+
+
+@pytest.mark.parametrize("text, field", RATIONAL_FIELDS, ids=[f for _, f in RATIONAL_FIELDS])
+def test_rational_errors_name_their_field(tmp_path, capsys, text, field):
+    path = tmp_path / "junk.json"
+    path.write_text(text)
+    code, out, err = run(["sumprod", str(path)], capsys)
+    assert code == 1
+    assert out == ""
+    assert f"field {field!r}" in json.loads(err)["error"]
+
+
 def test_fp_value_tuples_count_against_the_tuple_cap(tmp_path, capsys):
-    # 12^2 = 144 nonzero value tuples over F_13; refused before any is built
-    gate = {"monomials": [[[1], 1], [[2], 3]]}
-    doc = {"family": "fp", "p": 13, "n": 2, "gates": [gate, gate]}
+    # 2^2 = 4 nonzero value tuples over F_3; with the dense tables capped
+    # below n = 18 the product takes the tuple pass, refused before any
+    # tuple is built
+    odd = {"monomials": [[[j], 1] for j in range(1, 18, 2)] + [[[], 1]]}
+    every_third = {"monomials": [[[j], 1] for j in range(2, 18, 3)]}
+    doc = {"family": "fp", "p": 3, "n": 18, "gates": [odd, every_third]}
     path = write(tmp_path, doc)
-    code, _, err = run(["sumprod", path, "--cap-tuples", "100"], capsys)
+    dense = ["--cap-dense-vars", "17"]
+    code, _, err = run(["sumprod", path, *dense, "--cap-tuples", "3"], capsys)
     assert code == 2
     assert "error" in json.loads(err)
-    code, out, _ = run(["sumprod", path, "--cap-tuples", "144"], capsys)
+    code, out, _ = run(["sumprod", path, *dense, "--cap-tuples", "4"], capsys)
     assert code == 0
-    assert json.loads(out) == {"value": 1 + 9 + 16}
+    assert json.loads(out) == {"value": 258240}
+    code, out, _ = run(["oracle", "sumprod", path], capsys)
+    assert json.loads(out) == {"value": 258240}
+
+
+@pytest.mark.parametrize("command, doc, expected", [
+    # 999999^2 value tuples, but n = 4 reads the dense tables
+    ("sumprod", {"family": "fp", "p": 1000003, "n": 4, "gates": [
+        {"monomials": [[[1, 2], 1], [[3], 5], [[], 4]]},
+        {"monomials": [[[2, 4], 7], [[], 1]]},
+    ]}, {"value": 304}),
+    # the deviation multiplies up to four copies of the gate: 58^4 tuples
+    ("check-boolean", {"family": "fp", "p": 59, "n": 3, "coefficients": [1],
+                       "gates": [{"monomials": [[[1, 2], 1]]}]},
+     {"is_boolean": True, "deviation": 0}),
+])
+def test_fp_dense_tables_hold_no_value_tuples(tmp_path, capsys, command, doc, expected):
+    code, out, err = run([command, write(tmp_path, doc)], capsys)
+    assert code == 0, err
+    assert json.loads(out) == expected
+
+
+@pytest.mark.parametrize("doc", [
+    {"family": "thr", "n": -1, "gates": []},
+    {"family": "fp", "p": 3, "n": -2, "gates": []},
+])
+def test_negative_n_is_exit_1(tmp_path, capsys, doc):
+    code, out, err = run(["sumprod", write(tmp_path, doc)], capsys)
+    assert (code, out) == (1, "")
+    assert "n must be non-negative" in json.loads(err)["error"]
 
 
 def test_deeply_nested_json_is_exit_1(tmp_path, capsys):

@@ -336,6 +336,25 @@ def test_sumprod_fp_empty_product():
         sumprod_fp([])
 
 
+def test_sumprod_fp_negative_n():
+    with pytest.raises(ValueError, match="n must be non-negative"):
+        sumprod_fp([], -2)
+
+
+def test_sumprod_fp_tuple_cap_binds_only_the_tuple_pass():
+    # n = 18 >= 6dp leaves a suffix, so dense_cap = 17 forces the pass over
+    # the (3-1)^2 = 4 nonzero value tuples; the dense tables hold none
+    odd = FpPolynomial(3, 18, {0: 1, **{1 << j: 1 for j in range(0, 17, 2)}})
+    every_third = FpPolynomial(3, 18, {1 << j: 1 for j in range(1, 17, 3)})
+    polys = [odd, every_third]
+    expected = oracle_sumprod(polys, 18)
+    assert sumprod_fp(polys, tuple_cap=0) == expected
+    with pytest.raises(CapExceeded):
+        sumprod_fp(polys, dense_cap=17, tuple_cap=3)
+    assert sumprod_fp(polys, dense_cap=17, tuple_cap=4) == expected
+    assert sumprod_fp(polys, dense_cap=17) == expected
+
+
 def test_sumprod_fp_n_mismatch():
     q = FpPolynomial(3, 4, {1: 1})
     with pytest.raises(ValueError):

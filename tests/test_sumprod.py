@@ -127,6 +127,12 @@ def test_dispatch_empty_product():
         sumprod([])
 
 
+@pytest.mark.parametrize("fn", [sumprod, sumprod_thr, sumprod_ethr, sumprod_relu])
+def test_negative_n_is_rejected(fn):
+    with pytest.raises(ValueError, match="n must be non-negative"):
+        fn([], -1)
+
+
 def test_dispatch_n_mismatch():
     thr = ThresholdGate((Fraction(1),), Fraction(1))
     with pytest.raises(ValueError):
