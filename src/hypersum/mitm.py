@@ -8,8 +8,11 @@ their sums spread wider than a quarter of a presence table of about eight
 cells per entry, ``count_subset_sum`` first semi-joins them on the low bits
 of their sums: an entry whose low bits match nothing on the other side
 cannot match at all, so it is dropped before sorting and the count stays
-exact.  A module-level tally records how many partial assignments were
-enumerated (2^ceil(n/2) + 2^floor(n/2) per call, independent of the
+exact.  The semi-join generates each half in blocks of 2^16 sums, one
+subset sum of the half's later weights added to the table of its first 16
+weights' sums, so only one block, the presence table and the survivors are
+held at a time.  A module-level tally records how many partial assignments
+were enumerated (2^ceil(n/2) + 2^floor(n/2) per call, independent of the
 weights).  ``histogram`` is the pseudo-polynomial alternative for small
 integer weights: Bellman's subset-sum dynamic program over the box of
 achievable sums of one or more linear forms.
@@ -40,6 +43,10 @@ _JOIN_MAX_BITS = 24
 # filter only adds work
 _JOIN_MIN_LOG = 10
 _JOIN_SPAN_RATIO = 0.25
+# on the semi-join path each half is generated in blocks of 2^_BLOCK_LOG sums
+# (512 KiB of int64).  Blocks of 2^13-2^17 sums timed alike at n = 40-44;
+# 2^18 was slower at n = 40
+_BLOCK_LOG = 16
 
 
 def int_dtype(*magnitudes: int):
@@ -48,7 +55,9 @@ def int_dtype(*magnitudes: int):
 
 
 class EnumerationTally:
-    """Counts partial assignments enumerated by the split-and-list kernels."""
+    """Counts the distinct partial assignments the split-and-list kernels
+    enumerate: 2^h for a half of h variables, however many passes generate
+    its sums (a semi-joined half is generated twice, in blocks)."""
 
     __slots__ = ("value",)
 
@@ -93,22 +102,47 @@ def half_sums(weights: Sequence[int]):
     return out
 
 
+def _half_blocks(part: Sequence[int], dtype):
+    """(low, offsets): the subset sums of ``part``'s first ``_BLOCK_LOG``
+    weights and of the rest, so that the blocks low + o, o in offsets, are
+    the 2^len(part) sums of ``half_sums(part)`` in its order."""
+    low, offsets = (np.asarray(half_sums(p), dtype=dtype)
+                    for p in (part[:_BLOCK_LOG], part[_BLOCK_LOG:]))
+    # the tally counts the half's partial assignments, not the two passes
+    partials.add((1 << len(part)) - len(low) - len(offsets))
+    return low, offsets
+
+
 def _semi_join(first, second, target: int, bits: int):
-    """(first, second) keeping only the sums A of ``first`` and B of
-    ``second`` for which target - A and B share their low ``bits`` bits with
-    some entry on the other side."""
+    """(A, B): the sums A of half ``first`` and B of half ``second`` for which
+    target - A and B share their low ``bits`` bits with some entry on the
+    other side, each in ``half_sums`` order.
+
+    Each half is a ``_half_blocks`` pair, and only one block of it and the
+    presence table are touched at a time: B's residues are scattered block by
+    block, each A block is probed and keeps its survivors, and the table is
+    rebuilt from those to filter B's blocks, generated again.  Only the
+    survivors are held whole."""
     mask = (1 << bits) - 1
 
     def residues(a):
         return (a & mask).astype(np.intp, copy=False)
 
-    low = residues(second)
+    (a_low, a_offsets), (b_low, b_offsets) = first, second
     present = np.zeros(1 << bits, dtype=bool)
-    present[low] = True
-    first = first[present[residues(target - first)]]
+    for o in b_offsets:
+        present[residues(b_low + o)] = True
+    kept = []
+    for o in a_offsets:
+        keep = np.flatnonzero(present[residues((target - o) - a_low)])
+        kept.append(a_low.take(keep) + o)
     present[:] = False
-    present[residues(target - first)] = True
-    return first, second[present[low]]
+    for a in kept:
+        present[residues(target - a)] = True
+    kept = np.concatenate(kept)  # drops A's per-block pieces before B's
+    b_blocks = (b_low + o for o in b_offsets)
+    return kept, np.concatenate(
+        [b.take(np.flatnonzero(present[residues(b)])) for b in b_blocks])
 
 
 def count_subset_sum(weights: Sequence[int], target: int) -> int:
@@ -128,7 +162,10 @@ def count_subset_sum(weights: Sequence[int], target: int) -> int:
     likewise.  Equal integers agree in every bit (two's complement for
     negative ones), so only entries without a partner are dropped and the
     count is exact; sorting and binary search then see only the survivors.
-    Narrower sums skip the filter, since nearly every entry would survive it.
+    On this path no half is held whole: ``_half_blocks`` splits each into
+    blocks of 2^``_BLOCK_LOG`` sums (512 KiB of int64), and the semi-join
+    passes over them one at a time.  Narrower sums skip the filter, since
+    nearly every entry would survive it, and build each half whole.
     """
     ws = [int(w) for w in weights]
     if not ws:
@@ -137,15 +174,15 @@ def count_subset_sum(weights: Sequence[int], target: int) -> int:
     dtype = int_dtype(sum(abs(w) for w in ws), abs(target))
     h = split_point(len(ws))
     halves = ws[:h], ws[h:]
-    # lazily, so without the filter each half is freed before the next is built
-    sums = (np.asarray(half_sums(part), dtype=dtype) for part in halves)
     bits = min(h + 3, _JOIN_MAX_BITS)  # the larger half has 2^h entries
     span = min(sum(abs(w) for w in part) for part in halves)
     if len(ws) - h >= _JOIN_MIN_LOG and span > _JOIN_SPAN_RATIO * (1 << bits):
-        first, second = _semi_join(*sums, target, bits)
-        if not len(second):
+        sums = _semi_join(*(_half_blocks(p, dtype) for p in halves), target, bits)
+        if not len(sums[1]):
             return 0
-        sums = first, second
+    else:
+        # lazily, so each half is freed before the next is built
+        sums = (np.asarray(half_sums(part), dtype=dtype) for part in halves)
     # np.unique sorts the sums faster in enumeration order than as target - A
     (k1, c1), (k2, c2) = (np.unique(a, return_counts=True) for a in sums)
     need = target - k1

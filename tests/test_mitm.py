@@ -110,8 +110,10 @@ def joined(m, on: bool):
     real = mitm._semi_join
 
     def recording(first, second, target, bits):
+        # each half comes as (low, offsets), the blocks low + o
         out = real(first, second, target, bits)
-        calls.append((len(first) + len(second), len(out[0]), len(out[1])))
+        entries = sum(len(low) * len(offsets) for low, offsets in (first, second))
+        calls.append((entries, len(out[0]), len(out[1])))
         return out
 
     m.setattr(mitm, "_semi_join", recording)
@@ -222,3 +224,88 @@ def test_packed_ethr_conjunctions_with_the_semi_join(case):
         joined(m, True)
         m.setattr(sp, "_use_histogram", lambda *args: False)
         assert sp.sumprod_ethr(gates) == oracle_sumprod(gates, n)
+
+
+def joined_in_blocks(ws, target, block_log):
+    """count_subset_sum with the semi-join forced on and halves of
+    2^block_log-sum blocks: (count, partials added, recorded calls)."""
+    with pytest.MonkeyPatch.context() as m:
+        calls = joined(m, True)
+        m.setattr(mitm, "_BLOCK_LOG", block_log)
+        partials.reset()
+        count = count_subset_sum(ws, target)
+    return count, partials.value, calls
+
+
+@SETTINGS
+@given(subset_sum_inputs(), st.integers(0, 3))
+def test_semi_join_across_block_boundaries(case, block_log):
+    ws, targets = case
+    counts = sum_counts(ws)
+    n = len(ws)
+    for t in targets:
+        count, tally, calls = joined_in_blocks(ws, t, block_log)
+        assert count == counts[t]
+        assert tally == 2 ** ((n + 1) // 2) + 2 ** (n // 2)
+        # one block per half gives the same survivors
+        assert calls == joined_in_blocks(ws, t, 64)[2]
+
+
+def packed_ethr(n, seed):
+    """(packed weights, target) of three ETHR gates with weights in +-1000
+    over n variables, packed as ``sumprod`` packs them for
+    ``count_subset_sum``, with targets taken at a random point."""
+    rng = random.Random(seed)
+    x = [rng.random() < 0.5 for _ in range(n)]
+    gates = []
+    for _ in range(3):
+        ws = [rng.randint(-1000, 1000) for _ in range(n)]
+        gates.append(ExactThresholdGate(tuple(ws), sum(w for w, b in zip(ws, x) if b)))
+    captured = []
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(sp, "_use_histogram", lambda *args: False)
+        m.setattr(sp, "count_subset_sum", lambda ws, t: captured.append((ws, t)) or 0)
+        sp.sumprod_ethr(gates)
+    return captured[0]
+
+
+def joined_peak(ws, target):
+    """(count, tracemalloc peak) of count_subset_sum, which must take the
+    semi-join on its own."""
+    import tracemalloc
+
+    with pytest.MonkeyPatch.context() as m:
+        calls = []
+        real = mitm._semi_join
+        m.setattr(mitm, "_semi_join", lambda *args: calls.append(1) or real(*args))
+        count_subset_sum(ws, target)
+    assert calls == [1]
+    tracemalloc.start()
+    try:
+        count = count_subset_sum(ws, target)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return count, peak
+
+
+def test_semi_join_memory_stays_below_the_halves():
+    # n = 36: halves of 2^18 sums, four blocks each; both halves held whole
+    # took 12 MiB
+    count, peak = joined_peak(*packed_ethr(36, 3))
+    assert count >= 1
+    assert peak < 3 * 8 * 2**18
+
+
+def test_semi_join_memory_when_most_sums_survive():
+    # about 90% of the sums survive, so the survivors are held nearly whole;
+    # the peak must still not exceed that of holding both halves whole,
+    # 8.13 and 13.18 MiB at n = 34 and 36
+    for n, bound in ((34, 8.2), (36, 13.2)):
+        rng = random.Random(4)
+        ws = [rng.randint(-1000, 1000) + (rng.randint(-1000, 1000) << 17)
+              for _ in range(n)]
+        target = sum(w for w in ws if rng.random() < 0.5)
+        count, peak = joined_peak(ws, target)
+        assert count >= 1
+        assert peak <= bound * 2**20
