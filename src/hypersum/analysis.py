@@ -4,16 +4,17 @@ sparse linear combinations, answered without visiting the points of the cube.
 A combination f is Boolean-valued iff sum_x f^2 (f-1)^2 = 0, it counts
 sum_x f, and it equals g iff sum_x (f-g)^2 = 0.
 
-When every threshold, exact-threshold or ReLU gate has weights lambda_j * w
-for one primitive integer vector w (rational lambda_j, negative or zero
-allowed), f is a function of the single integer s = <w, x>.  One histogram
-N(s) = |{x : <w, x> = s}|, built by Bellman's subset-sum dynamic program in
-n shift-and-add passes over the R = sum|w_i| + 1 achievable sums, then
-answers all three sums cell by cell.  Every other combination, and any whose
-n * R reaches ``_HISTOGRAM_CELLS``, expands its sum into Sum-Products of at
-most four gates at a time; F_p combinations always do.  ``_PowerSums`` makes
-that choice once per library call, and each question is written once, as
-the (k, w_k) pairs of its sum of powers.  The expansion first merges equal
+Every threshold, exact-threshold or ReLU gate has weights lambda_j * w for
+one primitive integer vector w, its form (rational lambda_j, negative or zero
+allowed).  With d distinct forms w_1, ..., w_d, f is a function of the d
+integers s_i = <w_i, x>.  One joint histogram N(s) = |{x : <w_i, x> = s_i for
+all i}|, built by Bellman's subset-sum dynamic program in n shift-and-add
+passes over the box of prod R_i achievable sums, R_i = sum|w_i| + 1, then
+answers all three sums cell by cell.  A combination whose n * prod R_i
+reaches ``_HISTOGRAM_CELLS`` expands its sum into Sum-Products of at most
+four gates at a time instead; F_p combinations always do.  ``_PowerSums``
+makes that choice once per library call, and each question is written once,
+as the (k, w_k) pairs of its sum of powers.  The expansion first merges equal
 gates.  THR, ETHR and F_2 gates are 0/1-valued, so g * g = g and a product
 depends only on the set of gates in it: such families make one Sum-Product
 per distinct set of gates within a call, ReLU and F_p for p > 2 one per
@@ -44,8 +45,8 @@ from .gates import (
 from .mitm import histogram, int_dtype
 from .sumprod import DEFAULT_TUPLE_CAP, sumprod
 
-# one-form combinations whose histogram takes n * R cell updates or more go
-# through the Sum-Product expansion instead
+# combinations whose joint histogram takes n * prod R_i cell updates or more
+# go through the Sum-Product expansion instead
 _HISTOGRAM_CELLS = 1 << 20
 
 
@@ -78,72 +79,70 @@ def _is_indicator(gate) -> bool:
     return isinstance(gate, (ThresholdGate, ExactThresholdGate))
 
 
-def _common_form(gates) -> Optional[tuple[list[int], list[Fraction]]]:
-    """(w, lambdas) when every gate's weights are lambdas[j] * w, else None.
-
-    w is the primitive integer vector of the first gate with a nonzero
-    weight, its first nonzero entry positive; all-zero gates get lambda 0.
-    F_p polynomials have no linear form.
-    """
-    if not gates or not all(isinstance(g, LinearGate) for g in gates):
-        return None
-    first = next((g for g in gates if any(g.weights)), None)
-    if first is None:
-        return [0] * gates[0].n, [Fraction(0)] * len(gates)
-    scale = math.lcm(*(x.denominator for x in first.weights))
-    ints = [x.numerator * (scale // x.denominator) for x in first.weights]
-    lead = next(i for i, x in enumerate(ints) if x)
-    unit = math.gcd(*ints) * (1 if ints[lead] > 0 else -1)
-    w = [x // unit for x in ints]
-    lambdas = []
-    for g in gates:
-        lam = g.weights[lead] / w[lead]
-        if any(x != lam * y for x, y in zip(g.weights, w)):
-            return None
-        lambdas.append(lam)
-    return w, lambdas
+def _primitive_form(gate: LinearGate) -> tuple[Optional[tuple[int, ...]], Fraction]:
+    """(w, lam) with the gate's weights lam * w: w is the primitive integer
+    vector whose first nonzero entry is positive.  An all-zero gate gives
+    (None, 0)."""
+    scale = math.lcm(*(x.denominator for x in gate.weights))
+    ints = [x.numerator * (scale // x.denominator) for x in gate.weights]
+    lead = next((x for x in ints if x), 0)
+    if not lead:
+        return None, Fraction(0)
+    unit = math.gcd(*ints) * (1 if lead > 0 else -1)
+    return tuple(x // unit for x in ints), Fraction(unit, scale)
 
 
 def _form_table(coefficients, gates, n: int) -> Optional[tuple]:
-    """f = sum_j coefficients[j] * gates[j] on its achievable sums s, as
-    (n, counts, values, scale, bound): ``counts`` holds N(s) > 0 and
-    ``values`` the exact integers scale * f(s), |values| <= bound.  None
-    when the gates share no linear form or its histogram is too large."""
-    form = _common_form(gates)
-    if form is None:
+    """f = sum_j coefficients[j] * gates[j] on its achievable sums, as
+    (n, counts, values, scale, bound).  f depends only on the sums s_i =
+    <w_i, x> of the gates' distinct primitive forms w_1, ..., w_d, so
+    ``counts`` holds the cells N(s) > 0 of their joint histogram and
+    ``values`` the exact integers scale * f(s) there, |values| <= bound.
+    None for F_p gates, or when the histogram takes n * prod R_i cell
+    updates or more, R_i = sum |w_i| + 1."""
+    if not all(isinstance(g, LinearGate) for g in gates):
         return None
-    w, lambdas = form
-    lo = sum(x for x in w if x < 0)
-    hi = sum(x for x in w if x > 0)
-    if n * (hi - lo + 1) >= _HISTOGRAM_CELLS:
-        return None
-    counts, _ = histogram([w], n)
-    hit = np.flatnonzero(counts)
-    counts = counts[hit]
-    sums = hit + lo
-    terms = []
-    for c, gate, lam in zip(coefficients, gates, lambdas):
+    constant = Fraction(0)
+    forms: dict[tuple, list] = {}  # each form's pieces, in axis order
+    for c, gate in zip(coefficients, gates):
+        w, lam = _primitive_form(gate)
         piece = linear_piece(gate, lam) if c else None
-        if piece is not None:
-            slope, intercept, first, last = piece
-            terms.append((c * slope, c * intercept, first, last))
-    scale = math.lcm(*(x.denominator for t in terms for x in t[:2]))
-    reach = max(-lo, hi)
-    bound = sum(abs(a * scale) * reach + abs(b * scale) for a, b, _, _ in terms)
+        if piece is None:
+            continue
+        slope, intercept, first, last = piece
+        if w is None:
+            constant += c * intercept
+        else:
+            forms.setdefault(w, []).append((c * slope, c * intercept, first, last))
+    lows = [sum(x for x in w if x < 0) for w in forms]
+    highs = [sum(x for x in w if x > 0) for w in forms]
+    if n * math.prod(hi - lo + 1 for lo, hi in zip(lows, highs)) >= _HISTOGRAM_CELLS:
+        return None
+    terms = [t for pieces in forms.values() for t in pieces]
+    scale = math.lcm(constant.denominator, *(x.denominator for t in terms for x in t[:2]))
+    bound = int(abs(constant * scale) + sum(
+        abs(a * scale) * max(-lo, hi) + abs(b * scale)
+        for pieces, lo, hi in zip(forms.values(), lows, highs)
+        for a, b, _, _ in pieces
+    ))
     dtype = int_dtype(bound)
-    values = np.zeros(len(sums), dtype=dtype)
-    cells = sums.astype(dtype)
-    for a, b, first, last in terms:
-        # sums is sorted, so each piece covers one slice of it; bounds
-        # outside [lo, hi] are clipped first, as they may exceed int64
-        i, j = 0, len(sums)
-        if first is not None:
-            i = np.searchsorted(sums, min(max(first, lo), hi + 1))
-        if last is not None:
-            j = np.searchsorted(sums, max(min(last, hi), lo - 1), "right")
-        a, b = int(a * scale), int(b * scale)
-        values[i:j] += a * cells[i:j] + b if a else b
-    return n, counts, values, scale, int(bound)
+    counts, _ = histogram(list(forms), n)
+    hit = np.flatnonzero(counts)
+    axes = np.unravel_index(hit, counts.shape) if forms else ()
+    counts = counts.reshape(-1)[hit]
+    values = np.full(len(hit), int(constant * scale), dtype=dtype)
+    for pieces, lo, hi, axis in zip(forms.values(), lows, highs, axes):
+        # the form's values on each of its R sums, then read at every cell;
+        # bounds outside [lo, hi] are clipped first, as they may exceed int64
+        sums = np.arange(lo, hi + 1).astype(dtype)
+        line = np.zeros(len(sums), dtype=dtype)
+        for a, b, first, last in pieces:
+            i = 0 if first is None else min(max(first, lo), hi + 1) - lo
+            j = len(sums) if last is None else max(min(last, hi), lo - 1) - lo + 1
+            a, b = int(a * scale), int(b * scale)
+            line[i:j] += a * sums[i:j] + b if a else b
+        values += line[axis]
+    return n, counts, values, scale, bound
 
 
 def _cell_sum(table: tuple, powers) -> Fraction:
@@ -169,10 +168,11 @@ class _PowerSums:
     """sum_x sum_k w_k f(x)^k for f = sum_j coefficients[j] * gates[j], for
     one library call, called with the (k, w_k) pairs of a question.
 
-    A one-form combination reads every question from one ``_form_table``.
-    Any other is expanded into Sum-Products: equal gates are merged by
-    adding their coefficients, and gates left with coefficient 0 are
-    dropped.  A product of 0/1-valued gates is keyed by the sorted set of
+    A combination of linear gates whose forms' box fits the bound reads
+    every question from one ``_form_table``.  An F_p combination, or one
+    whose box is over the bound, is expanded into Sum-Products: equal gates
+    are merged by adding their coefficients, and gates left with coefficient
+    0 are dropped.  A product of 0/1-valued gates is keyed by the sorted set of
     its gate indices, any other by the multiset, and each key's Sum-Product
     is computed at most once per call, in ``values``.
     """
@@ -241,8 +241,8 @@ def check_boolean(
 ) -> BooleanVerdict:
     """Decide whether the combination is {0,1}-valued on the whole cube.
 
-    sum_x f^2 (f-1)^2 = sum_x (f^2 - 2 f^3 + f^4), read from the histogram
-    of a one-form combination or expanded into Sum-Products of up to four
+    sum_x f^2 (f-1)^2 = sum_x (f^2 - 2 f^3 + f^4), read from the joint
+    histogram of the gates' forms or expanded into Sum-Products of up to four
     merged gates.  The sum is pointwise nonnegative, so a negative result
     can only come from a broken kernel and raises InvariantViolation.
     """

@@ -1,12 +1,13 @@
 """The two analysis paths against each other and against brute force.
 
-Combinations whose gates share one linear form are answered from one
-histogram of s = <w, x>; lowering ``analysis._HISTOGRAM_CELLS`` to 0 sends
-them through the Sum-Product expansion instead.  Both must agree with each
-other and with ``hypersum.oracle`` on every verdict, deviation, count and
-distance.  The expansion merges equal gates and keys products of 0/1-valued
-gates by their set of gates, so repeated, cancelling and disjoint gates are
-drawn on purpose, and the number of Sum-Products it makes is pinned.
+Combinations of threshold, exact-threshold and ReLU gates are answered from
+one joint histogram of the sums s_i = <w_i, x> of their gates' distinct
+forms; lowering ``analysis._HISTOGRAM_CELLS`` to 0 sends them through the
+Sum-Product expansion instead.  Both must agree with each other and with
+``hypersum.oracle`` on every verdict, deviation, count and distance.  The
+expansion merges equal gates and keys products of 0/1-valued gates by their
+set of gates, so repeated, cancelling and disjoint gates are drawn on
+purpose, and the number of Sum-Products it makes is pinned.
 """
 
 import io
@@ -257,7 +258,7 @@ N60_DOC = {
 
 
 def _no_sumprod(*args, **kwargs):
-    raise AssertionError("one-form combination reached sumprod")
+    raise AssertionError("a combination whose histogram fits reached sumprod")
 
 
 def _run(args, doc, capsys, monkeypatch):
@@ -278,6 +279,7 @@ def test_one_form_count_sat_at_n60_needs_no_sumprod(capsys, monkeypatch):
 
 
 def test_multi_form_combination_still_calls_sumprod(monkeypatch):
+    monkeypatch.setattr(analysis, "_HISTOGRAM_CELLS", 0)
     calls = []
     real = analysis.sumprod
     monkeypatch.setattr(analysis, "sumprod", lambda *a, **k: calls.append(1) or real(*a, **k))
@@ -323,6 +325,174 @@ def test_one_form_histogram_beyond_int64_counts(monkeypatch):
     comb = LinComb(Family.ETHR, (Fraction(2), Fraction(-1)), (gate, doubled))
     assert count_sat(comb) == 64
     assert check_boolean(LinComb(Family.ETHR, (Fraction(2),), (gate,))).deviation == 4 * 64
+
+
+# -- several forms: one joint histogram of their sums -----------------------
+
+MULTIPLES = [Fraction(x) for x in ("1", "-1", "2", "-3", "0", "1/2", "-2/3", "5/4")]
+
+
+def _form(weights):
+    return analysis._primitive_form(ThresholdGate(weights, 0))[0]
+
+
+@st.composite
+def form_pools(draw):
+    """One to four distinct forms with weights in [-2, 2] at n = 2..6, so the
+    joint box always fits the histogram bound."""
+    n = draw(st.integers(2, 6))
+    form = st.lists(st.integers(-2, 2), min_size=n, max_size=n).filter(any)
+    size = draw(st.integers(1, 4))
+    return draw(st.lists(form, min_size=size, max_size=size, unique_by=_form))
+
+
+@st.composite
+def multi_form_combinations(draw, family=None, pool=None):
+    """A THR, ETHR or ReLU combination with one gate per form of the pool and
+    up to two more.  Each gate is a multiple of its form (negative, zero or
+    p/q) or, for the extra ones, possibly all-zero."""
+    pool = pool or draw(form_pools())
+    family = family or draw(st.sampled_from(FAMILIES))
+    n = len(pool[0])
+    rows = list(pool)
+    for _ in range(draw(st.integers(0, 2))):
+        rows.append(draw(st.sampled_from(pool + [[0] * n])))
+    gates = []
+    for i in draw(st.permutations(range(len(rows)))):
+        lam = draw(st.sampled_from(MULTIPLES))
+        weights = [lam * w for w in rows[i]]
+        gates.append(_gate(family, weights, draw(constants(family, weights))))
+    coeffs = draw(st.lists(coefficients, min_size=len(gates), max_size=len(gates)))
+    return LinComb(Family(family), tuple(coeffs), tuple(gates), n)
+
+
+@st.composite
+def multi_form_pairs(draw):
+    """Two combinations of one family whose gates come from disjoint parts of
+    one pool of forms whenever it holds more than one."""
+    pool = draw(form_pools())
+    split = draw(st.integers(1, len(pool) - 1)) if len(pool) > 1 else 1
+    family = draw(st.sampled_from(FAMILIES))
+    left = draw(multi_form_combinations(family, pool[:split]))
+    right = draw(multi_form_combinations(family, pool[split:] or pool))
+    return left, right
+
+
+def _table_and_expansion(fn):
+    """(joint-table answer, forced-expansion answer); the first call must
+    make no Sum-Product."""
+    fast, calls, slow = _both_paths(fn)
+    assert calls == 0
+    return fast, slow
+
+
+@SETTINGS
+@given(multi_form_combinations())
+def test_multi_form_check_boolean_matches_expansion_and_oracle(comb):
+    fast, slow = _table_and_expansion(lambda: check_boolean(comb))
+    assert fast == slow
+    assert fast.deviation == _deviation(comb)
+    assert fast.is_boolean == oracle_check_boolean(comb).is_boolean
+
+
+@SETTINGS
+@given(multi_form_combinations())
+def test_multi_form_unchecked_count_sat_matches_expansion_and_oracle(comb):
+    total = sum((eval_lincomb(comb, x) for x in _points(comb.n)), Fraction(0))
+    if total.denominator == 1 and 0 <= total <= 2**comb.n:
+        expected = int(total)
+    else:
+        expected = InvariantViolation
+    fast, slow = _table_and_expansion(lambda: count_sat(comb, unchecked=True))
+    assert fast == slow == expected
+    if oracle_check_boolean(comb).is_boolean:
+        assert fast == oracle_count_sat(comb)
+
+
+@SETTINGS
+@given(multi_form_pairs())
+def test_multi_form_check_equal_matches_expansion_and_oracle(pair):
+    left, right = pair
+    fast, slow = _table_and_expansion(lambda: check_equal(left, right))
+    assert fast == slow
+    assert fast.distance == _distance(left, right)
+
+
+FORMS = ((1, 2, 0, 1, 1), (0, 1, -1, 2, 1), (2, 0, 1, -1, 1))
+
+
+def _scaled(mu, form):
+    return tuple(mu * Fraction(w) for w in form)
+
+
+# combinations over the three forms with constants of +-2^70 and
+# coefficients large enough that the power sums need Python ints
+HUGE_COMBINATIONS = [
+    # 2^40 [s0 >= -2^70] - 2^40 [2 s1 >= -2^70] + [s2 >= 2] + [-s1 >= 2^70]
+    LinComb(
+        Family.THR,
+        (Fraction(2**40), Fraction(-(2**40)), Fraction(1), Fraction(1)),
+        (
+            ThresholdGate(FORMS[0], -HUGE),
+            ThresholdGate(_scaled(2, FORMS[1]), -HUGE),
+            ThresholdGate(FORMS[2], 2),
+            ThresholdGate(_scaled(-1, FORMS[1]), HUGE),
+        ),
+    ),
+    # 2^70 [s0 = 2^70] + 3 [s1 = 1] + 2^70 [-3 s2 = -2^70] + 2^40 [s2 / 2 = 1/2]
+    LinComb(
+        Family.ETHR,
+        (Fraction(HUGE), Fraction(3), Fraction(HUGE), Fraction(2**40)),
+        (
+            ExactThresholdGate(FORMS[0], HUGE),
+            ExactThresholdGate(FORMS[1], 1),
+            ExactThresholdGate(_scaled(-3, FORMS[2]), -HUGE),
+            ExactThresholdGate(_scaled(Fraction(1, 2), FORMS[2]), Fraction(1, 2)),
+        ),
+    ),
+    # relu(s0 + 2^70) - relu(2 s0 + 2^71) / 2 + relu(s1 - 2^70) + 2^40 relu(s2 + 1)
+    LinComb(
+        Family.RELU,
+        (Fraction(1), Fraction(-1, 2), Fraction(1), Fraction(2**40)),
+        (
+            ReluGate(FORMS[0], HUGE),
+            ReluGate(_scaled(2, FORMS[0]), 2 * HUGE),
+            ReluGate(FORMS[1], -HUGE),
+            ReluGate(FORMS[2], 1),
+        ),
+    ),
+    # [s0 >= 1] - [s1 >= -2^70] + [-s2 >= -2^70]: Boolean, with a huge target
+    # on every form but the first
+    LinComb(
+        Family.THR,
+        (Fraction(1), Fraction(-1), Fraction(1)),
+        (
+            ThresholdGate(FORMS[0], 1),
+            ThresholdGate(FORMS[1], -HUGE),
+            ThresholdGate(_scaled(-1, FORMS[2]), -HUGE),
+        ),
+    ),
+]
+
+
+@pytest.mark.parametrize("comb", HUGE_COMBINATIONS, ids=lambda c: c.family.value)
+def test_multi_form_table_is_exact_at_huge_magnitudes(monkeypatch, comb):
+    monkeypatch.setattr(analysis, "sumprod", _no_sumprod)
+    _, _, _, scale, bound = analysis._form_table(comb.coefficients, comb.gates, comb.n)
+    if max(map(abs, comb.coefficients)) > 1:
+        # the deviation's Horner steps leave int64
+        assert analysis.int_dtype((bound + scale) ** 4) is object
+    assert check_boolean(comb).deviation == _deviation(comb)
+    total = sum((eval_lincomb(comb, x) for x in _points(comb.n)), Fraction(0))
+    if oracle_check_boolean(comb).is_boolean:
+        assert count_sat(comb) == oracle_count_sat(comb) == total
+    else:
+        with pytest.raises(InvariantViolation):
+            count_sat(comb)
+    other = HUGE_COMBINATIONS[0]
+    assert check_equal(comb, comb).equal
+    if comb.family is other.family:
+        assert check_equal(comb, other).distance == _distance(comb, other)
 
 
 # -- the expansion: merged gates, products keyed by their set of gates ------
@@ -443,6 +613,7 @@ COEFFICIENTS = (Fraction(2), Fraction(3), Fraction(5))
     (Family.FP_POLY, lambda w: FpPolynomial(2, 4, {1 << i: 1 for i, x in enumerate(w) if x})),
 ])
 def test_indicator_products_are_keyed_by_their_gate_set(monkeypatch, family, gate):
+    monkeypatch.setattr(analysis, "_HISTOGRAM_CELLS", 0)
     sizes = _sumprod_sizes(monkeypatch)
     comb = LinComb(family, COEFFICIENTS, tuple(gate(w) for w in INDEPENDENT))
     assert check_boolean(comb).deviation == _deviation(comb)
@@ -451,6 +622,7 @@ def test_indicator_products_are_keyed_by_their_gate_set(monkeypatch, family, gat
 
 
 def test_relu_products_keep_the_multiset_expansion(monkeypatch):
+    monkeypatch.setattr(analysis, "_HISTOGRAM_CELLS", 0)
     sizes = _sumprod_sizes(monkeypatch)
     comb = LinComb(Family.RELU, COEFFICIENTS, tuple(ReluGate(w, -1) for w in INDEPENDENT))
     assert check_boolean(comb).deviation == _deviation(comb)
@@ -476,6 +648,7 @@ def test_equal_gates_merge_before_the_expansion(monkeypatch, gate):
 def test_checked_count_sat_reads_the_check_products(monkeypatch):
     # 2 [x1 + x2 >= 1] - [x1 >= 1] - [x2 >= 1] = x1 XOR x2, on three forms;
     # no coefficient is 0 or 1, so the check needs every single gate too
+    monkeypatch.setattr(analysis, "_HISTOGRAM_CELLS", 0)
     checked = []
     real_verdict = analysis._boolean_verdict
     monkeypatch.setattr(
@@ -494,3 +667,61 @@ def test_checked_count_sat_reads_the_check_products(monkeypatch):
     assert count_sat(comb) == oracle_count_sat(comb) == 2
     assert checked and calls
     assert not any(calls), "a Sum-Product ran after the Boolean check"
+
+
+# the combinations of the expansion tests above, which span two or three forms
+JOINT_CASES = {
+    "thr-count": (
+        LinComb(
+            Family.THR,
+            (Fraction(1), Fraction(1), Fraction(-1)),
+            (
+                ThresholdGate((1, 1, 0), 2),
+                ThresholdGate((0, 1, 1), 2),
+                ThresholdGate((1, 1, 1), 3),
+            ),
+        ),
+        count_sat,
+    ),
+    "ethr-check": (
+        LinComb(Family.ETHR, COEFFICIENTS, tuple(ExactThresholdGate(w, 2) for w in INDEPENDENT)),
+        check_boolean,
+    ),
+    "thr-check": (
+        LinComb(Family.THR, COEFFICIENTS, tuple(ThresholdGate(w, 2) for w in INDEPENDENT)),
+        check_boolean,
+    ),
+    "relu-check": (
+        LinComb(Family.RELU, COEFFICIENTS, tuple(ReluGate(w, -1) for w in INDEPENDENT)),
+        check_boolean,
+    ),
+    "xor-count": (
+        LinComb(
+            Family.THR,
+            (Fraction(2), Fraction(-1), Fraction(-1)),
+            (ThresholdGate((1, 1), 1), ThresholdGate((1, 0), 1), ThresholdGate((0, 1), 1)),
+        ),
+        count_sat,
+    ),
+}
+
+
+@pytest.mark.parametrize("name", JOINT_CASES)
+def test_multi_form_combination_reads_one_joint_histogram(monkeypatch, name):
+    comb, answer = JOINT_CASES[name]
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(analysis, "_HISTOGRAM_CELLS", 0)
+        expanded = answer(comb)
+    if answer is count_sat:
+        assert expanded == oracle_count_sat(comb)
+    else:
+        assert expanded.deviation == _deviation(comb)
+    built = []
+    real = analysis.histogram
+    monkeypatch.setattr(analysis, "histogram", lambda *a: built.append(1) or real(*a))
+    monkeypatch.setattr(analysis, "sumprod", _no_sumprod)
+    assert answer(comb) == expanded
+    assert len(built) == 1
+    built.clear()
+    assert check_equal(comb, comb).equal
+    assert len(built) == 1
