@@ -51,15 +51,6 @@ from .oracle import (
     oracle_count_sat,
     oracle_sumprod,
 )
-from .randgen import (
-    perturb_comb,
-    rand_boolean_ethr_comb,
-    rand_boolean_thr_comb,
-    rand_ethr_instance,
-    rand_fp_poly,
-    rand_relu_instance,
-    rand_thr_instance,
-)
 from .sumprod import (
     DEFAULT_TUPLE_CAP,
     sumprod,
@@ -119,13 +110,6 @@ __all__ = [
     "oracle_count_sat",
     "oracle_sumprod",
     "partials",
-    "perturb_comb",
-    "rand_boolean_ethr_comb",
-    "rand_boolean_thr_comb",
-    "rand_ethr_instance",
-    "rand_fp_poly",
-    "rand_relu_instance",
-    "rand_thr_instance",
     "split_point",
     "suffix_count_poly",
     "sumprod",

@@ -10,17 +10,13 @@ failed.
 from __future__ import annotations
 
 import argparse
-import csv
 import functools
 import json
 import os
-import random
 import sys
-import time
 from fractions import Fraction
 from typing import Optional
 
-from . import mitm
 from .analysis import check_boolean, check_equal, count_sat
 from .errors import CapExceeded, InvariantViolation
 from .fppoly import DEFAULT_DENSE_CAP, count_roots, count_system
@@ -31,12 +27,6 @@ from .oracle import (
     oracle_count_fp_system,
     oracle_count_sat,
     oracle_sumprod,
-)
-from .randgen import (
-    rand_ethr_instance,
-    rand_fp_poly,
-    rand_relu_instance,
-    rand_thr_instance,
 )
 from .sumprod import DEFAULT_TUPLE_CAP, sumprod
 
@@ -285,57 +275,6 @@ _COMMANDS = {
 }
 
 
-def _parse_range(text: str) -> range:
-    if ":" in text:
-        lo, hi = text.split(":", 1)
-        return range(int(lo), int(hi) + 1)
-    v = int(text)
-    return range(v, v + 1)
-
-
-def _bench_instance(rng: random.Random, family: Family, n: int, k: int, args):
-    if family is Family.THR:
-        return rand_thr_instance(rng, n, k, weight_bound=args.weight_bound)
-    if family is Family.ETHR:
-        return rand_ethr_instance(rng, n, k, weight_bound=args.weight_bound)
-    if family is Family.RELU:
-        return rand_relu_instance(rng, n, k, num_bound=args.weight_bound)
-    return [rand_fp_poly(rng, args.prime, n, args.degree) for _ in range(k)]
-
-
-def _bench(args) -> int:
-    family = Family(args.family)
-    writer = csv.writer(sys.stdout)
-    writer.writerow(
-        ["family", "n", "k", "trial", "result", "partials_enumerated", "wall_ns"]
-    )
-    for n in _parse_range(args.n):
-        for trial in range(args.trials):
-            rng = random.Random(args.seed * 1_000_003 + n * 1_009 + trial)
-            gates = _bench_instance(rng, family, n, args.k, args)
-            before = mitm.partials.value
-            start = time.perf_counter_ns()
-            value = sumprod(
-                gates,
-                n,
-                tuple_cap=args.tuple_cap,
-                dense_cap=args.dense_cap,
-            )
-            wall = time.perf_counter_ns() - start
-            enumerated = mitm.partials.value - before
-            if args.oracle:
-                expect = oracle_sumprod(gates, n, cap=args.oracle_cap)
-                if expect != value:
-                    raise InvariantViolation(
-                        f"bench mismatch at family={family.value} n={n} "
-                        f"trial={trial}: fast {value}, oracle {expect}"
-                    )
-            writer.writerow(
-                [family.value, n, args.k, trial, _format(value), enumerated, wall]
-            )
-    return 0
-
-
 def _add_cap_flags(parser: argparse.ArgumentParser) -> None:
     for flag, name, _, _, help_ in _CAPS:
         parser.add_argument(flag, dest=name, type=int, default=None, help=help_)
@@ -363,22 +302,6 @@ def build_parser() -> argparse.ArgumentParser:
             )
         _add_cap_flags(p)
 
-    p = sub.add_parser("bench", help="timing table as CSV on stdout")
-    p.add_argument("--family", required=True, choices=[f.value for f in Family])
-    p.add_argument("--n", required=True, help="size or inclusive range lo:hi")
-    p.add_argument("--k", type=int, default=2, help="gates per instance")
-    p.add_argument("--trials", type=int, default=3)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--weight-bound", type=int, default=10)
-    p.add_argument("--prime", type=int, default=3, help="fp family only")
-    p.add_argument("--degree", type=int, default=2, help="fp family only")
-    p.add_argument(
-        "--oracle",
-        action="store_true",
-        help="verify each result against brute force",
-    )
-    _add_cap_flags(p)
-
     return parser
 
 
@@ -386,8 +309,6 @@ def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
         _resolve_caps(args)
-        if args.command == "bench":
-            return _bench(args)
         run = _COMMANDS[args.command][1]
         if args.command == "oracle":
             run = run[args.oracle_command]
@@ -402,7 +323,7 @@ def main(argv=None) -> int:
         return _fail(str(exc), 3)
     except KeyError as exc:
         return _fail(f"missing field {exc.args[0]!r}", 1)
-    except (ValueError, TypeError, OSError, RecursionError) as exc:
+    except (ValueError, TypeError, OSError, RecursionError, OverflowError) as exc:
         return _fail(str(exc), 1)
 
 

@@ -31,7 +31,7 @@ from typing import Mapping, Optional, Sequence
 import numpy as np
 
 from .errors import CapExceeded, InvariantViolation
-from .gates import FpPolynomial, _is_prime
+from .gates import FpPolynomial, _is_prime, _shared_n
 from .mitm import int_dtype
 
 DEFAULT_DENSE_CAP = 26
@@ -505,20 +505,15 @@ def sumprod_fp(
     tuple, so only this kernel is refused, with CapExceeded, when
     (p-1)^k exceeds ``tuple_cap`` (None: no cap).
     """
-    if n is not None and n < 0:
-        raise ValueError("n must be non-negative")
+    n = _shared_n(polys, n)
     if not polys:
-        if n is None:
-            raise ValueError("n is required when the polynomial list is empty")
         return 1 << n
-    p, shape_n = _shared_shape(polys)
-    if n is not None and n != shape_n:
-        raise ValueError(f"explicit n={n} disagrees with the polynomials")
+    p, _ = _shared_shape(polys)
     k = len(polys)
     if _reads_dense(polys, p, dense_cap):
-        prod = np.ones(1 << shape_n, dtype=int_dtype((p - 1) ** k << shape_n))
+        prod = np.ones(1 << n, dtype=int_dtype((p - 1) ** k << n))
         for q in polys:
-            prod *= _eval_table(MultilinearRingPoly(p, shape_n, q.monomials))
+            prod *= _eval_table(MultilinearRingPoly(p, n, q.monomials))
         return int(prod.sum())
     if tuple_cap is not None and (p - 1) ** k > tuple_cap:
         raise CapExceeded(f"product expansion needs > {tuple_cap} value tuples")

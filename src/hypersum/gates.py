@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import ClassVar, Iterable, Sequence, Union
+from typing import ClassVar, Iterable, Optional, Sequence, Union
 
 Rational = Union[int, str, Fraction]
 
@@ -182,6 +182,24 @@ _FAMILY_TYPES = {
     Family.RELU: ReluGate,
     Family.FP_POLY: FpPolynomial,
 }
+
+
+def _shared_n(gates: Sequence[Gate], n: Optional[int]) -> int:
+    """The number of variables of a product: the gates' common n, which an
+    explicit ``n`` must match; an empty product needs ``n``."""
+    if n is not None and n < 0:
+        raise ValueError("n must be non-negative")
+    if not gates:
+        if n is None:
+            raise ValueError("n is required when no gates are given")
+        return n
+    sizes = {g.n for g in gates}
+    if len(sizes) != 1:
+        raise ValueError("gates disagree on the number of variables")
+    size = sizes.pop()
+    if n is not None and n != size:
+        raise ValueError(f"explicit n={n} disagrees with the gates")
+    return size
 
 
 def _form(g: LinearGate, x: Sequence[int]) -> Fraction:

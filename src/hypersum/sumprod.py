@@ -51,6 +51,7 @@ from .gates import (
     LinearGate,
     ReluGate,
     ThresholdGate,
+    _shared_n,
     linear_piece,
     normalize_integer,
 )
@@ -77,22 +78,6 @@ def _use_histogram(n: int, spans: Sequence[int], tuples: int) -> bool:
     targets."""
     box = math.prod(span + 1 for span in spans)
     return box <= _BOX_CELLS and n * box <= _BOX_RATIO * (1 << split_point(n)) * tuples
-
-
-def _shared_n(gates: Sequence, n: Optional[int]) -> int:
-    if n is not None and n < 0:
-        raise ValueError("n must be non-negative")
-    if not gates:
-        if n is None:
-            raise ValueError("n is required when no gates are given")
-        return n
-    sizes = {g.n for g in gates}
-    if len(sizes) != 1:
-        raise ValueError("gates disagree on the number of variables")
-    size = sizes.pop()
-    if n is not None and n != size:
-        raise ValueError(f"explicit n={n} disagrees with the gates")
-    return size
 
 
 def _packed_base(spans_and_targets: Sequence[tuple[int, int]]) -> int:

@@ -12,7 +12,7 @@ import random
 from fractions import Fraction
 from typing import Sequence
 
-from .gates import (
+from hypersum.gates import (
     ExactThresholdGate,
     Family,
     FpPolynomial,

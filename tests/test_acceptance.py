@@ -28,17 +28,19 @@ from hypersum import (
     oracle_count_fp_system,
     oracle_sumprod,
     partials,
+    suffix_count_poly,
+    sumprod_fp,
+    sumprod_relu,
+    sumprod_thr,
+    thr_to_relu_pair,
+)
+from randgen import (
     perturb_comb,
     rand_boolean_ethr_comb,
     rand_boolean_thr_comb,
     rand_fp_poly,
     rand_relu_instance,
     rand_thr_instance,
-    suffix_count_poly,
-    sumprod_fp,
-    sumprod_relu,
-    sumprod_thr,
-    thr_to_relu_pair,
 )
 
 

@@ -15,6 +15,8 @@ from hypersum import (
     count_sat,
     oracle_check_boolean,
     oracle_count_sat,
+)
+from randgen import (
     perturb_comb,
     rand_boolean_ethr_comb,
     rand_boolean_thr_comb,

@@ -1,4 +1,3 @@
-import csv
 import io
 import json
 
@@ -200,39 +199,6 @@ def test_cap_env_var_and_flag_precedence(tmp_path, capsys, monkeypatch):
     assert code == 0
 
 
-def test_bench_csv_shape_and_determinism(capsys):
-    code, out1, _ = run(
-        ["bench", "--family", "thr", "--n", "4:6", "--k", "2", "--trials", "2",
-         "--seed", "5", "--oracle"],
-        capsys,
-    )
-    assert code == 0
-    rows1 = list(csv.reader(io.StringIO(out1)))
-    assert rows1[0] == [
-        "family", "n", "k", "trial", "result", "partials_enumerated", "wall_ns",
-    ]
-    assert len(rows1) == 1 + 3 * 2
-    code, out2, _ = run(
-        ["bench", "--family", "thr", "--n", "4:6", "--k", "2", "--trials", "2",
-         "--seed", "5"],
-        capsys,
-    )
-    rows2 = list(csv.reader(io.StringIO(out2)))
-    # everything except wall time is reproducible under one seed
-    assert [r[:6] for r in rows1] == [r[:6] for r in rows2]
-
-
-def test_bench_fp_family(capsys):
-    code, out, _ = run(
-        ["bench", "--family", "fp", "--n", "6", "--k", "2", "--trials", "1",
-         "--prime", "3", "--degree", "2", "--oracle"],
-        capsys,
-    )
-    assert code == 0
-    rows = list(csv.reader(io.StringIO(out)))
-    assert len(rows) == 2
-
-
 def test_sumprod_ethr_huge_target_is_zero(tmp_path, capsys):
     doc = {"family": "ethr", "n": 3, "gates": [{"weights": [1, 2, 3], "target": 2**70}]}
     code, out, _ = run(["sumprod", write(tmp_path, doc)], capsys)
@@ -351,6 +317,24 @@ def test_negative_n_is_exit_1(tmp_path, capsys, doc):
     assert "n must be non-negative" in json.loads(err)["error"]
 
 
+# 2^n has too many digits to exist; an n between about 2^30 and 2^60 would
+# allocate before failing, so none is tried here
+HUGE_N = "99999999999999999999"
+
+
+@pytest.mark.parametrize("command,doc", [
+    ("sumprod", {"family": "thr", "n": HUGE_N, "gates": []}),
+    ("count-roots", {"p": 3, "n": HUGE_N, "monomials": []}),
+    ("count-sat", {"family": "thr", "n": HUGE_N, "coefficients": [], "gates": []}),
+    ("count-system", {"p": 3, "n": HUGE_N, "polys": [{"monomials": []}]}),
+], ids=["sumprod", "count-roots", "count-sat", "count-system"])
+def test_huge_n_is_exit_1(tmp_path, capsys, command, doc):
+    code, out, err = run([command, write(tmp_path, doc)], capsys)
+    assert (code, out) == (1, "")
+    assert "error" in json.loads(err)
+    assert "Traceback" not in err
+
+
 def test_deeply_nested_json_is_exit_1(tmp_path, capsys):
     # the JSON decoder gives up with a RecursionError, not a ValueError
     path = tmp_path / "deep.json"
@@ -379,9 +363,10 @@ def test_fp_gate_over_a_large_prime(tmp_path, capsys):
         [],
         ["sumprod", "--cap-tuples", "abc", "-"],
         ["oracle", "bogus", "-"],
+        ["bench", "--family", "thr", "--n", "4"],
     ],
     ids=["unknown-flag", "missing-input", "no-subcommand", "non-integer-cap",
-         "unknown-oracle-command"],
+         "unknown-oracle-command", "removed-bench-command"],
 )
 def test_usage_errors_are_exit_1_with_json(argv, capsys):
     code, out, err = run(argv, capsys)

@@ -18,10 +18,10 @@ from hypersum import (
     mod_amplifier,
     oracle_count_fp_system,
     oracle_sumprod,
-    rand_fp_poly,
     suffix_count_poly,
     sumprod_fp,
 )
+from randgen import rand_fp_poly
 
 
 def brute_values(p, n, monomials):

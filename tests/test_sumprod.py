@@ -12,13 +12,15 @@ from hypersum import (
     ThresholdGate,
     count_subset_sum,
     oracle_sumprod,
-    rand_ethr_instance,
-    rand_relu_instance,
-    rand_thr_instance,
     sumprod,
     sumprod_ethr,
     sumprod_relu,
     sumprod_thr,
+)
+from randgen import (
+    rand_ethr_instance,
+    rand_relu_instance,
+    rand_thr_instance,
 )
 
 
