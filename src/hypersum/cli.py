@@ -95,6 +95,15 @@ def _int(x, field: str) -> int:
         raise ValueError(f"field {field!r}: {exc}") from None
 
 
+def _n(data: dict) -> int:
+    """The field ``n``.  Past ``sys.maxsize``, 2^n has more bits than any
+    machine can address."""
+    n = _int(data["n"], "n")
+    if n > sys.maxsize:
+        raise ValueError(f"field 'n': 2^n cannot be represented for n = {n}")
+    return n
+
+
 def _rational(x, field: str) -> Fraction:
     """A rational field: an int or an "a/b" string, never a float or a
     boolean."""
@@ -153,7 +162,7 @@ def _parse_gate(family: Family, obj: dict, n: int, p: Optional[int]):
 
 def _parse_gates(data: dict):
     family = Family(data["family"])
-    n = _int(data["n"], "n")
+    n = _n(data)
     gates = [_parse_gate(family, g, n, data.get("p")) for g in _objects(data, "gates")]
     return family, n, gates
 
@@ -165,12 +174,12 @@ def _parse_comb(data: dict) -> LinComb:
 
 
 def _parse_poly(data: dict) -> FpPolynomial:
-    return FpPolynomial.from_terms(_int(data["p"], "p"), _int(data["n"], "n"), _terms(data))
+    return FpPolynomial.from_terms(_int(data["p"], "p"), _n(data), _terms(data))
 
 
 def _parse_system(data: dict) -> tuple[list[FpPolynomial], list[int]]:
     p = _int(data["p"], "p")
-    n = _int(data["n"], "n")
+    n = _n(data)
     polys = [FpPolynomial.from_terms(p, n, _terms(obj)) for obj in _objects(data, "polys")]
     targets = _field(data, "targets", list) if "targets" in data else [0] * len(polys)
     targets = [_int(t, "targets") for t in targets]

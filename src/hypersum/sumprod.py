@@ -22,12 +22,18 @@ from a work estimate:
   every row has width 0 (an exact-threshold product, or threshold gates
   that each accept one sum) there is one tuple, and ``mitm.count_subset_sum``
   counts the packed gate's subset sums.  Otherwise both halves of the
-  variables are enumerated once.  For a first-half key L and a tuple U, the
-  matching second-half keys are exactly those in the interval
-  [U - L + s, U - L + h] of the widest gate, so prefix sums over the sorted
-  second-half keys turn the whole widest gate into two binary searches.
-  ReLU values need a second prefix sum, of count times the key's lowest
-  digit.
+  variables are enumerated once and bound-filtered (``_pruned_half``): a
+  half sum stays only if, for every gate i, its digit d_i plus some digit
+  of the other half can land in [s_i, h_i].  The first half is tested
+  against the range of the second half's digits, the sums of its negative
+  and positive weights, and the second half against the digits of the
+  first half's survivors.  No dropped sum has a partner that every gate
+  accepts, so the answer is unchanged, and it is 0 when a half keeps
+  nothing.  For a first-half key L and a tuple U, the matching second-half
+  keys are exactly those in the interval [U - L + s, U - L + h] of the
+  widest gate, so prefix sums over the sorted second-half keys turn the
+  whole widest gate into two binary searches.  ReLU values need a second
+  prefix sum, of count times the key's lowest digit.
 
 ``mitm.int_dtype`` picks the width once per call from every magnitude the
 kernel can meet, and the same code runs on int64 arrays or on arrays of
@@ -59,8 +65,9 @@ from .mitm import count_subset_sum, half_sums, histogram, int_dtype, split_point
 
 DEFAULT_TUPLE_CAP = 10**7
 
-# (loop keys x upper tuples) elements evaluated at once; keeps the kernel's
-# temporaries at a few hundred kilobytes whatever the query size
+# elements evaluated at once, (loop keys x upper tuples) in the range-sum loop
+# and half sums in the bound filter; keeps the kernel's temporaries at a few
+# hundred kilobytes whatever the query size
 _CHUNK = 8192
 
 # the histogram kernel's box of sums never holds more cells than this
@@ -157,6 +164,37 @@ def _box_sum(rows: Sequence[_Row], n: int, weighted: bool) -> int:
     return int(total)
 
 
+def _pruned_half(part: Sequence[int], dtype, base: int, windows):
+    """((keys, counts), spans): ``np.unique`` of the subset sums of the
+    packed weights ``part`` whose balanced base-``base`` digits, lowest
+    first, each lie in their window [lo_i, hi_i], and the [min, max] of each
+    digit over the sums kept.  Digits are peeled a chunk of sums at a time,
+    so the temporaries stay small."""
+    sums = np.asarray(half_sums(part), dtype=dtype)
+    half = base // 2
+    # no digit reaches +-base, so a half that keeps nothing gives the other
+    # half empty windows
+    spans = [[base, -base] for _ in windows]
+    if any(lo > hi for lo, hi in windows):
+        sums = sums[:0]
+    keep = np.ones(len(sums), dtype=bool)
+    for c in range(0, len(sums), _CHUNK):
+        rest, ok, digits = sums[c:c + _CHUNK], keep[c:c + _CHUNK], []
+        for lo, hi in windows:
+            rest = rest + half
+            d = rest % base - half
+            rest //= base
+            ok &= (lo <= d) & (d <= hi)
+            digits.append(d)
+        if ok.any():
+            for span, d in zip(spans, digits):
+                d = d[ok]
+                span[:] = min(span[0], int(d.min())), max(span[1], int(d.max()))
+    if not keep.all():
+        sums = sums[keep]
+    return np.unique(sums, return_counts=True), spans
+
+
 def _range_sum(rows: Sequence[_Row], n: int, tuple_cap: int, weighted: bool) -> int:
     """sum over x of prod_i v_i(x), where v_i(x) is zero unless <w_i, x> lies
     in [s_i, h_i], and there is <w_i, x> + b_i if ``weighted``, else 1.
@@ -208,10 +246,20 @@ def _range_sum(rows: Sequence[_Row], n: int, tuple_cap: int, weighted: bool) -> 
         magnitudes.append(((2 * span0 + abs(b0) + 1) << n) * max(values))
     dtype = int_dtype(*magnitudes)
     h = split_point(n)
-    halves = [
-        np.unique(np.asarray(half_sums(part), dtype=dtype), return_counts=True)
-        for part in (packed[:h], packed[h:])
+    # gate i can accept a half's digit d only if d + e lies in [s_i, h_i] for
+    # some digit e in the other half's range: for the second half, its
+    # weights' negative and positive sums; for the first, its survivors'
+    spans = [
+        (sum(w for w in ws[h:] if w < 0), sum(w for w in ws[h:] if w > 0))
+        for ws, *_ in rows
     ]
+    halves = []
+    for part in (packed[:h], packed[h:]):
+        windows = [(s - hi, t - lo) for (_, s, t, *_), (lo, hi) in zip(rows, spans)]
+        table, spans = _pruned_half(part, dtype, base, windows)
+        halves.append(table)
+    if not all(len(keys) for keys, _ in halves):
+        return 0
     halves.sort(key=lambda kc: len(kc[0]))
     (loop_keys, loop_counts), (match_keys, match_counts) = halves
     match_counts = match_counts.astype(dtype)

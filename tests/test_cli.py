@@ -331,7 +331,7 @@ HUGE_N = "99999999999999999999"
 def test_huge_n_is_exit_1(tmp_path, capsys, command, doc):
     code, out, err = run([command, write(tmp_path, doc)], capsys)
     assert (code, out) == (1, "")
-    assert "error" in json.loads(err)
+    assert "field 'n'" in json.loads(err)["error"]
     assert "Traceback" not in err
 
 

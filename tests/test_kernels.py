@@ -14,11 +14,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hypersum import (
+    CapExceeded,
     ExactThresholdGate,
     ReluGate,
     ThresholdGate,
     oracle_sumprod,
     sumprod,
+    sumprod_thr,
 )
 
 sp = importlib.import_module("hypersum.sumprod")
@@ -206,3 +208,113 @@ def test_point_gates_count_one_packed_subset_sum(n):
     assert len(calls) == 1
     assert value == oracle_sumprod(gates, n)
     assert grown == 2 ** ((n + 1) // 2) + 2 ** (n // 2)
+
+
+# --- the bound filter on the split-and-list halves ---------------------------
+
+
+def split_and_list(gates):
+    """The answer with split and list forced, and each half's (distinct kept
+    sums, distinct sums) as ``_pruned_half`` saw them."""
+    real = sp._pruned_half
+    sizes = []
+
+    def spy(part, dtype, base, windows):
+        table, spans = real(part, dtype, base, windows)
+        everything, _ = real(part, dtype, base, [(-base, base)] * len(windows))
+        sizes.append((len(table[0]), len(everything[0])))
+        return table, spans
+
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(sp, "_use_histogram", lambda *args: False)
+        m.setattr(sp, "_pruned_half", spy)
+        return sumprod(gates), sizes
+
+
+@st.composite
+def placed_rows(draw, big=False):
+    """(n, [(weights, first accepted sum)]) with 2-3 gates over n <= 12
+    variables.  Each gate's weights share a factor of 1-3 and hold zeros and
+    negatives; its first accepted sum sits near the top, the middle or the
+    bottom of its achievable range.  ``big`` adds 2^62 times a small integer
+    to one weight of each gate, and then only the first gate leaves the top,
+    so that the other gates still expand into few targets."""
+    n = draw(st.integers(2, 7 if big else 12))
+    rows = []
+    for _ in range(draw(st.integers(2, 3))):
+        g = draw(st.sampled_from((1, 2, 3)))
+        ws = [g * w for w in draw(st.lists(st.integers(-4, 4), min_size=n, max_size=n))]
+        if big:
+            ws[draw(st.integers(0, n - 1))] += draw(st.sampled_from((-2, 1, 3))) << 62
+        lo, hi = sum(w for w in ws if w < 0), sum(w for w in ws if w > 0)
+        place = draw(st.sampled_from((hi,) if big and rows else (hi, (lo + hi) // 2, lo)))
+        rows.append((ws, place + draw(st.integers(-2, 2))))
+    return n, rows
+
+
+def thr_and_relu(rows):
+    """The THR and the ReLU product whose gates accept sums from each row's
+    first accepted sum t up: thresholds t, and biases 1 - t."""
+    return ([ThresholdGate(tuple(ws), t) for ws, t in rows],
+            [ReluGate(tuple(ws), 1 - t) for ws, t in rows])
+
+
+@SETTINGS
+@given(placed_rows())
+def test_pruned_split_and_list_matches_the_oracle(case):
+    n, rows = case
+    for gates in thr_and_relu(rows):
+        assert split_and_list(gates)[0] == oracle_sumprod(gates, n)
+
+
+@settings(derandomize=True, deadline=None, max_examples=30)
+@given(placed_rows(big=True))
+def test_pruned_split_and_list_on_python_ints(case):
+    n, rows = case
+    for gates in thr_and_relu(rows):
+        assert split_and_list(gates)[0] == oracle_sumprod(gates, n)
+
+
+def test_bottom_of_range_gates_prune_nothing():
+    rng = random.Random(5)
+    rows = [(_weights(rng, 12, 9), -200) for _ in range(3)]
+    for gates in thr_and_relu(rows):
+        value, sizes = split_and_list(gates)
+        assert value == oracle_sumprod(gates)
+        assert all(kept == everything for kept, everything in sizes)
+
+
+def test_survivors_of_the_filter_reach_a_nonzero_answer():
+    # the gates share their weights' signs, so the point that takes every
+    # positive weight tops all three, and a few sums of each half survive
+    rng = random.Random(3)
+    rows = []
+    for terms in (30, 20, 40):
+        ws = [rng.randint(1, 20) * (-1) ** (j % 5 == 0) for j in range(16)]
+        rows.append((ws, sum(w for w in ws if w > 0) - terms))
+    for gates in thr_and_relu(rows):
+        value, sizes = split_and_list(gates)
+        assert value == oracle_sumprod(gates) > 0
+        assert all(0 < kept < everything for kept, everything in sizes)
+
+
+def test_a_half_pruned_to_empty_keeps_the_tally_and_the_cap():
+    # the shape of thr-wide's ("thr", 26, (10, 10, 10), 100) queries, at an
+    # odd n so that the halves differ
+    n = 25
+    rng = random.Random(n)
+    gates = [_thr(rng, n, 10, 100) for _ in range(3)]
+    value, sizes = split_and_list(gates)
+    assert value == 0
+    assert sizes[0][0] == 0 < sizes[0][1]
+    # the tally still counts both halves in full
+    mitm = importlib.import_module("hypersum.mitm")
+    before = mitm.partials.value
+    assert forced(gates, False) == 0
+    assert mitm.partials.value - before == 2 ** ((n + 1) // 2) + 2 ** (n // 2)
+    # 10 x 10 expanded tuples: the cap refuses them before any half exists
+    before = mitm.partials.value
+    with pytest.raises(CapExceeded, match=r"^product expansion needs > 99 tuples$"):
+        sumprod_thr(gates, tuple_cap=99)
+    assert mitm.partials.value == before
+    assert sumprod_thr(gates, tuple_cap=100) == 0
