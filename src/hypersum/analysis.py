@@ -6,8 +6,9 @@ sum_x f, and it equals g iff sum_x (f-g)^2 = 0.
 
 Every threshold, exact-threshold or ReLU gate has weights lambda_j * w for
 one primitive integer vector w, its form (rational lambda_j, negative or zero
-allowed).  With d distinct forms w_1, ..., w_d, f is a function of the d
-integers s_i = <w_i, x>.  One joint histogram N(s) = |{x : <w_i, x> = s_i for
+allowed), which ``gates._primitive_form`` computes here and for ``sumprod``.
+With d distinct forms w_1, ..., w_d, f is a function of the d integers
+s_i = <w_i, x>.  One joint histogram N(s) = |{x : <w_i, x> = s_i for
 all i}|, built by Bellman's subset-sum dynamic program in n shift-and-add
 passes over the box of prod R_i achievable sums, R_i = sum|w_i| + 1, then
 answers all three sums cell by cell.  A combination whose n * prod R_i
@@ -40,6 +41,7 @@ from .gates import (
     LinComb,
     LinearGate,
     ThresholdGate,
+    _primitive_form,
     linear_piece,
 )
 from .mitm import histogram, int_dtype
@@ -79,19 +81,6 @@ def _is_indicator(gate) -> bool:
     return isinstance(gate, (ThresholdGate, ExactThresholdGate))
 
 
-def _primitive_form(gate: LinearGate) -> tuple[Optional[tuple[int, ...]], Fraction]:
-    """(w, lam) with the gate's weights lam * w: w is the primitive integer
-    vector whose first nonzero entry is positive.  An all-zero gate gives
-    (None, 0)."""
-    scale = math.lcm(*(x.denominator for x in gate.weights))
-    ints = [x.numerator * (scale // x.denominator) for x in gate.weights]
-    lead = next((x for x in ints if x), 0)
-    if not lead:
-        return None, Fraction(0)
-    unit = math.gcd(*ints) * (1 if lead > 0 else -1)
-    return tuple(x // unit for x in ints), Fraction(unit, scale)
-
-
 def _form_table(coefficients, gates, n: int) -> Optional[tuple]:
     """f = sum_j coefficients[j] * gates[j] on its achievable sums, as
     (n, counts, values, scale, bound).  f depends only on the sums s_i =
@@ -110,7 +99,7 @@ def _form_table(coefficients, gates, n: int) -> Optional[tuple]:
         if piece is None:
             continue
         slope, intercept, first, last = piece
-        if w is None:
+        if not lam:
             constant += c * intercept
         else:
             forms.setdefault(w, []).append((c * slope, c * intercept, first, last))

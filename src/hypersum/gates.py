@@ -107,18 +107,36 @@ class ReluGate(LinearGate):
     _constant = "bias"
 
 
+# Miller-Rabin with the 13 primes 2..41 as bases decides every p below
+# psi_13 exactly (Sorenson and Webster 2015); psi_13 itself passes all 13
+_PRIME_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_PRIME_BOUND = 3317044064679887385961981
+
+
 def _is_prime(p: int) -> bool:
+    """Whether p is prime, decided exactly for p below ``_PRIME_BOUND`` by
+    Miller-Rabin on ``_PRIME_BASES``; a larger p raises ValueError."""
+    if p >= _PRIME_BOUND:
+        raise ValueError(
+            f"p={p} is too large: primality is decided only below {_PRIME_BOUND}"
+        )
     if p < 2:
         return False
-    if p < 4:
-        return True
-    if p % 2 == 0:
-        return False
-    f = 3
-    while f * f <= p:
-        if p % f == 0:
+    for q in _PRIME_BASES:
+        if p % q == 0:
+            return p == q
+    r = ((p - 1) & (1 - p)).bit_length() - 1  # p - 1 = d * 2^r with d odd
+    d = (p - 1) >> r
+    for a in _PRIME_BASES:
+        x = pow(a, d, p)
+        if x == 1 or x == p - 1:
+            continue
+        for _ in range(r - 1):
+            x = x * x % p
+            if x == p - 1:
+                break
+        else:
             return False
-        f += 2
     return True
 
 
@@ -225,6 +243,25 @@ def eval_relu(g: ReluGate, x: Sequence[int]) -> Fraction:
     return acc if acc > 0 else Fraction(0)
 
 
+def _primitive_form(gate: LinearGate, lead_positive: bool = True):
+    """(w, lam) with the gate's weights lam * w, for the primitive integer
+    vector w whose first nonzero entry is positive or, unless
+    ``lead_positive``, with lam > 0.  lam is an int when the weights are.
+    An all-zero gate gives its zero weights and lam = 0."""
+    scale = math.lcm(*[x.denominator for x in gate.weights])
+    if scale == 1:
+        ints = [x.numerator for x in gate.weights]
+    else:
+        ints = [x.numerator * (scale // x.denominator) for x in gate.weights]
+    unit = math.gcd(*ints)
+    if not unit:
+        return tuple(ints), 0
+    if lead_positive and next(x for x in ints if x) < 0:
+        unit = -unit
+    w = tuple(ints) if unit == 1 else tuple([x // unit for x in ints])
+    return w, unit if scale == 1 else Fraction(unit, scale)
+
+
 def linear_piece(gate: LinearGate, lam: Rational = 1):
     """The gate with weights lam * w as a function of an integer s = <w, x>.
 
@@ -240,19 +277,20 @@ def linear_piece(gate: LinearGate, lam: Rational = 1):
         if relu:
             return (0, c, None, None) if c > 0 else None
         return (0, 1, None, None) if c == 0 or (c < 0 and not exact) else None
-    # the sum where lam s meets the constant (ReLU: its negation); at the
-    # common lam = 1 no Fraction division is needed
-    q = -c if relu else c
-    if lam != 1:
-        q /= lam
-    if relu:  # max(0, lam s + c) is positive exactly beyond q
+    # num / den, den > 0, is the sum where lam s meets the constant (ReLU:
+    # its negation); it is rounded on integers, without building a Fraction
+    num = (-c.numerator if relu else c.numerator) * lam.denominator
+    den = c.denominator * lam.numerator
+    if den < 0:
+        num, den = -num, -den
+    if relu:  # max(0, lam s + c) is positive exactly beyond num / den
         if lam > 0:
-            return lam, c, math.floor(q) + 1, None
-        return lam, c, None, math.ceil(q) - 1
+            return lam, c, num // den + 1, None
+        return lam, c, None, -(-num // den) - 1
     if exact:  # [lam s = c]
-        return (0, 1, q.numerator, q.numerator) if q.denominator == 1 else None
+        return (0, 1, num // den, num // den) if num % den == 0 else None
     # [lam s >= c]
-    return (0, 1, math.ceil(q), None) if lam > 0 else (0, 1, None, math.floor(q))
+    return (0, 1, -(-num // den), None) if lam > 0 else (0, 1, None, num // den)
 
 
 def eval_fp(q: FpPolynomial, x: Sequence[int]) -> int:

@@ -1,27 +1,28 @@
 """Exact Sum-Products of gate products over the Boolean hypercube.
 
 Threshold, exact-threshold and ReLU products share one body.  Each gate is
-rescaled to integers and reduced, by the acceptance rule
-``gates.linear_piece``, to a row (weights, s, h, b): it accepts the
-achievable sums <w, x> in [s, h] and there takes the value <w, x> + b (ReLU)
-or 1 (threshold, exact threshold).  An exact-threshold row has s = h = t.
-Only the gates other than the widest are expanded into target tuples, a
-threshold or exact-threshold row first divided by the gcd of its weights so
-that each of its targets is reachable.  Once the tuple cap is checked, and
-before anything is allocated, ``_use_histogram`` picks one of two kernels
-from a work estimate:
+read on its primitive form w (its weights are lam * w with lam > 0 and w an
+integer vector of gcd 1) and reduced, by the acceptance rule
+``gates.linear_piece``, to a row: it accepts the achievable sums <w, x> in
+[s, h] and there takes the value (a <w, x> + b) / d, integers with a = 0
+and b = d = 1 for threshold and exact-threshold gates.  The kernels sum the
+integers a <w, x> + b, and the total is divided by the product of the d's.
+An exact-threshold row has s = h.  Only the gates other than the widest are
+expanded into target tuples, and every integer in a row's range is on the
+lattice of its sums.  Once the tuple cap is checked, and before anything is
+allocated, ``_use_histogram`` picks one of two kernels from a work estimate:
 
 - Histogram: when the box of the gates' achievable sums is small, Bellman's
   dynamic program (``mitm.histogram``) counts the points at every cell in
-  n passes.  A threshold product is the sum over the box prod [s_i, h_i],
-  and a ReLU product contracts each axis with the gate's values.
+  n passes.  The box prod [s_i, h_i] is summed at once over the axes of
+  0-slope rows, and contracted axis by axis with the values of the others.
 - Split and list: the gates' weight vectors are packed into one vector in a
   base B large enough that per-gate digits of any packed sum cannot
   interfere; the gate with the widest [s, h] sits at the lowest digit, and
   the targets of the other gates are expanded into packed tuples U.  When
-  every row has width 0 (an exact-threshold product, or threshold gates
-  that each accept one sum) there is one tuple, and ``mitm.count_subset_sum``
-  counts the packed gate's subset sums.  Otherwise both halves of the
+  every row has width 0 (an exact-threshold product, or gates that each
+  accept one sum) there is one tuple, and ``mitm.count_subset_sum`` counts
+  the packed gate's subset sums.  Otherwise both halves of the
   variables are enumerated once and bound-filtered (``_pruned_half``): a
   half sum stays only if, for every gate i, its digit d_i plus some digit
   of the other half can land in [s_i, h_i].  The first half is tested
@@ -32,8 +33,8 @@ from a work estimate:
   nothing.  For a first-half key L and a tuple U, the matching second-half
   keys are exactly those in the interval [U - L + s, U - L + h] of the
   widest gate, so prefix sums over the sorted second-half keys turn the
-  whole widest gate into two binary searches.  ReLU values need a second
-  prefix sum, of count times the key's lowest digit.
+  whole widest gate into two binary searches.  A sloped widest row needs a
+  second prefix sum, of count times the key's lowest digit.
 
 ``mitm.int_dtype`` picks the width once per call from every magnitude the
 kernel can meet, and the same code runs on int64 arrays or on arrays of
@@ -57,9 +58,9 @@ from .gates import (
     LinearGate,
     ReluGate,
     ThresholdGate,
+    _primitive_form,
     _shared_n,
     linear_piece,
-    normalize_integer,
 )
 from .mitm import count_subset_sum, half_sums, histogram, int_dtype, split_point
 
@@ -109,59 +110,62 @@ def _packed_weights(
     return packed
 
 
-_Row = tuple[list[int], int, int, int, int]
+_Row = tuple[tuple[int, ...], int, int, int, int, int, int]
 
 
 def _gate_row(gate: LinearGate) -> Optional[_Row]:
-    """(weights, s, h, b, span) for a gate with integer weights, or None.
+    """(w, s, h, a, b, d, span) for a gate, or None.
 
-    The gate accepts the achievable integer sums in [s, h] and there equals
-    <w, x> + b (ReLU) or 1; span is the sum of |weights|.  Every achievable
-    sum is a multiple of g = gcd(weights), so s and h are rounded inward to
-    that lattice.  None means it accepts no achievable sum, so it is zero
-    everywhere.
+    w is the gate's primitive form in its own orientation (weights lam * w,
+    lam > 0) and span the sum of |w|.  The gate accepts the achievable sums
+    <w, x> in [s, h] and there equals (a <w, x> + b) / d, with integers a, b
+    and d >= 1: a = 0 and b = d = 1 for threshold and exact-threshold gates.
+    None means it accepts no achievable sum, so it is zero everywhere.
     """
-    piece = linear_piece(gate)
+    w, lam = _primitive_form(gate, lead_positive=False)
+    piece = linear_piece(gate, lam)
     if piece is None:
         return None
-    _, b, first, last = piece
-    ws = [w.numerator for w in gate.weights]
-    lo = sum(w for w in ws if w < 0)
-    hi = sum(ws) - lo
+    a, b, first, last = piece
+    total, span = sum(w), sum(map(abs, w))
+    lo, hi = (total - span) // 2, (total + span) // 2
     s = lo if first is None else max(lo, first)
     h = hi if last is None else min(hi, last)
-    g = math.gcd(*ws)
-    if g > 1:
-        s, h = -(-s // g) * g, h // g * g
-    return (ws, s, h, b.numerator, hi - lo) if s <= h else None
+    if s > h:
+        return None
+    d = math.lcm(a.denominator, b.denominator)
+    a, b = a.numerator * (d // a.denominator), b.numerator * (d // b.denominator)
+    return w, s, h, a, b, d, span
 
 
-def _unit_row(row: _Row) -> _Row:
-    """A threshold or exact-threshold row with its weights, s, h and span
-    divided by g = gcd(weights).  Such a gate is 1 on its whole range, so it
-    can read the sums in units of g, and then every target between s and h
-    is reachable.  ReLU rows keep their weights, since their values are the
-    sums themselves."""
-    ws, s, h, b, span = row
-    g = math.gcd(*ws)
-    if g < 2:
-        return row
-    return [w // g for w in ws], s // g, h // g, b, span // g
+def _affine(row: _Row, a: int, b: int, dtype):
+    """a t + b at a row's targets t = s, ..., h."""
+    if not a:
+        return np.full(row[2] - row[1] + 1, b, dtype=dtype)
+    return np.array([a * t + b for t in range(row[1], row[2] + 1)], dtype=dtype)
 
 
-def _box_sum(rows: Sequence[_Row], n: int, weighted: bool) -> int:
+def _top_value(rows: Sequence[_Row]) -> int:
+    """The largest |product of the rows' values| over their ranges."""
+    return math.prod(max(abs(a * s + b), abs(a * h + b)) for _, s, h, a, b, *_ in rows)
+
+
+def _box_sum(rows: Sequence[_Row], n: int) -> int:
     """``_range_sum`` from the joint histogram: the counts over the box
-    prod [s_i, h_i], contracted axis by axis with the gates' values there."""
+    prod [s_i, h_i], summed at once over the axes of 0-slope rows, which are
+    constant there, and contracted axis by axis with the others' values."""
     counts, lows = histogram([row[0] for row in rows], n)
-    box = counts[tuple(slice(s - lo, h - lo + 1) for (_, s, h, *_), lo in zip(rows, lows))]
-    if not weighted:
-        return int(box.sum())
-    # accepted ReLU values run from s + b >= 1 up to h + b
-    dtype = int_dtype(math.prod(h + b for _, _, h, b, _ in rows) << n)
-    total = box.astype(dtype, copy=False)
-    for _, s, h, b, _ in reversed(rows):
-        total = total @ np.array(range(s + b, h + b + 1), dtype=dtype)
-    return int(total)
+    total = counts[tuple(slice(s - lo, h - lo + 1) for (_, s, h, *_), lo in zip(rows, lows))]
+    flat = [i for i, row in enumerate(rows) if not row[3]]
+    if flat:
+        total = total.sum(axis=tuple(flat))
+    sloped = [row for row in rows if row[3]]
+    if sloped:
+        dtype = int_dtype(_top_value(sloped) << n)
+        total = total.astype(dtype, copy=False)
+        for row in reversed(sloped):
+            total = total @ _affine(row, *row[3:5], dtype)
+    return int(total) * math.prod(rows[i][4] for i in flat)
 
 
 def _pruned_half(part: Sequence[int], dtype, base: int, windows):
@@ -195,56 +199,50 @@ def _pruned_half(part: Sequence[int], dtype, base: int, windows):
     return np.unique(sums, return_counts=True), spans
 
 
-def _range_sum(rows: Sequence[_Row], n: int, tuple_cap: int, weighted: bool) -> int:
+def _range_sum(rows: Sequence[_Row], n: int, tuple_cap: int) -> int:
     """sum over x of prod_i v_i(x), where v_i(x) is zero unless <w_i, x> lies
-    in [s_i, h_i], and there is <w_i, x> + b_i if ``weighted``, else 1.
+    in [s_i, h_i], and there is a_i <w_i, x> + b_i.
 
-    Only the gates other than the widest are expanded into target tuples;
-    their number is what ``tuple_cap`` limits.  Unless ``weighted``, those
-    rows are first put in units of their weights' gcd (``_unit_row``), so
-    only reachable targets are expanded and counted; the widest is decided
-    in those units and keeps its own, since its whole range is summed at
-    once.
+    Only the rows other than the widest are expanded into target tuples;
+    their number is what ``tuple_cap`` limits.  Every row is in the units of
+    its primitive form, so each target it expands is on the lattice of its
+    achievable sums.
     """
     if not rows:
         return 1 << n
-    units = rows if weighted else [_unit_row(row) for row in rows]
-    widths = [h - s for _, s, h, _, _ in units]
+    widths = [h - s for _, s, h, *_ in rows]
     widest = widths.index(max(widths))
-    rows = [rows[widest], *units[:widest], *units[widest + 1:]]
+    rows = [rows[widest], *rows[:widest], *rows[widest + 1:]]
     n_tuples = 1
-    for _, s, h, _, _ in rows[1:]:
+    for _, s, h, *_ in rows[1:]:
         n_tuples *= h - s + 1
         if n_tuples > tuple_cap:
             raise CapExceeded(f"product expansion needs > {tuple_cap} tuples")
-    if _use_histogram(n, [row[4] for row in rows], n_tuples):
-        return _box_sum(rows, n, weighted)
-    base = _packed_base([(span, max(abs(s), abs(h))) for _, s, h, _, span in rows])
-    packed = _packed_weights([ws for ws, *_ in rows], base, n)
+    if _use_histogram(n, [row[6] for row in rows], n_tuples):
+        return _box_sum(rows, n)
+    base = _packed_base([(span, max(abs(s), abs(h))) for _, s, h, *_, span in rows])
+    packed = _packed_weights([w for w, *_ in rows], base, n)
+    _, s0, h0, a0, b0, _, span0 = rows[0]
+    if s0 == h0:
+        # every gate accepts one sum: count the points at the packed target
+        target = sum(s * base**i for i, (_, s, *_) in enumerate(rows))
+        return math.prod(a * s + b for _, s, _, a, b, *_ in rows) * count_subset_sum(packed, target)
+    key_bound = sum(abs(w) for w in packed)
+    dtype = int_dtype(
+        key_bound + base,
+        sum(base**i * max(abs(s), abs(h)) for i, (_, s, h, *_) in enumerate(rows))
+        + key_bound,
+        ((2 * abs(a0) * span0 + abs(b0) + 1) << n) * _top_value(rows[1:]),
+    )
     # upper tuples: packed targets of every gate but the widest, and the
     # product of those gates' values there
-    uppers, values = [0], [1]
+    uppers, values = np.zeros(1, dtype=dtype), np.ones(1, dtype=dtype)
     scale = base
-    for _, s, h, b, _ in rows[1:]:
-        uppers = [u + scale * t for u in uppers for t in range(s, h + 1)]
-        if weighted:
-            values = [v * (t + b) for v in values for t in range(s, h + 1)]
+    for row in rows[1:]:
+        uppers = np.add.outer(uppers, _affine(row, scale, 0, dtype)).ravel()
+        values = np.multiply.outer(values, _affine(row, *row[3:5], dtype)).ravel()
         scale *= base
-    _, s0, h0, b0, span0 = rows[0]
-    if not weighted:
-        if s0 == h0 and len(uppers) == 1:
-            # every gate accepts one sum: count the points at the packed target
-            return count_subset_sum(packed, uppers[0] + s0)
-        values = values * len(uppers)
 
-    key_bound = sum(abs(w) for w in packed)
-    magnitudes = [
-        key_bound + base,
-        max(abs(u) for u in uppers) + key_bound + max(abs(s0), abs(h0)),
-    ]
-    if weighted:
-        magnitudes.append(((2 * span0 + abs(b0) + 1) << n) * max(values))
-    dtype = int_dtype(*magnitudes)
     h = split_point(n)
     # gate i can accept a half's digit d only if d + e lies in [s_i, h_i] for
     # some digit e in the other half's range: for the second half, its
@@ -269,56 +267,45 @@ def _range_sum(rows: Sequence[_Row], n: int, tuple_cap: int, weighted: bool) -> 
     def low_digit(keys):
         return (keys + half_base) % base - half_base
 
+    # the widest gate is a0 (d_L + d_R) + b0 at a pair of keys' lowest digits:
+    # d_L weighs the loop key's count, d_R is a prefix sum of count times digit
     zero = np.zeros(1, dtype=dtype)
     c0 = np.concatenate([zero, np.cumsum(match_counts)])
-    if weighted:
+    loop_weights = loop_counts * b0
+    if a0:
         c1 = np.concatenate([zero, np.cumsum(match_counts * low_digit(match_keys))])
-        loop_weights = low_digit(loop_keys) + b0
-    upper_arr = np.asarray(uppers, dtype=dtype)
-    value_arr = np.asarray(values, dtype=dtype)
+        loop_weights += loop_counts * low_digit(loop_keys) * a0
 
-    cols = min(len(upper_arr), _CHUNK)
+    cols = min(len(uppers), _CHUNK)
     rows_per = max(1, _CHUNK // cols)
     total = 0
-    for c in range(0, len(upper_arr), cols):
-        us = upper_arr[c:c + cols]
-        vs = value_arr[c:c + cols]
+    for c in range(0, len(uppers), cols):
+        us = uppers[c:c + cols]
+        vs = values[c:c + cols]
         for r in range(0, len(loop_keys), rows_per):
             need = us[None, :] - loop_keys[r:r + rows_per, None]
             lo = np.searchsorted(match_keys, need + s0, side="left")
             hi = np.searchsorted(match_keys, need + h0, side="right")
-            per_key = (c0[hi] - c0[lo]) @ vs
-            if weighted:
-                per_key = (
-                    loop_weights[r:r + rows_per] * per_key + (c1[hi] - c1[lo]) @ vs
-                )
-            total += int(loop_counts[r:r + rows_per] @ per_key)
+            total += int(loop_weights[r:r + rows_per] @ ((c0[hi] - c0[lo]) @ vs))
+            if a0:
+                total += a0 * int(loop_counts[r:r + rows_per] @ ((c1[hi] - c1[lo]) @ vs))
     return total
 
 
 def _linear_sumprod(
-    gates: Sequence[LinearGate], n: Optional[int], tuple_cap: int, weighted: bool
+    gates: Sequence[LinearGate], n: Optional[int], tuple_cap: int
 ) -> Union[int, Fraction]:
-    """The range-sum kernel over the rows of gates rescaled to integers.
-
-    Only ReLU values change under rescaling, so only ``weighted`` products
-    are divided back by the product of the rescaling factors.
-    """
+    """The range-sum kernel over the gates' rows, divided by the product of
+    the rows' denominators: an int when that product is 1."""
     n = _shared_n(gates, n)
-    denom = 1
     rows = []
     for gate in gates:
-        scaled, scale = normalize_integer(gate)
-        row = _gate_row(scaled)
+        row = _gate_row(gate)
         if row is None:
-            total = 0
-            break
+            return 0
         rows.append(row)
-        if weighted:
-            denom *= scale
-    else:
-        total = _range_sum(rows, n, tuple_cap, weighted)
-    return Fraction(total) / denom if weighted else total
+    total, d = _range_sum(rows, n, tuple_cap), math.prod(row[5] for row in rows)
+    return total if d == 1 else Fraction(total, d)
 
 
 def sumprod_thr(
@@ -329,7 +316,7 @@ def sumprod_thr(
 ) -> int:
     """sum over x of prod_i [<w_i, x> >= t_i], exactly: each gate accepts
     the achievable integer sums from its threshold up."""
-    return _linear_sumprod(gates, n, tuple_cap, weighted=False)
+    return _linear_sumprod(gates, n, tuple_cap)
 
 
 def sumprod_relu(
@@ -340,7 +327,7 @@ def sumprod_relu(
 ) -> Fraction:
     """sum over x of prod_i max(0, <w_i, x> + a_i), exactly: each gate is
     positive on the sums from 1 - a_i up."""
-    return _linear_sumprod(gates, n, tuple_cap, weighted=True)
+    return Fraction(_linear_sumprod(gates, n, tuple_cap))
 
 
 def sumprod_ethr(
@@ -349,7 +336,7 @@ def sumprod_ethr(
 ) -> int:
     """sum over x of prod_i [<w_i, x> = t_i], exactly: each gate accepts the
     one sum t_i, so the expansion is a single tuple and no cap applies."""
-    return _linear_sumprod(gates, n, 1, weighted=False)
+    return _linear_sumprod(gates, n, 1)
 
 
 def sumprod(

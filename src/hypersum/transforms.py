@@ -8,12 +8,13 @@ difference of two ReLU gates.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from typing import Sequence
 
 from .errors import CapExceeded
 from .gates import ExactThresholdGate, ReluGate, ThresholdGate, integer_weights
-from .sumprod import _gate_row, _packed_base, _packed_weights
+from .sumprod import _packed_base, _packed_weights
 
 DEFAULT_TERM_CAP = 10**6
 
@@ -29,11 +30,11 @@ def thr_to_ethrs(
     pruned.  Exactly one returned gate fires on any point the threshold gate
     accepts, and none fires elsewhere.
     """
-    integer_weights(gate)
-    row = _gate_row(gate)
-    if row is None:
-        return []
-    _, start, hi, _, _ = row
+    ws = integer_weights(gate)
+    g = math.gcd(*ws) or 1
+    # every achievable sum is a multiple of g, so the first target is too
+    start = max(sum(w for w in ws if w < 0), -(-math.ceil(gate.threshold) // g) * g)
+    hi = sum(w for w in ws if w > 0)
     count = hi - start + 1
     if count > term_cap:
         raise CapExceeded(

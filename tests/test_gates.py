@@ -20,7 +20,14 @@ from hypersum import (
     mask_from_bits,
     normalize_integer,
 )
-from hypersum.gates import eval_ethr, eval_relu, eval_thr, integer_weights, linear_piece
+from hypersum.gates import (
+    _is_prime,
+    eval_ethr,
+    eval_relu,
+    eval_thr,
+    integer_weights,
+    linear_piece,
+)
 
 
 def test_as_fraction_accepts_exact_forms():
@@ -236,3 +243,39 @@ def test_linear_piece_matches_pointwise_evaluation(case):
             if (first is None or first <= s) and (last is None or s <= last):
                 value = slope * s + intercept
         assert value == _EVAL[type(gate)](gate, x)
+
+
+# psi_13: the smallest integer that is a strong pseudoprime to the 13 bases
+# 2, 3, 5, ..., 41 of the primality test
+PSI_13 = 3317044064679887385961981
+
+
+def test_is_prime_agrees_with_trial_division():
+    limit = 10**5
+    sieve = [True] * limit
+    sieve[0] = sieve[1] = False
+    for q in range(2, int(limit**0.5) + 1):
+        if sieve[q]:
+            sieve[q * q::q] = [False] * len(range(q * q, limit, q))
+    assert [p for p in range(limit) if _is_prime(p)] == [p for p in range(limit) if sieve[p]]
+    assert not _is_prime(-7)
+
+
+@pytest.mark.parametrize("p", [3215031751, 3825123056546413051, 318665857834031151167461])
+def test_is_prime_rejects_strong_pseudoprimes(p):
+    # each passes Miller-Rabin for the first 4, 11 and 12 prime bases
+    assert not _is_prime(p)
+
+
+def test_is_prime_accepts_a_large_mersenne_prime():
+    p = 2**61 - 1
+    assert _is_prime(p)
+    assert FpPolynomial(p, 2, {1: 1}).p == p
+
+
+@pytest.mark.parametrize("p", [PSI_13, 2**89 - 1])
+def test_is_prime_rejects_p_past_the_exact_bound(p):
+    with pytest.raises(ValueError, match=str(PSI_13)):
+        _is_prime(p)
+    with pytest.raises(ValueError, match=str(PSI_13)):
+        FpPolynomial(p, 2, {1: 1})

@@ -48,14 +48,17 @@ number = st.builds(Fraction, st.integers(-6, 6), st.sampled_from((1, 1, 2, 3)))
 def gate_inputs(draw):
     """(n, [(weights, constant)]) with k = 1-3 gates over n <= 12 variables;
     each constant is a subset sum of its weights plus an offset that is
-    often 0, so that exact-threshold answers are not all zero."""
+    often 0, so that exact-threshold answers are not all zero.  Each gate's
+    weights and constant share a common factor of 1, 2, 6 or 2^64, which the
+    rows divide out again."""
     n = draw(st.integers(1, 12))
     rows = []
     for _ in range(draw(st.integers(1, 3))):
-        ws = draw(st.lists(number, min_size=n, max_size=n))
+        g = draw(st.sampled_from((1, 2, 6, 2**64)))
+        ws = [g * w for w in draw(st.lists(number, min_size=n, max_size=n))]
         picks = draw(st.lists(st.booleans(), min_size=n, max_size=n))
         offset = draw(st.one_of(st.just(0), number))
-        rows.append((ws, sum(w for w, b in zip(ws, picks) if b) + offset))
+        rows.append((ws, sum(w for w, b in zip(ws, picks) if b) + g * offset))
     return n, rows
 
 

@@ -167,18 +167,19 @@ def test_exact_path_agrees_with_int64_path(monkeypatch):
 
 def test_scaled_weights_take_exact_path(monkeypatch):
     """Scaling every weight and constant by 2^64 leaves a THR sum unchanged
-    and multiplies a ReLU sum by 2^64; the scaled copy runs on Python ints."""
+    and multiplies a ReLU sum by 2^64.  Rows read each gate on its primitive
+    form, so the scaled copy enumerates the same int64 half sums."""
     module = importlib.import_module("hypersum.sumprod")
-    exact_halves = []
+    halves = []
     real_half_sums = module.half_sums
 
     def recording(weights):
         out = real_half_sums(weights)
-        exact_halves.append(isinstance(out, list))
+        halves.append((list(weights), isinstance(out, list)))
         return out
 
     monkeypatch.setattr(module, "half_sums", recording)
-    c = 1 << 64  # every nonzero normalized weight becomes at least 2^62
+    c = 1 << 64  # every nonzero weight becomes at least 2^64
     # scaling widens every gate's integer range c-fold, so all THR gates but
     # one (the widest, which is never expanded) get a single target; a
     # positive ReLU gate cannot have one, so the ReLU queries have one gate
@@ -199,15 +200,16 @@ def test_scaled_weights_take_exact_path(monkeypatch):
                 tuple(w * c for w in g.weights), g.bias * c), c),
         ):
             expect = oracle_sumprod(gates, n)
-            exact_halves.clear()
+            halves.clear()
             assert kernel(gates) == expect
-            assert not any(exact_halves)
-            exact_halves.clear()
+            unscaled = list(halves)
+            halves.clear()
             assert kernel([scaled(g) for g in gates]) == factor * expect
-            if exact_halves and any(w for g in gates for w in g.weights):
+            assert halves == unscaled
+            assert not any(exact for _, exact in halves)
+            if halves and any(w for g in gates for w in g.weights):
                 checked += 1
-                assert any(exact_halves)
-    assert checked >= 60
+    assert checked >= 30
 
 
 def test_widest_gate_is_never_expanded():
@@ -259,22 +261,23 @@ def test_kernel_edge_cases(rows, build, kernel):
 
 
 def test_rows_round_inward_to_the_weights_gcd():
-    # only even sums are achievable under weights (2, 2): the gate's [3, 4]
-    # holds one of them, so expanding it next to a wider gate takes 1 tuple
+    # a row reads its gate on the primitive form w = weights / gcd: under
+    # weights (2, 2) the threshold 3 becomes w = (1, 1) with sums from 3/2
+    # up, so [2, 2], and expanding it next to a wider gate takes 1 tuple
     from hypersum.sumprod import _gate_row
 
     narrow = ThresholdGate((Fraction(2), Fraction(2)), Fraction(3))
-    assert _gate_row(narrow)[1:3] == (4, 4)
+    assert _gate_row(narrow)[:3] == ((1, 1), 2, 2)
     gates = [narrow, ThresholdGate((Fraction(1), Fraction(1)), Fraction(0))]
     assert sumprod_thr(gates, tuple_cap=1) == oracle_sumprod(gates) == 1
     # an exact target off the lattice leaves an empty range
     assert _gate_row(ExactThresholdGate((Fraction(2), Fraction(2)), Fraction(3))) is None
-    # 3x1 + 6x2 - 3x3 - 7 is positive at the one sum 9 that is past 7
+    # 3 (x1 + 2x2 - x3) - 7 is positive at the one sum 3 of w that is past 7/3
     relu = ReluGate((Fraction(3), Fraction(6), Fraction(-3)), Fraction(-7))
-    assert _gate_row(relu)[1:3] == (9, 9)
-    # 2x1 + 4x2 + 6x3 - 4 is positive from the sum 5 up, so from 6 up
+    assert _gate_row(relu)[:3] == ((1, 2, -1), 3, 3)
+    # 2 (x1 + 2x2 + 3x3) - 4 is positive from the sum 3 of w up to its top 6
     wide = ReluGate((Fraction(2), Fraction(4), Fraction(6)), Fraction(-4))
-    assert _gate_row(wide)[1:3] == (6, 12)
+    assert _gate_row(wide)[:3] == ((1, 2, 3), 3, 6)
     for gates in ([relu], [wide], [relu, wide]):
         assert sumprod_relu(gates) == oracle_sumprod(gates)
 
@@ -285,6 +288,16 @@ def test_threshold_rows_expand_only_lattice_targets():
     # not the 7 integers from 2 to 8
     gates = [ThresholdGate((2, 2, 2, 2, 0), 1), ThresholdGate((1, 1, 1, 1, 1), 0)]
     assert sumprod(gates, tuple_cap=4) == oracle_sumprod(gates) == 30
+    with pytest.raises(CapExceeded):
+        sumprod(gates, tuple_cap=3)
+
+
+def test_relu_rows_expand_only_lattice_targets():
+    # 2 (x1 + x2 + x3 + x4) - 1 is positive from the sum 1 of its primitive
+    # form up to 4: next to the wider count gate it expands 4 targets, not
+    # the 7 integers from 2 to 8 of its own sums
+    gates = [ReluGate((2, 2, 2, 2, 0, 0, 0), -1), ReluGate((1,) * 7, 1)]
+    assert sumprod(gates, tuple_cap=4) == oracle_sumprod(gates) == 2004
     with pytest.raises(CapExceeded):
         sumprod(gates, tuple_cap=3)
 
