@@ -6,8 +6,10 @@ sum_x f, and it equals g iff sum_x (f-g)^2 = 0.
 
 Every threshold, exact-threshold or ReLU gate has weights lambda_j * w for
 one primitive integer vector w, its form (rational lambda_j, negative or zero
-allowed), which ``gates._primitive_form`` computes here and for ``sumprod``.
-With d distinct forms w_1, ..., w_d, f is a function of the d integers
+allowed; the form of an all-zero gate is the zero vector).  The one row rule
+``gates._gate_row``, which ``sumprod`` reads its gates through too, gives the
+gate's form, with its first nonzero entry positive, and its value on each
+sum.  With d distinct forms w_1, ..., w_d, f is a function of the d integers
 s_i = <w_i, x>.  One joint histogram N(s) = |{x : <w_i, x> = s_i for
 all i}|, built by Bellman's subset-sum dynamic program in n shift-and-add
 passes over the box of prod R_i achievable sums, R_i = sum|w_i| + 1, then
@@ -41,11 +43,10 @@ from .gates import (
     LinComb,
     LinearGate,
     ThresholdGate,
-    _primitive_form,
-    linear_piece,
+    _gate_row,
 )
 from .mitm import histogram, int_dtype
-from .sumprod import DEFAULT_TUPLE_CAP, sumprod
+from .sumprod import DEFAULT_TUPLE_CAP, _affine, sumprod
 
 # combinations whose joint histogram takes n * prod R_i cell updates or more
 # go through the Sum-Product expansion instead
@@ -83,53 +84,41 @@ def _is_indicator(gate) -> bool:
 
 def _form_table(coefficients, gates, n: int) -> Optional[tuple]:
     """f = sum_j coefficients[j] * gates[j] on its achievable sums, as
-    (n, counts, values, scale, bound).  f depends only on the sums s_i =
-    <w_i, x> of the gates' distinct primitive forms w_1, ..., w_d, so
-    ``counts`` holds the cells N(s) > 0 of their joint histogram and
-    ``values`` the exact integers scale * f(s) there, |values| <= bound.
+    (n, counts, values, scale, bound).  Each gate is read as its
+    ``_gate_row`` on the primitive form whose first nonzero entry is
+    positive, so f depends only on the sums s_i = <w_i, x> of the distinct
+    forms w_1, ..., w_d; an all-zero gate's form is the zero vector, an axis
+    of size 1.  ``counts`` holds the cells N(s) > 0 of their joint histogram
+    and ``values`` the exact integers scale * f(s) there, |values| <= bound.
     None for F_p gates, or when the histogram takes n * prod R_i cell
     updates or more, R_i = sum |w_i| + 1."""
     if not all(isinstance(g, LinearGate) for g in gates):
         return None
-    constant = Fraction(0)
-    forms: dict[tuple, list] = {}  # each form's pieces, in axis order
+    forms: dict[tuple, list] = {}  # each form's (multiplier, row) pairs, in axis order
     for c, gate in zip(coefficients, gates):
-        w, lam = _primitive_form(gate)
-        piece = linear_piece(gate, lam) if c else None
-        if piece is None:
-            continue
-        slope, intercept, first, last = piece
-        if not lam:
-            constant += c * intercept
-        else:
-            forms.setdefault(w, []).append((c * slope, c * intercept, first, last))
-    lows = [sum(x for x in w if x < 0) for w in forms]
-    highs = [sum(x for x in w if x > 0) for w in forms]
-    if n * math.prod(hi - lo + 1 for lo, hi in zip(lows, highs)) >= _HISTOGRAM_CELLS:
+        row = _gate_row(gate, lead_positive=True) if c else None
+        if row is not None:
+            forms.setdefault(row[0], []).append((c * row[5], row))
+    spans = [sum(map(abs, w)) for w in forms]
+    if n * math.prod(span + 1 for span in spans) >= _HISTOGRAM_CELLS:
         return None
-    terms = [t for pieces in forms.values() for t in pieces]
-    scale = math.lcm(constant.denominator, *(x.denominator for t in terms for x in t[:2]))
-    bound = int(abs(constant * scale) + sum(
-        abs(a * scale) * max(-lo, hi) + abs(b * scale)
-        for pieces, lo, hi in zip(forms.values(), lows, highs)
-        for a, b, _, _ in pieces
-    ))
+    scale = math.lcm(*(m.denominator for pairs in forms.values() for m, _ in pairs))
+    forms = {w: [(int(m * scale), row) for m, row in pairs] for w, pairs in forms.items()}
+    bound = sum(
+        abs(m) * max(abs(a * s + b), abs(a * h + b))
+        for pairs in forms.values() for m, (_, s, h, a, b, *_) in pairs
+    )
     dtype = int_dtype(bound)
-    counts, _ = histogram(list(forms), n)
+    counts, lows = histogram(list(forms), n)
     hit = np.flatnonzero(counts)
     axes = np.unravel_index(hit, counts.shape) if forms else ()
     counts = counts.reshape(-1)[hit]
-    values = np.full(len(hit), int(constant * scale), dtype=dtype)
-    for pieces, lo, hi, axis in zip(forms.values(), lows, highs, axes):
-        # the form's values on each of its R sums, then read at every cell;
-        # bounds outside [lo, hi] are clipped first, as they may exceed int64
-        sums = np.arange(lo, hi + 1).astype(dtype)
-        line = np.zeros(len(sums), dtype=dtype)
-        for a, b, first, last in pieces:
-            i = 0 if first is None else min(max(first, lo), hi + 1) - lo
-            j = len(sums) if last is None else max(min(last, hi), lo - 1) - lo + 1
-            a, b = int(a * scale), int(b * scale)
-            line[i:j] += a * sums[i:j] + b if a else b
+    values = np.zeros(len(hit), dtype=dtype)
+    for pairs, lo, span, axis in zip(forms.values(), lows, spans, axes):
+        # the form's values on each of its R sums, then read at every cell
+        line = np.zeros(span + 1, dtype=dtype)
+        for m, row in pairs:
+            line[row[1] - lo:row[2] - lo + 1] += _affine(row, m * row[3], m * row[4], dtype)
         values += line[axis]
     return n, counts, values, scale, bound
 

@@ -262,35 +262,54 @@ def _primitive_form(gate: LinearGate, lead_positive: bool = True):
     return w, unit if scale == 1 else Fraction(unit, scale)
 
 
-def linear_piece(gate: LinearGate, lam: Rational = 1):
-    """The gate with weights lam * w as a function of an integer s = <w, x>.
+def _gate_row(gate: LinearGate, lead_positive: bool = False):
+    """The gate as a row (w, s, h, a, b, scale, span), or None when it is 0
+    at every point.
 
-    Returns (slope, intercept, first, last): the gate is slope * s +
-    intercept for first <= s <= last and 0 at every other integer s.  A None
-    bound is open; None instead of a tuple means the gate is 0 everywhere.
-    At lam = 1 this is the gate itself on its own integer sums.
+    w is its primitive form (``_primitive_form``), in the gate's own
+    orientation unless ``lead_positive``, and span the sum of |w|.  The gate
+    accepts the achievable sums t = <w, x> in [s, h], is (a t + b) * scale
+    there and 0 at every other point.  a and b are coprime integers, with
+    a = 0 and b = 1 for threshold and exact-threshold gates and on rows of
+    width 0; scale > 0 is 1 for those gates and an int or a Fraction for
+    ReLU gates.  An all-zero gate that is not 0 everywhere is a row of
+    width 0 at s = h = 0.
     """
+    w, lam = _primitive_form(gate, lead_positive)
     c = getattr(gate, gate._constant)
     relu = isinstance(gate, ReluGate)
     exact = isinstance(gate, ExactThresholdGate)
-    if not lam:
-        if relu:
-            return (0, c, None, None) if c > 0 else None
-        return (0, 1, None, None) if c == 0 or (c < 0 and not exact) else None
-    # num / den, den > 0, is the sum where lam s meets the constant (ReLU:
-    # its negation); it is rounded on integers, without building a Fraction
-    num = (-c.numerator if relu else c.numerator) * lam.denominator
-    den = c.denominator * lam.numerator
-    if den < 0:
-        num, den = -num, -den
-    if relu:  # max(0, lam s + c) is positive exactly beyond num / den
-        if lam > 0:
-            return lam, c, num // den + 1, None
-        return lam, c, None, -(-num // den) - 1
-    if exact:  # [lam s = c]
-        return (0, 1, num // den, num // den) if num % den == 0 else None
-    # [lam s >= c]
-    return (0, 1, -(-num // den), None) if lam > 0 else (0, 1, None, num // den)
+    total, span = sum(w), sum(map(abs, w))
+    s, h = (total - span) // 2, (total + span) // 2
+    if lam:
+        # num / den, den > 0, is the sum where lam t meets the constant (ReLU:
+        # its negation); it is rounded on integers, without building a Fraction
+        num = (-c.numerator if relu else c.numerator) * lam.denominator
+        den = c.denominator * lam.numerator
+        if den < 0:
+            num, den = -num, -den
+        if exact:  # [lam t = c]
+            if num % den:
+                return None
+            s, h = max(s, num // den), min(h, num // den)
+        elif lam > 0:  # [lam t >= c], or max(0, lam t + c) > 0 beyond num / den
+            s = max(s, num // den + 1 if relu else -(-num // den))
+        else:
+            h = min(h, -(-num // den) - 1 if relu else num // den)
+        if s > h:
+            return None
+    elif not (c > 0 if relu else c == 0 if exact else c <= 0):
+        return None  # an all-zero gate that is 0 at t = 0, so everywhere
+    if not relu:
+        return w, s, h, 0, 1, 1, span
+    # lam t + c = (a t + b) / d with d = the denominators' product; then the
+    # gcd of a and b moves into the scale
+    a, b = lam.numerator * c.denominator, c.numerator * lam.denominator
+    d = lam.denominator * c.denominator
+    if s == h:
+        a, b = 0, a * s + b
+    g = math.gcd(a, b)
+    return w, s, h, a // g, b // g, g if d == 1 else Fraction(g, d), span
 
 
 def eval_fp(q: FpPolynomial, x: Sequence[int]) -> int:

@@ -173,7 +173,7 @@ def _scaled_combination(comb: LinComb):
         v = Fraction(m) * c / s.scale
         assert v.denominator == 1
         coeffs.append(v.numerator)
-    bound = sum(abs(c) * s.bound for c, s in zip(coeffs, scaled))
+    bound = sum(abs(c) * max(s.bound, 1) for c, s in zip(coeffs, scaled))
     if bound + abs(m) >= _INT64_BOUND:
         return None
     return coeffs, scaled, m

@@ -1,16 +1,17 @@
 """Exact Sum-Products of gate products over the Boolean hypercube.
 
-Threshold, exact-threshold and ReLU products share one body.  Each gate is
-read on its primitive form w (its weights are lam * w with lam > 0 and w an
-integer vector of gcd 1) and reduced, by the acceptance rule
-``gates.linear_piece``, to a row: it accepts the achievable sums <w, x> in
-[s, h] and there takes the value (a <w, x> + b) / d, integers with a = 0
-and b = d = 1 for threshold and exact-threshold gates.  The kernels sum the
-integers a <w, x> + b, and the total is divided by the product of the d's.
-An exact-threshold row has s = h.  Only the gates other than the widest are
-expanded into target tuples, and every integer in a row's range is on the
-lattice of its sums.  Once the tuple cap is checked, and before anything is
-allocated, ``_use_histogram`` picks one of two kernels from a work estimate:
+Threshold, exact-threshold and ReLU products share one body.  The one row
+rule, ``gates._gate_row``, reads each gate on its primitive form w (its
+weights are lam * w with lam > 0 and w an integer vector of gcd 1) as a row:
+it accepts the achievable sums <w, x> in [s, h] and there takes the value
+(a <w, x> + b) * scale, with coprime integers a and b, and a = 0, b = 1 on
+threshold and exact-threshold rows and on every row of width 0.  The
+kernels sum the integers a <w, x> + b, and the total is multiplied by the
+product of the scales.  An exact-threshold row has s = h.  Only the gates
+other than the widest are expanded into target tuples, and every integer in
+a row's range is on the lattice of its sums.  Once the tuple cap is checked,
+and before anything is allocated, ``_use_histogram`` picks one of two
+kernels from a work estimate:
 
 - Histogram: when the box of the gates' achievable sums is small, Bellman's
   dynamic program (``mitm.histogram``) counts the points at every cell in
@@ -58,9 +59,8 @@ from .gates import (
     LinearGate,
     ReluGate,
     ThresholdGate,
-    _primitive_form,
+    _gate_row,
     _shared_n,
-    linear_piece,
 )
 from .mitm import count_subset_sum, half_sums, histogram, int_dtype, split_point
 
@@ -110,39 +110,17 @@ def _packed_weights(
     return packed
 
 
-_Row = tuple[tuple[int, ...], int, int, int, int, int, int]
-
-
-def _gate_row(gate: LinearGate) -> Optional[_Row]:
-    """(w, s, h, a, b, d, span) for a gate, or None.
-
-    w is the gate's primitive form in its own orientation (weights lam * w,
-    lam > 0) and span the sum of |w|.  The gate accepts the achievable sums
-    <w, x> in [s, h] and there equals (a <w, x> + b) / d, with integers a, b
-    and d >= 1: a = 0 and b = d = 1 for threshold and exact-threshold gates.
-    None means it accepts no achievable sum, so it is zero everywhere.
-    """
-    w, lam = _primitive_form(gate, lead_positive=False)
-    piece = linear_piece(gate, lam)
-    if piece is None:
-        return None
-    a, b, first, last = piece
-    total, span = sum(w), sum(map(abs, w))
-    lo, hi = (total - span) // 2, (total + span) // 2
-    s = lo if first is None else max(lo, first)
-    h = hi if last is None else min(hi, last)
-    if s > h:
-        return None
-    d = math.lcm(a.denominator, b.denominator)
-    a, b = a.numerator * (d // a.denominator), b.numerator * (d // b.denominator)
-    return w, s, h, a, b, d, span
+_Row = tuple[tuple[int, ...], int, int, int, int, Union[int, Fraction], int]
 
 
 def _affine(row: _Row, a: int, b: int, dtype):
-    """a t + b at a row's targets t = s, ..., h."""
-    if not a:
-        return np.full(row[2] - row[1] + 1, b, dtype=dtype)
-    return np.array([a * t + b for t in range(row[1], row[2] + 1)], dtype=dtype)
+    """a t + b at a row's sums t = s, ..., h, as one vector.  Each partial
+    result is at most twice the largest |a t + b| there, which the margin
+    ``int_dtype`` leaves below int64's range covers."""
+    _, s, h, *_ = row
+    if not a or s == h:
+        return np.full(h - s + 1, a * s + b, dtype=dtype)
+    return a * np.arange(h - s + 1, dtype=dtype) + (a * s + b)
 
 
 def _top_value(rows: Sequence[_Row]) -> int:
@@ -153,7 +131,7 @@ def _top_value(rows: Sequence[_Row]) -> int:
 def _box_sum(rows: Sequence[_Row], n: int) -> int:
     """``_range_sum`` from the joint histogram: the counts over the box
     prod [s_i, h_i], summed at once over the axes of 0-slope rows, which are
-    constant there, and contracted axis by axis with the others' values."""
+    1 there, and contracted axis by axis with the others' values."""
     counts, lows = histogram([row[0] for row in rows], n)
     total = counts[tuple(slice(s - lo, h - lo + 1) for (_, s, h, *_), lo in zip(rows, lows))]
     flat = [i for i, row in enumerate(rows) if not row[3]]
@@ -165,7 +143,7 @@ def _box_sum(rows: Sequence[_Row], n: int) -> int:
         total = total.astype(dtype, copy=False)
         for row in reversed(sloped):
             total = total @ _affine(row, *row[3:5], dtype)
-    return int(total) * math.prod(rows[i][4] for i in flat)
+    return int(total)
 
 
 def _pruned_half(part: Sequence[int], dtype, base: int, windows):
@@ -224,9 +202,10 @@ def _range_sum(rows: Sequence[_Row], n: int, tuple_cap: int) -> int:
     packed = _packed_weights([w for w, *_ in rows], base, n)
     _, s0, h0, a0, b0, _, span0 = rows[0]
     if s0 == h0:
-        # every gate accepts one sum: count the points at the packed target
+        # every gate accepts one sum, where it is 1: count the points at the
+        # packed target
         target = sum(s * base**i for i, (_, s, *_) in enumerate(rows))
-        return math.prod(a * s + b for _, s, _, a, b, *_ in rows) * count_subset_sum(packed, target)
+        return count_subset_sum(packed, target)
     key_bound = sum(abs(w) for w in packed)
     dtype = int_dtype(
         key_bound + base,
@@ -295,8 +274,8 @@ def _range_sum(rows: Sequence[_Row], n: int, tuple_cap: int) -> int:
 def _linear_sumprod(
     gates: Sequence[LinearGate], n: Optional[int], tuple_cap: int
 ) -> Union[int, Fraction]:
-    """The range-sum kernel over the gates' rows, divided by the product of
-    the rows' denominators: an int when that product is 1."""
+    """The range-sum kernel over the gates' rows, times the product of the
+    rows' scales: an int when every scale is."""
     n = _shared_n(gates, n)
     rows = []
     for gate in gates:
@@ -304,8 +283,7 @@ def _linear_sumprod(
         if row is None:
             return 0
         rows.append(row)
-    total, d = _range_sum(rows, n, tuple_cap), math.prod(row[5] for row in rows)
-    return total if d == 1 else Fraction(total, d)
+    return _range_sum(rows, n, tuple_cap) * math.prod(row[5] for row in rows)
 
 
 def sumprod_thr(

@@ -36,6 +36,7 @@ from hypersum import (
     oracle_count_sat,
 )
 from hypersum.cli import main
+from hypersum.gates import _primitive_form
 
 SETTINGS = settings(derandomize=True, deadline=None, max_examples=120)
 
@@ -333,7 +334,7 @@ MULTIPLES = [Fraction(x) for x in ("1", "-1", "2", "-3", "0", "1/2", "-2/3", "5/
 
 
 def _form(weights):
-    return analysis._primitive_form(ThresholdGate(weights, 0))[0]
+    return _primitive_form(ThresholdGate(weights, 0))[0]
 
 
 @st.composite
@@ -702,6 +703,22 @@ JOINT_CASES = {
             (ThresholdGate((1, 1), 1), ThresholdGate((1, 0), 1), ThresholdGate((0, 1), 1)),
         ),
         count_sat,
+    ),
+    # -3 relu(-2*10^20 x1 + 2) + 7 relu(x1/3 + x2 + 5/4) + relu(1 - x2) / 2
+    # + 10^20 relu(0): the first gate has slope -10^20 on its primitive form
+    # and accepts one sum, the last is 0 everywhere
+    "relu-clipped-check": (
+        LinComb(
+            Family.RELU,
+            (Fraction(-3), Fraction(7), Fraction(1, 2), Fraction(10**20)),
+            (
+                ReluGate((-2 * 10**20, 0), 2),
+                ReluGate((Fraction(1, 3), 1), Fraction(5, 4)),
+                ReluGate((0, -1), 1),
+                ReluGate((0, 0), 0),
+            ),
+        ),
+        check_boolean,
     ),
 }
 

@@ -140,3 +140,18 @@ def test_oracle_matches_pure_python_path():
         s = big * x[0] - big * x[1] + x[2]
         count += s >= 1
     assert slow == count
+
+
+def test_huge_coefficient_on_a_zero_relu_gate():
+    # max(0, 0) is bounded by 0, but its coefficient alone is past int64
+    zero = ReluGate((Fraction(0), Fraction(0)), Fraction(0))
+    comb = LinComb(Family.RELU, (Fraction(10**20),), (zero,))
+    assert oracle_check_boolean(comb).is_boolean
+    assert oracle_count_sat(comb) == 0
+    # next to x1 + x2, which is 2 at (1, 1)
+    count = ReluGate((Fraction(1), Fraction(1)), Fraction(0))
+    mixed = LinComb(Family.RELU, (Fraction(10**20), Fraction(1)), (zero, count))
+    check = oracle_check_boolean(mixed)
+    assert (check.is_boolean, check.witness, check.value) == (False, (1, 1), 2)
+    with pytest.raises(ValueError):
+        oracle_count_sat(mixed)

@@ -2,6 +2,7 @@ import importlib
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from hypersum import (
@@ -316,6 +317,32 @@ def test_threshold_rows_with_common_factors_on_both_kernels(histogram, monkeypat
             ws = tuple(g * rng.randint(-3, 3) for _ in range(n))
             gates.append(kind(ws, rng.randint(-4 * g, 4 * g)))
         assert sumprod(gates) == oracle_sumprod(gates)
+
+
+@pytest.mark.parametrize("histogram", [True, False])
+def test_relu_common_factors_stay_in_the_row_scale(histogram, monkeypatch):
+    # a ReLU row moves its gate's common factor into its scale, so the same
+    # two gates times 2^64 run on int64 arrays like the unscaled ones
+    module = importlib.import_module("hypersum.sumprod")
+    monkeypatch.setattr(module, "_use_histogram", lambda *args: histogram)
+    dtypes = []
+
+    def spy(real, at):
+        def wrapped(*args):
+            dtypes.append(args[at])
+            return real(*args)
+        return wrapped
+
+    monkeypatch.setattr(module, "_pruned_half", spy(module._pruned_half, 1))
+    monkeypatch.setattr(module, "_affine", spy(module._affine, 3))
+    rng = random.Random(23)
+    n, c = 14, 2**64
+    rows = [([rng.randint(-100, 100) for _ in range(n)], rng.randint(-50, 50)) for _ in range(2)]
+    gates = [ReluGate(tuple(w), b) for w, b in rows]
+    scaled = [ReluGate(tuple(c * x for x in w), c * b) for w, b in rows]
+    value = sumprod(scaled)
+    assert dtypes and all(dtype is np.int64 for dtype in dtypes)
+    assert value == sumprod(gates) * c**2 == oracle_sumprod(gates) * c**2
 
 
 def test_ethr_conjunction_ignores_the_tuple_cap():
