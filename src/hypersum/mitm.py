@@ -15,7 +15,9 @@ held at a time.  A module-level tally records how many partial assignments
 were enumerated (2^ceil(n/2) + 2^floor(n/2) per call, independent of the
 weights).  ``histogram`` is the pseudo-polynomial alternative for small
 integer weights: Bellman's subset-sum dynamic program over the box of
-achievable sums of one or more linear forms.
+achievable sums of one or more linear forms.  It complements every variable
+whose shift would point up, so each pass adds in place with no temporary,
+and given a window of cells it updates only those that can still reach it.
 
 One rule, ``int_dtype``, decides the integer width for every kernel: numpy
 int64 when each magnitude a kernel can meet is below 2^62, and numpy object
@@ -193,7 +195,7 @@ def count_subset_sum(weights: Sequence[int], target: int) -> int:
     return int(c1[hit] @ c2[idx[hit]])
 
 
-def histogram(weight_rows: Sequence[Sequence[int]], n: int):
+def histogram(weight_rows: Sequence[Sequence[int]], n: int, window=None):
     """(N, lows): N[s_1 - lo_1, ..., s_d - lo_d] = |{x : <w_i, x> = s_i for
     all i}| over the box of achievable sums, lo_i the sum of the negative
     weights of row i.
@@ -201,23 +203,44 @@ def histogram(weight_rows: Sequence[Sequence[int]], n: int):
     Bellman's dynamic program on ``int_dtype(1 << n)`` cells.  The box is
     flattened in C order, so variable j shifts every count by its packed
     weight x_j = sum_i w_ij * stride_i; a count's shifted cell is itself an
-    achievable sum, so shifts never wrap between rows.  Each of the n
-    shift-and-add passes covers only the flat range reached so far, and a
-    variable whose weights are all zero doubles every cell.
+    achievable sum, so shifts never wrap between rows.  Every variable with
+    x_j > 0 is complemented (x_j -> 1 - x_j, which permutes the points): the
+    counts start at the cell of the point that sets exactly those variables,
+    and every shift is -|x_j|.  Each pass then adds the counts into cells at
+    or below the ones it reads, which numpy does in place without a
+    temporary, so the box is the only array.  The passes run in ascending
+    |x_j| and each covers only the flat range reached so far; a zero shift
+    doubles every cell.
+
+    ``window``, a list of one [a_i, b_i] per row, asks only for the cells
+    of the box prod [a_i, b_i]: with every shift pointing down, a cell c can
+    still reach it only if wmin <= c <= wmax + rest, wmin and wmax the
+    window's lowest and highest flat cells and rest the sum of the shifts
+    not yet applied, so each pass updates no other cell.  Only the cells
+    inside the window are then exact.
     """
     lows = [sum(w for w in row if w < 0) for row in weight_rows]
     shape = [sum(abs(w) for w in row) + 1 for row in weight_rows]
     last = math.prod(shape) - 1
-    packed, start, stride = [0] * n, 0, last + 1
+    packed, start, stride, strides = [0] * n, 0, last + 1, []
     for row, lo, size in zip(weight_rows, lows, shape):
         stride //= size
+        strides.append(stride)
         packed = [p + stride * w for p, w in zip(packed, row)]
         start -= stride * lo
+    start += sum(x for x in packed if x > 0)
+    if window is None:
+        window = [(lo, lo + size - 1) for lo, size in zip(lows, shape)]
+    wmin, wmax = (sum(d * (ends[k] - lo) for d, ends, lo in zip(strides, window, lows))
+                  for k in (0, 1))
+    shifts = sorted(abs(x) for x in packed)
     counts = np.zeros(last + 1, dtype=int_dtype(1 << n))
     counts[start] = 1
-    a = b = start  # the flat range reached so far
-    for x in packed:
-        i, j = max(a, -x), min(b, last - x)
-        counts[i + x:j + x + 1] += counts[i:j + 1]
-        a, b = min(a, i + x), max(b, j + x)
+    a, rest = start, sum(shifts)  # a..start holds every nonzero count
+    for x in shifts:
+        rest -= x
+        i, j = max(a, wmin + x), min(start, wmax + rest + x)
+        if i <= j:
+            counts[i - x:j - x + 1] += counts[i:j + 1]
+            a = min(a, i - x)
     return counts.reshape(shape), lows

@@ -14,9 +14,12 @@ and before anything is allocated, ``_use_histogram`` picks one of two
 kernels from a work estimate:
 
 - Histogram: when the box of the gates' achievable sums is small, Bellman's
-  dynamic program (``mitm.histogram``) counts the points at every cell in
-  n passes.  The box prod [s_i, h_i] is summed at once over the axes of
-  0-slope rows, and contracted axis by axis with the values of the others.
+  dynamic program (``mitm.histogram``) counts the points in n passes, with
+  the accepted box prod [s_i, h_i] as its window: the variables whose
+  shifts point up are complemented, so every pass adds in place below the
+  cells it reads, and it updates only the cells that can still reach the
+  window.  The accepted box is summed at once over the axes of 0-slope
+  rows, and contracted axis by axis with the values of the others.
 - Split and list: the gates' weight vectors are packed into one vector in a
   base B large enough that per-gate digits of any packed sum cannot
   interfere; the gate with the widest [s, h] sits at the lowest digit, and
@@ -76,7 +79,11 @@ _BOX_CELLS = 1 << 22
 # the histogram runs when its n * box cell updates are at most this many
 # times the split-and-list estimate, 2^ceil(n/2) half sums per tuple; timed
 # on 1-3 gates with n = 8-40, it was faster on every shape below this ratio,
-# and up to 2.9 times slower on boxes of a million cells above it
+# and up to 2.9 times slower on boxes of a million cells above it.  That
+# timing predates the in-place, window-pruned passes, which made narrow
+# windows several times cheaper; the ratio is kept as it was, so that no
+# query changes kernel, until a kernel rule that also weighs memory
+# re-derives it
 _BOX_RATIO = 16
 
 
@@ -129,10 +136,11 @@ def _top_value(rows: Sequence[_Row]) -> int:
 
 
 def _box_sum(rows: Sequence[_Row], n: int) -> int:
-    """``_range_sum`` from the joint histogram: the counts over the box
-    prod [s_i, h_i], summed at once over the axes of 0-slope rows, which are
-    1 there, and contracted axis by axis with the others' values."""
-    counts, lows = histogram([row[0] for row in rows], n)
+    """``_range_sum`` from the joint histogram, built with the box
+    prod [s_i, h_i] as its window: the counts there, summed at once over the
+    axes of 0-slope rows, which are 1 there, and contracted axis by axis
+    with the others' values."""
+    counts, lows = histogram([row[0] for row in rows], n, [row[1:3] for row in rows])
     total = counts[tuple(slice(s - lo, h - lo + 1) for (_, s, h, *_), lo in zip(rows, lows))]
     flat = [i for i, row in enumerate(rows) if not row[3]]
     if flat:

@@ -9,6 +9,7 @@ import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -24,6 +25,7 @@ from hypersum import (
 )
 
 sp = importlib.import_module("hypersum.sumprod")
+mitm = importlib.import_module("hypersum.mitm")
 
 SETTINGS = settings(derandomize=True, deadline=None, max_examples=80)
 
@@ -201,7 +203,6 @@ def test_point_gates_count_one_packed_subset_sum(n):
         calls.append(target)
         return real(weights, target)
 
-    mitm = importlib.import_module("hypersum.mitm")
     with pytest.MonkeyPatch.context() as m:
         m.setattr(sp, "_use_histogram", lambda *args: False)
         m.setattr(sp, "count_subset_sum", spy)
@@ -311,7 +312,6 @@ def test_a_half_pruned_to_empty_keeps_the_tally_and_the_cap():
     assert value == 0
     assert sizes[0][0] == 0 < sizes[0][1]
     # the tally still counts both halves in full
-    mitm = importlib.import_module("hypersum.mitm")
     before = mitm.partials.value
     assert forced(gates, False) == 0
     assert mitm.partials.value - before == 2 ** ((n + 1) // 2) + 2 ** (n // 2)
@@ -321,3 +321,135 @@ def test_a_half_pruned_to_empty_keeps_the_tally_and_the_cap():
         sumprod_thr(gates, tuple_cap=99)
     assert mitm.partials.value == before
     assert sumprod_thr(gates, tuple_cap=100) == 0
+
+
+# --- the histogram kernel: complemented, ascending, window-pruned passes ----
+
+
+def dict_histogram(rows, n):
+    """{(s_1, ..., s_d): count} of the points' sums, one variable at a time."""
+    counts = {(0,) * len(rows): 1}
+    for j in range(n):
+        grown = dict(counts)
+        for sums, c in counts.items():
+            key = tuple(s + row[j] for s, row in zip(sums, rows))
+            grown[key] = grown.get(key, 0) + c
+        counts = grown
+    return counts
+
+
+def assert_histogram_cells(rows, n, window=None):
+    """The cells of ``mitm.histogram`` inside ``window`` (the whole box when
+    None) equal a dict DP's."""
+    counts, lows = mitm.histogram(rows, n, window)
+    if window is None:
+        window = [(lo, lo + size - 1) for lo, size in zip(lows, counts.shape)]
+    expect = np.zeros([b - a + 1 for a, b in window], dtype=object)
+    for sums, c in dict_histogram(rows, n).items():
+        if all(a <= s <= b for s, (a, b) in zip(sums, window)):
+            expect[tuple(s - a for s, (a, _) in zip(sums, window))] = c
+    cells = counts[tuple(slice(a - lo, b - lo + 1) for (a, b), lo in zip(window, lows))]
+    assert (cells == expect).all()
+
+
+@st.composite
+def histogram_products(draw):
+    """(n, [(weights, constant)]) with 1-3 gates over n <= 10 variables and
+    weights in {0, +-1, ..., +-50}, a drawn set of columns zero in every
+    gate; each constant sits at the bottom, the middle or the top of its
+    gate's achievable range, or outside it.  Only a gate of a one- or
+    two-gate product reaches +-50, so the box stays below 2^18 cells."""
+    n = draw(st.integers(1, 10))
+    k = draw(st.integers(1, 3))
+    zero = draw(st.lists(st.booleans(), min_size=n, max_size=n))
+    rows = []
+    for i in range(k):
+        bound = draw(st.sampled_from((1, 3, 50) if i == 0 or k < 3 else (1, 2)))
+        ws = [0 if z else w for z, w in zip(
+            zero, draw(st.lists(st.integers(-bound, bound), min_size=n, max_size=n)))]
+        lo, hi = sum(w for w in ws if w < 0), sum(w for w in ws if w > 0)
+        place = draw(st.sampled_from((lo, (lo + hi) // 2, hi, lo - 3, hi + 3)))
+        rows.append((ws, place + draw(st.integers(-2, 2))))
+    return n, rows
+
+
+@SETTINGS
+@given(histogram_products())
+def test_histogram_kernel_matches_the_oracle(case):
+    n, rows = case
+    for gates in (
+        [ThresholdGate(tuple(ws), t) for ws, t in rows],
+        [ExactThresholdGate(tuple(ws), t) for ws, t in rows],
+        [ReluGate(tuple(ws), 1 - t) for ws, t in rows],
+    ):
+        assert forced(gates, True) == oracle_sumprod(gates, n)
+    weights = [ws for ws, _ in rows]
+    assert_histogram_cells(weights, n)
+    # windows from each gate's constant c, clipped to the box: [c, top],
+    # [bottom, c] and [c, c]
+    ends = []
+    for ws, t in rows:
+        lo, hi = sum(w for w in ws if w < 0), sum(w for w in ws if w > 0)
+        ends.append((lo, min(max(t, lo), hi), hi))
+    for window in ([(c, hi) for _, c, hi in ends], [(lo, c) for lo, c, _ in ends],
+                   [(c, c) for _, c, _ in ends]):
+        assert_histogram_cells(weights, n, window)
+
+
+# --- identities at n = 34-40, where the oracle cannot reach -----------------
+
+
+@st.composite
+def planted_products(draw):
+    """(n, family, [(weights, constant)]) with 1-3 narrow gates over
+    n = 34-40 variables whose constants come from a drawn point: a THR
+    threshold and the sum at which a ReLU gate turns positive sit at most 3
+    below the point's sum, and an ETHR target is that sum, so the answers
+    are nonzero.  Weights are in +-3, or +-1 in a three-gate product, so
+    every product takes the histogram."""
+    n = draw(st.integers(34, 40))
+    family = draw(st.sampled_from((ThresholdGate, ExactThresholdGate, ReluGate)))
+    k = draw(st.integers(1, 3))
+    bound = 1 if k == 3 else 3
+    point = draw(st.lists(st.booleans(), min_size=n, max_size=n))
+    rows = []
+    for _ in range(k):
+        ws = draw(st.lists(st.integers(-bound, bound), min_size=n, max_size=n))
+        hit = sum(w for w, b in zip(ws, point) if b)
+        rows.append((ws, hit if family is ExactThresholdGate else hit - draw(st.integers(0, 3))))
+    return n, family, rows
+
+
+def planted(family, rows):
+    if family is ReluGate:
+        return [ReluGate(tuple(ws), 1 - t) for ws, t in rows]
+    return [family(tuple(ws), t) for ws, t in rows]
+
+
+@settings(derandomize=True, deadline=None, max_examples=25)
+@given(planted_products(), st.data())
+def test_flipping_variables_keeps_the_sum_product(case, data):
+    # x_j -> 1 - x_j on J: w_j -> -w_j, and every sum drops by sum_J w_j
+    n, family, rows = case
+    flip = data.draw(st.lists(st.booleans(), min_size=n, max_size=n))
+    flipped = [([-w if f else w for w, f in zip(ws, flip)],
+                t - sum(w for w, f in zip(ws, flip) if f)) for ws, t in rows]
+    gates = planted(family, rows)
+    assert chooses_histogram(gates)
+    value = sumprod(gates)
+    assert value > 0
+    assert sumprod(planted(family, flipped)) == value
+
+
+@settings(derandomize=True, deadline=None, max_examples=25)
+@given(planted_products(), st.randoms(use_true_random=False))
+def test_permuting_variables_keeps_the_sum_product(case, rng):
+    n, family, rows = case
+    order = list(range(n))
+    rng.shuffle(order)
+    permuted = [([ws[j] for j in order], t) for ws, t in rows]
+    gates = planted(family, rows)
+    assert chooses_histogram(gates)
+    value = sumprod(gates)
+    assert value > 0
+    assert sumprod(planted(family, permuted)) == value

@@ -1,4 +1,5 @@
 import importlib
+import math
 import random
 from collections import Counter
 from itertools import product
@@ -309,3 +310,22 @@ def test_semi_join_memory_when_most_sums_survive():
         count, peak = joined_peak(ws, target)
         assert count >= 1
         assert peak <= bound * 2**20
+
+
+def test_histogram_memory_stays_near_the_box():
+    # two gates at n = 20 with weights in +-99: a box of about 10^6 int64
+    # cells; a shift that wrote above its source buffered up to one more box
+    import tracemalloc
+
+    rng = random.Random(7)
+    rows = [[rng.randint(-99, 99) for _ in range(20)] for _ in range(2)]
+    cells = math.prod(sum(map(abs, row)) + 1 for row in rows)
+    assert 5 * 10**5 < cells < 2 * 10**6
+    tracemalloc.start()
+    try:
+        counts, _ = mitm.histogram(rows, 20)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert counts.sum() == 2**20
+    assert peak < 1.25 * 8 * cells
