@@ -44,6 +44,7 @@ from .gates import (
     LinearGate,
     ThresholdGate,
     _gate_row,
+    _over_lcm,
 )
 from .mitm import histogram, int_dtype
 from .sumprod import DEFAULT_TUPLE_CAP, _affine, sumprod
@@ -102,8 +103,9 @@ def _form_table(coefficients, gates, n: int) -> Optional[tuple]:
     spans = [sum(map(abs, w)) for w in forms]
     if n * math.prod(span + 1 for span in spans) >= _HISTOGRAM_CELLS:
         return None
-    scale = math.lcm(*(m.denominator for pairs in forms.values() for m, _ in pairs))
-    forms = {w: [(int(m * scale), row) for m, row in pairs] for w, pairs in forms.items()}
+    scale, ints = _over_lcm([m for pairs in forms.values() for m, _ in pairs])
+    ints = iter(ints)
+    forms = {w: [(next(ints), row) for _, row in pairs] for w, pairs in forms.items()}
     bound = sum(
         abs(m) * max(abs(a * s + b), abs(a * h + b))
         for pairs in forms.values() for m, (_, s, h, a, b, *_) in pairs
@@ -150,9 +152,11 @@ class _PowerSums:
     every question from one ``_form_table``.  An F_p combination, or one
     whose box is over the bound, is expanded into Sum-Products: equal gates
     are merged by adding their coefficients, and gates left with coefficient
-    0 are dropped.  A product of 0/1-valued gates is keyed by the sorted set of
-    its gate indices, any other by the multiset, and each key's Sum-Product
-    is computed at most once per call, in ``values``.
+    0 are dropped.  The merged coefficients are kept as the integers
+    ``ints`` = scale * c_j, scale the lcm of their denominators, so the
+    expansion runs on integers.  A product of 0/1-valued gates is keyed by
+    the sorted set of its gate indices, any other by the multiset, and each
+    key's Sum-Product is computed at most once per call, in ``values``.
     """
 
     def __init__(self, coefficients, gates, n: int, caps: dict):
@@ -165,8 +169,8 @@ class _PowerSums:
                 totals[merged.index(g)] += c
             else:
                 merged.append(g)
-                totals.append(Fraction(c))
-        self.coefficients = [c for c in totals if c]
+                totals.append(c)
+        self.scale, self.ints = _over_lcm([c for c in totals if c])
         self.gates = [g for g, c in zip(merged, totals) if c]
         self.sets = all(_is_indicator(g) for g in self.gates)
         self.n = n
@@ -175,25 +179,30 @@ class _PowerSums:
 
     def __call__(self, powers) -> Fraction:
         """The table's cell sum, or one Sum-Product per key whose summed
-        coefficient is nonzero."""
+        coefficient is nonzero.  With f = F / scale for the integer
+        combination F = sum_j ints[j] * gates[j], each key's coefficient is
+        the integer w_k * multinomial * prod_j ints[j]^e_j * scale^(K-k), K
+        the largest k, and the sum is divided by scale^K once."""
         if self.table is not None:
             return _cell_sum(self.table, powers)
-        weights: dict[tuple, Fraction] = {}
+        top = max(k for k, _ in powers)
+        weights: dict[tuple, int] = {}
         for k, w in powers:
+            w *= self.scale ** (top - k)
             for combo in combinations_with_replacement(range(len(self.gates)), k):
                 counts = Counter(combo)
                 mult = math.factorial(k)
-                coeff = Fraction(w)
+                coeff = w
                 for j, e in counts.items():
                     mult //= math.factorial(e)
-                    coeff *= self.coefficients[j] ** e
+                    coeff *= self.ints[j] ** e
                 key = tuple(counts) if self.sets else combo
                 weights[key] = weights.get(key, 0) + mult * coeff
-        total = Fraction(0)
+        total = 0
         for key, coeff in weights.items():
             if coeff:
                 total += coeff * self._value(key)
-        return total
+        return Fraction(total, self.scale**top)
 
     def _value(self, key: tuple):
         if key not in self.values:

@@ -59,7 +59,7 @@ def _fail(message: str, code: int) -> int:
 
 
 def _format(value) -> object:
-    value = Fraction(value)
+    """An int or a Fraction as JSON: an integer, or a "p/q" string."""
     if value.denominator == 1:
         return value.numerator
     return f"{value.numerator}/{value.denominator}"

@@ -27,10 +27,15 @@ class Family(str, Enum):
 def as_fraction(x: Rational) -> Fraction:
     """Coerce an int, decimal string ("3", "-1/2") or Fraction to Fraction.
 
-    Floats are rejected: they would smuggle rounding into exact arithmetic.
-    So are booleans, which Python counts as ints but are not numbers.  A zero
-    denominator raises ValueError.
+    A Fraction is returned itself, so a value is built into a Fraction once
+    however many constructors it passes through; an instance of a Fraction
+    subclass becomes a plain Fraction.  Floats are rejected: they would
+    smuggle rounding into exact arithmetic.  So are booleans, which Python
+    counts as ints but are not numbers.  A zero denominator raises
+    ValueError.
     """
+    if type(x) is Fraction:
+        return x
     if isinstance(x, float):
         raise TypeError("floats are not accepted; use int, Fraction or 'p/q' string")
     if isinstance(x, bool):
@@ -243,16 +248,21 @@ def eval_relu(g: ReluGate, x: Sequence[int]) -> Fraction:
     return acc if acc > 0 else Fraction(0)
 
 
+def _over_lcm(values: Sequence[Fraction]) -> tuple[int, list[int]]:
+    """(d, [v * d for v in values]) for d the lcm of the values'
+    denominators: the values as integers over one common denominator."""
+    d = math.lcm(*[x.denominator for x in values])
+    if d == 1:
+        return 1, [x.numerator for x in values]
+    return d, [x.numerator * (d // x.denominator) for x in values]
+
+
 def _primitive_form(gate: LinearGate, lead_positive: bool = True):
     """(w, lam) with the gate's weights lam * w, for the primitive integer
     vector w whose first nonzero entry is positive or, unless
     ``lead_positive``, with lam > 0.  lam is an int when the weights are.
     An all-zero gate gives its zero weights and lam = 0."""
-    scale = math.lcm(*[x.denominator for x in gate.weights])
-    if scale == 1:
-        ints = [x.numerator for x in gate.weights]
-    else:
-        ints = [x.numerator * (scale // x.denominator) for x in gate.weights]
+    scale, ints = _over_lcm(gate.weights)
     unit = math.gcd(*ints)
     if not unit:
         return tuple(ints), 0

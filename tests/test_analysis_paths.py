@@ -12,6 +12,7 @@ purpose, and the number of Sum-Products it makes is pinned.
 
 import io
 import json
+import random
 from fractions import Fraction
 from itertools import product
 
@@ -742,3 +743,304 @@ def test_multi_form_combination_reads_one_joint_histogram(monkeypatch, name):
     built.clear()
     assert check_equal(comb, comb).equal
     assert len(built) == 1
+
+
+# -- the expansion on integer coefficients ----------------------------------
+
+BIG = 10**30  # BIG - 1, BIG and BIG + 1 are pairwise coprime
+ROWS6 = ((1, -2, 0, 3, 1, -1), (2, 1, 1, 0, -3, 1), (0, 1, -1, 2, 2, 1))
+
+
+def _fp3(monomials):
+    return FpPolynomial(3, 6, monomials)
+
+
+def _fp5(monomials):
+    return FpPolynomial(5, 6, monomials)
+
+
+Q3 = {0b11: 1, 0b1100: 2, 0b100000: 1}  # x1 x2 + 2 x3 x4 + x6 over F_3
+Q5 = {0b11: 3, 0b101000: 1, 0b10: 4, 0: 2}  # 3 x1 x2 + x4 x6 + 4 x2 + 2 over F_5
+
+# name -> (combination, a second one of its family and n): the first is
+# Boolean-valued in the "-boolean" cases
+EXACT_CASES = {
+    # [u >= 2] - [u >= 4] on one u, each gate g split as c g + (1 - c) g'
+    # over two spellings of it, with c = 1/(BIG-1) and 1/BIG
+    "huge-denominators-boolean": (
+        LinComb(
+            Family.THR,
+            (Fraction(1, BIG - 1), Fraction(BIG - 2, BIG - 1),
+             -Fraction(1, BIG), -Fraction(BIG - 1, BIG)),
+            (ThresholdGate(ROWS6[0], 2), ThresholdGate(tuple(3 * w for w in ROWS6[0]), 6),
+             ThresholdGate(ROWS6[0], 4), ThresholdGate(tuple(5 * w for w in ROWS6[0]), 20)),
+        ),
+        LinComb(
+            Family.THR,
+            (Fraction(7, BIG + 1), Fraction(-BIG, BIG - 1), Fraction(3, BIG)),
+            tuple(ThresholdGate(w, 1) for w in ROWS6),
+        ),
+    ),
+    "huge-denominators-ethr": (
+        LinComb(
+            Family.ETHR,
+            (Fraction(BIG, BIG - 1), Fraction(-1, BIG + 1), Fraction(BIG + 3, BIG)),
+            tuple(ExactThresholdGate(w, 1) for w in ROWS6),
+        ),
+        LinComb(
+            Family.ETHR,
+            (Fraction(1, BIG), Fraction(1, BIG + 1)),
+            (ExactThresholdGate(ROWS6[0], 1), ExactThresholdGate(ROWS6[2], 2)),
+        ),
+    ),
+    "huge-denominators-relu": (
+        LinComb(
+            Family.RELU,
+            (Fraction(1, BIG - 1), Fraction(-2, BIG + 1), Fraction(BIG, 3)),
+            tuple(ReluGate(w, -1) for w in ROWS6),
+        ),
+        LinComb(
+            Family.RELU, (Fraction(5, BIG),), (ReluGate(ROWS6[1], Fraction(1, 2)),),
+        ),
+    ),
+    # 2 relu(u/2 + 1/2) - 2 relu(u/2) = [u >= 0], and the same with
+    # u = <ROWS6[1], x> - 1 written over thirds
+    "relu-rational-weights-boolean": (
+        LinComb(
+            Family.RELU,
+            (Fraction(2), Fraction(-2)),
+            (ReluGate(tuple(Fraction(w, 2) for w in ROWS6[0]), Fraction(1, 2)),
+             ReluGate(tuple(Fraction(w, 2) for w in ROWS6[0]), 0)),
+        ),
+        LinComb(
+            Family.RELU,
+            (Fraction(3), Fraction(-3)),
+            (ReluGate(tuple(Fraction(w, 3) for w in ROWS6[1]), 0),
+             ReluGate(tuple(Fraction(w, 3) for w in ROWS6[1]), Fraction(-1, 3))),
+        ),
+    ),
+    "relu-rational-weights": (
+        LinComb(
+            Family.RELU,
+            (Fraction(3, 4), Fraction(-1, 6), Fraction(2)),
+            (ReluGate((Fraction(1, 2), Fraction(-2, 3), 1, Fraction(5, 4), 0, -1), Fraction(1, 3)),
+             ReluGate((Fraction(-7, 5), 1, Fraction(1, 3), 0, 2, Fraction(1, 2)), 1),
+             ReluGate((Fraction(1, 6), Fraction(1, 6), Fraction(-1, 6), 1, 1, 1), Fraction(-5, 6))),
+        ),
+        LinComb(
+            Family.RELU,
+            (Fraction(1, 7), Fraction(9, 2)),
+            (ReluGate((Fraction(1, 2), Fraction(-2, 3), 1, Fraction(5, 4), 0, -1), Fraction(1, 3)),
+             ReluGate(tuple(Fraction(w, 4) for w in ROWS6[2]), Fraction(1, 4))),
+        ),
+    ),
+    # (q + 2q)/3 = [q != 0] over F_3, with 2q written as its own polynomial
+    "f3-boolean": (
+        LinComb(
+            Family.FP_POLY,
+            (Fraction(1, 3), Fraction(1, 3)),
+            (_fp3(Q3), _fp3({m: 2 * c for m, c in Q3.items()})),
+        ),
+        LinComb(
+            Family.FP_POLY,
+            (Fraction(1, 2), Fraction(-2, 3), Fraction(BIG, 7)),
+            (_fp3(Q3), _fp3({0b1010: 1, 0: 2}), _fp3({0b110001: 2})),
+        ),
+    ),
+    # (q + 2q + 3q + 4q)/10 = [q != 0] over F_5: four gates, multiset keys
+    "f5-boolean": (
+        LinComb(
+            Family.FP_POLY,
+            (Fraction(1, 10),) * 4,
+            tuple(_fp5({m: k * c for m, c in Q5.items()}) for k in range(1, 5)),
+        ),
+        LinComb(
+            Family.FP_POLY,
+            (Fraction(1, BIG + 1), Fraction(-3, 4), Fraction(2)),
+            (_fp5(Q5), _fp5({0b111: 1, 0b1: 4}), _fp5({0b100100: 2, 0: 1})),
+        ),
+    ),
+}
+
+
+@pytest.mark.parametrize("name", EXACT_CASES)
+def test_integer_expansion_matches_the_oracle(monkeypatch, name):
+    monkeypatch.setattr(analysis, "_HISTOGRAM_CELLS", 0)
+    comb, other = EXACT_CASES[name]
+    for f, g in ((comb, other), (other, comb)):
+        verdict = check_boolean(f)
+        assert verdict.deviation == _deviation(f)
+        assert verdict.is_boolean == oracle_check_boolean(f).is_boolean
+        expected = oracle_count_sat(f) if verdict.is_boolean else InvariantViolation
+        assert _outcome(lambda: count_sat(f)) == expected
+        total = sum((eval_lincomb(f, x) for x in _points(f.n)), Fraction(0))
+        if total.denominator == 1 and 0 <= total <= 2**f.n:
+            expected = int(total)
+        else:
+            expected = InvariantViolation
+        assert _outcome(lambda: count_sat(f, unchecked=True)) == expected
+        distance = check_equal(f, g).distance
+        assert distance == _distance(f, g) > 0
+    assert check_boolean(comb).is_boolean == name.endswith("-boolean")
+
+
+# the gate subsets, as indices into FIVE_ETHR's gates, that check_boolean hands
+# to analysis.sumprod, in order: the sets of 2, 3 and 4 gates each follow the
+# first combination that reaches them, and {0} is skipped because gate 0's
+# coefficient 1 gives it 1 - 2 + 1 = 0
+FIVE_ETHR_ROWS = [[(j * (i + 2) + i) % 7 + 1 for j in range(10)] for i in range(5)]
+FIVE_ETHR = LinComb(
+    Family.ETHR,
+    tuple(Fraction(x) for x in ("1", "1/2", "-2/3", "3", "-5/7")),
+    tuple(
+        ExactThresholdGate(tuple(w), sum(w[j] for j in range(10) if (j + i) % 3 == 0))
+        for i, w in enumerate(FIVE_ETHR_ROWS)
+    ),
+)
+FIVE_ETHR_SETS = [
+    (0, 1), (0, 2), (0, 3), (0, 4), (1,), (1, 2), (1, 3), (1, 4), (2,), (2, 3),
+    (2, 4), (3,), (3, 4), (4,), (0, 1, 2), (0, 1, 3), (0, 1, 4), (0, 2, 3),
+    (0, 2, 4), (0, 3, 4), (1, 2, 3), (1, 2, 4), (1, 3, 4), (2, 3, 4),
+    (0, 1, 2, 3), (0, 1, 2, 4), (0, 1, 3, 4), (0, 2, 3, 4), (1, 2, 3, 4),
+]
+
+
+def test_expansion_keys_keep_their_order(monkeypatch):
+    monkeypatch.setattr(analysis, "_HISTOGRAM_CELLS", 0)
+    seen = []
+    real = analysis.sumprod
+    gates = FIVE_ETHR.gates
+    monkeypatch.setattr(
+        analysis, "sumprod",
+        lambda gs, *a, **k: seen.append(tuple(gates.index(g) for g in gs)) or real(gs, *a, **k),
+    )
+    assert check_boolean(FIVE_ETHR).deviation == _deviation(FIVE_ETHR)
+    assert seen == FIVE_ETHR_SETS
+
+
+# -- identities at n = 24-30, past the oracle -------------------------------
+#
+# Three to five independent gates with weights in +-7 put n * prod R_i far
+# over ``_HISTOGRAM_CELLS``, so every combination here takes the expansion
+# with the constant as it is.  Permuting the variables, or flipping
+# x_j -> 1 - x_j on a set J (w_j -> -w_j on J, every sum shifted by
+# sum_J w_j), must leave each answer unchanged.
+
+WIDE_FAMILIES = (Family.THR, Family.ETHR, Family.RELU)
+WIDE_COEFFICIENTS = [Fraction(x) for x in ("2", "-1/2", "2/3", "3", "-5/7")]
+
+
+def _wide(family, coefficients, rows):
+    """The combination of (weights, t) rows: [<w, x> >= t], [<w, x> = t] or
+    relu(<w, x> + 1 - t), each nonzero from the sum t on."""
+    if family is Family.RELU:
+        gates = tuple(ReluGate(tuple(w), 1 - t) for w, t in rows)
+    else:
+        cls = ThresholdGate if family is Family.THR else ExactThresholdGate
+        gates = tuple(cls(tuple(w), t) for w, t in rows)
+    comb = LinComb(family, tuple(coefficients), gates)
+    assert analysis._form_table(comb.coefficients, comb.gates, comb.n) is None
+    return comb
+
+
+def _wide_rows(rng, family, n, k):
+    """k rows over n variables with weights in +-7: an ETHR target is the
+    sum at a random point, and a THR or ReLU window holds the top 1-13 sums,
+    so every gate is nonzero somewhere and every product stays narrow."""
+    rows = []
+    for _ in range(k):
+        w = [rng.randint(-7, 7) for _ in range(n)]
+        if family is Family.ETHR:
+            t = sum(x for x in w if rng.random() < 0.5)
+        else:
+            t = sum(x for x in w if x > 0) - rng.randint(0, 12)
+        rows.append((w, t))
+    return rows
+
+
+def _disjoint_rows(rng, family, n, k):
+    """k rows whose gates are nonzero only at distinct values of (x1, x2):
+    weights 1000 (2a - 1) and 400 (2b - 1) there make <w, x> fall 400 or
+    more below 1000 a + 400 b unless x1 = a and x2 = b, and the other n - 2
+    weights in +-7 span less than 400."""
+    rows = []
+    for a, b in rng.sample([(0, 0), (0, 1), (1, 0), (1, 1)], k):
+        rest, t = _wide_rows(rng, family, n - 2, 1)[0]
+        rows.append(([1000 * (2 * a - 1), 400 * (2 * b - 1)] + rest, 1000 * a + 400 * b + t))
+    return rows
+
+
+def _permuted(rows, order):
+    return [([w[j] for j in order], t) for w, t in rows]
+
+
+def _flipped(rows, flip):
+    return [
+        ([-x if f else x for x, f in zip(w, flip)], t - sum(x for x, f in zip(w, flip) if f))
+        for w, t in rows
+    ]
+
+
+def _variants(rng, rows, n):
+    """The rows, then permuted, then flipped on a random set J."""
+    order = list(range(n))
+    rng.shuffle(order)
+    flip = [rng.random() < 0.5 for _ in range(n)]
+    return [rows, _permuted(rows, order), _flipped(rows, flip)]
+
+
+# weights come from random.Random(seed): a hypothesis-drawn random shrinks
+# towards all-zero weights, whose combinations fit the histogram
+WIDE = settings(derandomize=True, deadline=None, max_examples=10)
+
+
+@pytest.mark.parametrize("family", WIDE_FAMILIES, ids=lambda f: f.value)
+@WIDE
+@given(st.integers(0, 2**32))
+def test_wide_deviation_survives_permutations_and_flips(family, seed):
+    rng = random.Random(seed)
+    n, k = rng.randint(24, 30), rng.randint(3, 5)
+    coefficients = [rng.choice(WIDE_COEFFICIENTS) for _ in range(k)]
+    rows = _wide_rows(rng, family, n, k)
+    answers = {check_boolean(_wide(family, coefficients, r)) for r in _variants(rng, rows, n)}
+    assert len(answers) == 1
+    assert answers.pop().deviation > 0
+
+
+@pytest.mark.parametrize("family", WIDE_FAMILIES, ids=lambda f: f.value)
+@WIDE
+@given(st.integers(0, 2**32))
+def test_wide_count_sat_survives_permutations_and_flips(family, seed):
+    rng = random.Random(seed)
+    # disjoint indicators sum to a Boolean function; a ReLU indicator is
+    # relu(s + 1 - t) - relu(s - t) = [s >= t]
+    n = rng.randint(24, 30)
+    k = 2 if family is Family.RELU else rng.randint(3, 4)
+    rows = _disjoint_rows(rng, family, n, k)
+    counts = set()
+    for r in _variants(rng, rows, n):
+        if family is Family.RELU:
+            r = [row for w, t in r for row in ((w, t), (w, t + 1))]
+            comb = _wide(family, [1, -1] * k, r)
+        else:
+            comb = _wide(family, [1] * k, r)
+        counts.add(count_sat(comb))
+    assert len(counts) == 1
+    assert counts.pop() > 0
+
+
+@pytest.mark.parametrize("family", WIDE_FAMILIES, ids=lambda f: f.value)
+@WIDE
+@given(st.integers(0, 2**32))
+def test_wide_distance_survives_permutations_and_flips(family, seed):
+    rng = random.Random(seed)
+    # the two sides share all but one gate, with other coefficients
+    n, k = rng.randint(24, 30), rng.randint(3, 4)
+    rows = _wide_rows(rng, family, n, k + 1)
+    left = [rng.choice(WIDE_COEFFICIENTS) for _ in range(k)]
+    right = [rng.choice(WIDE_COEFFICIENTS) for _ in range(k)]
+    answers = set()
+    for r in _variants(rng, rows, n):
+        answers.add(check_equal(_wide(family, left, r[:k]), _wide(family, right, r[1:])))
+    assert len(answers) == 1
+    assert answers.pop().distance > 0

@@ -528,3 +528,34 @@ def test_a_document_that_is_not_an_object_is_exit_1(tmp_path, capsys):
     code, out, err = run(["sumprod", write(tmp_path, [1, 2])], capsys)
     assert code == 1 and out == ""
     assert json.loads(err) == {"error": "the document must be a JSON object"}
+
+
+def _analysis_docs(bad):
+    """check-boolean, count-sat and check-equal documents with one bad
+    rational, as (command, document, field named in the error)."""
+    comb = {"family": "thr", "n": 2, "coefficients": [bad],
+            "gates": [{"weights": [1, 1], "threshold": 1}]}
+    relu = {"family": "relu", "n": 2, "coefficients": [1],
+            "gates": [{"weights": [1, bad], "bias": 1}]}
+    ethr = {"family": "ethr", "n": 1, "coefficients": [1],
+            "gates": [{"weights": [1], "target": 1}]}
+    bad_ethr = {**ethr, "gates": [{"weights": [1], "target": bad}]}
+    return [
+        ("check-boolean", comb, "coefficients"),
+        ("check-boolean", relu, "weights"),
+        ("count-sat", comb, "coefficients"),
+        ("count-sat", relu, "weights"),
+        ("check-equal", {"left": bad_ethr, "right": ethr}, "target"),
+    ]
+
+
+@pytest.mark.parametrize("bad, reason", [
+    (0.5, " takes rationals, not float 0.5"),
+    (True, " takes rationals, not bool True"),
+    ("1/0", ": zero denominator in '1/0'"),
+])
+def test_bad_rationals_in_analysis_documents_keep_their_errors(tmp_path, capsys, bad, reason):
+    for command, doc, field in _analysis_docs(bad):
+        code, out, err = run([command, write(tmp_path, doc)], capsys)
+        assert code == 1 and out == ""
+        assert json.loads(err) == {"error": f"field {field!r}{reason}"}

@@ -59,6 +59,51 @@ def test_as_fraction_rejects_zero_denominator():
         ThresholdGate(("-3/0", 1), 1)
 
 
+class _Tagged(Fraction):
+    """A Fraction subclass, standing in for a caller's own rational type."""
+
+
+def test_fractions_are_taken_as_they_are():
+    f = Fraction(-7, 3)
+    assert as_fraction(f) is f
+    weights, constant = (Fraction(1, 2), Fraction(-3), Fraction(5, 4)), Fraction(2, 3)
+    for cls in (ThresholdGate, ExactThresholdGate, ReluGate):
+        gate = cls(weights, constant)
+        assert all(a is b for a, b in zip(gate.weights, weights))
+        assert getattr(gate, cls._constant) is constant
+    coefficients = (Fraction(10**30 + 1, 7), Fraction(-1))
+    comb = LinComb(Family.RELU, coefficients, (ReluGate(weights, constant),) * 2)
+    assert all(a is b for a, b in zip(comb.coefficients, coefficients))
+
+
+def test_fraction_subclasses_become_plain_fractions():
+    x = as_fraction(_Tagged(3, 6))
+    assert type(x) is Fraction and x == Fraction(1, 2)
+    gate = ThresholdGate((_Tagged(1), 2), _Tagged(-5, 2))
+    assert [type(w) for w in gate.weights] == [Fraction, Fraction]
+    assert type(gate.threshold) is Fraction and gate.threshold == Fraction(-5, 2)
+    comb = LinComb(Family.THR, (_Tagged(2),), (gate,))
+    assert type(comb.coefficients[0]) is Fraction
+
+
+@pytest.mark.parametrize("x, error, message", [
+    (0.5, TypeError, "floats are not accepted; use int, Fraction or 'p/q' string"),
+    (True, TypeError, "booleans are not accepted as numbers: True"),
+    (False, TypeError, "booleans are not accepted as numbers: False"),
+    ("1/0", ValueError, "zero denominator in '1/0'"),
+])
+def test_as_fraction_errors_are_unchanged(x, error, message):
+    with pytest.raises(error) as caught:
+        as_fraction(x)
+    assert str(caught.value) == message
+    with pytest.raises(error) as caught:
+        ExactThresholdGate((Fraction(1), x), 1)
+    assert str(caught.value) == message
+    with pytest.raises(error) as caught:
+        LinComb(Family.THR, (x,), (ThresholdGate((1,), 1),))
+    assert str(caught.value) == message
+
+
 def test_gate_constructors_reject_floats():
     with pytest.raises(TypeError):
         ThresholdGate((0.5, 1), 1)
