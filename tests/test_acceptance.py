@@ -16,24 +16,24 @@ import conftest
 
 from hypersum import (
     FpPolynomial,
-    FpSumProdParams,
     ThresholdGate,
-    amplifier_order,
-    count_subset_sum,
     count_system,
     check_boolean,
-    eval_all_points,
-    mod_amplifier,
     oracle_check_boolean,
     oracle_count_fp_system,
     oracle_sumprod,
-    partials,
-    suffix_count_poly,
     sumprod_fp,
-    sumprod_relu,
-    sumprod_thr,
-    thr_to_relu_pair,
 )
+from hypersum.fppoly import (
+    FpSumProdParams,
+    amplifier_order,
+    eval_all_points,
+    mod_amplifier,
+    suffix_count_poly,
+)
+from hypersum.mitm import count_subset_sum, partials
+from hypersum.sumprod import sumprod_relu, sumprod_thr
+from hypersum.transforms import thr_to_relu_pair
 from randgen import (
     perturb_comb,
     rand_boolean_ethr_comb,

@@ -32,12 +32,11 @@ from hypersum import (
     check_boolean,
     check_equal,
     count_sat,
-    eval_lincomb,
     oracle_check_boolean,
     oracle_count_sat,
 )
 from hypersum.cli import main
-from hypersum.gates import _primitive_form
+from hypersum.gates import _primitive_form, eval_lincomb
 
 SETTINGS = settings(derandomize=True, deadline=None, max_examples=120)
 

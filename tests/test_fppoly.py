@@ -8,18 +8,20 @@ from hypersum import (
     CapExceeded,
     DEFAULT_DENSE_CAP,
     FpPolynomial,
-    FpSumProdParams,
     InvariantViolation,
-    MultilinearRingPoly,
-    amplifier_order,
     count_roots,
     count_system,
-    eval_all_points,
-    mod_amplifier,
     oracle_count_fp_system,
     oracle_sumprod,
-    suffix_count_poly,
     sumprod_fp,
+)
+from hypersum.fppoly import (
+    FpSumProdParams,
+    MultilinearRingPoly,
+    amplifier_order,
+    eval_all_points,
+    mod_amplifier,
+    suffix_count_poly,
 )
 from randgen import rand_fp_poly
 

@@ -14,20 +14,20 @@ from hypersum import (
     LinComb,
     ReluGate,
     ThresholdGate,
-    as_fraction,
-    bits_from_mask,
-    eval_lincomb,
-    gate_value,
-    mask_from_bits,
-    normalize_integer,
 )
 from hypersum.gates import (
     _gate_row,
     _is_prime,
+    as_fraction,
+    bits_from_mask,
     eval_ethr,
+    eval_lincomb,
     eval_relu,
     eval_thr,
+    gate_value,
     integer_weights,
+    mask_from_bits,
+    normalize_integer,
 )
 
 

@@ -21,8 +21,8 @@ from hypersum import (
     ThresholdGate,
     oracle_sumprod,
     sumprod,
-    sumprod_thr,
 )
+from hypersum.sumprod import sumprod_thr
 
 sp = importlib.import_module("hypersum.sumprod")
 mitm = importlib.import_module("hypersum.mitm")

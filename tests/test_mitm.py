@@ -10,12 +10,9 @@ from hypothesis import strategies as st
 
 from hypersum import (
     ExactThresholdGate,
-    count_subset_sum,
-    half_sums,
     oracle_sumprod,
-    partials,
-    split_point,
 )
+from hypersum.mitm import count_subset_sum, half_sums, partials, split_point
 
 mitm = importlib.import_module("hypersum.mitm")
 sp = importlib.import_module("hypersum.sumprod")

@@ -11,13 +11,11 @@ from hypersum import (
     FpPolynomial,
     ReluGate,
     ThresholdGate,
-    count_subset_sum,
     oracle_sumprod,
     sumprod,
-    sumprod_ethr,
-    sumprod_relu,
-    sumprod_thr,
 )
+from hypersum.mitm import count_subset_sum
+from hypersum.sumprod import sumprod_ethr, sumprod_relu, sumprod_thr
 from randgen import (
     rand_ethr_instance,
     rand_relu_instance,

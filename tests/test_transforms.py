@@ -7,14 +7,14 @@ from hypersum import (
     CapExceeded,
     ExactThresholdGate,
     ThresholdGate,
+)
+from hypersum.gates import bits_from_mask, gate_value, normalize_integer
+from hypersum.transforms import (
     collapse_base,
     collapse_ethr_conjunction,
-    gate_value,
-    normalize_integer,
     thr_to_ethrs,
     thr_to_relu_pair,
 )
-from hypersum.gates import bits_from_mask
 
 
 def test_thr_to_ethrs_partitions_support():

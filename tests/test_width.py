@@ -9,16 +9,13 @@ from hypothesis import strategies as st
 
 from hypersum import (
     ExactThresholdGate,
-    MultilinearRingPoly,
     ReluGate,
     ThresholdGate,
-    count_subset_sum,
-    eval_all_points,
     oracle_sumprod,
-    sumprod_ethr,
-    sumprod_relu,
-    sumprod_thr,
 )
+from hypersum.fppoly import MultilinearRingPoly, eval_all_points
+from hypersum.mitm import count_subset_sum
+from hypersum.sumprod import sumprod_ethr, sumprod_relu, sumprod_thr
 
 SETTINGS = settings(derandomize=True, deadline=None, max_examples=60)
 
