@@ -1,5 +1,16 @@
 """Root counting and Sum-Products for low-degree polynomials over F_p.
 
+A polynomial of degree at most 1 is a linear form mod p (over F_2, parity).
+Root counts, systems and Sum-Products of such polynomials read one joint
+histogram of their forms' integer sums (``_linear_table``, Bellman's
+dynamic program ``mitm.histogram``): polys[j] takes the value
+(s_j + c0_j) mod p on the cells of axis j, c0_j its constant term.  It is
+taken when its box of sums holds at most min(``mitm._BOX_CELLS``, k << n)
+cells, so it never allocates more cells than the k dense tables, and it is
+neither a dense table nor the value-tuple pass, so ``dense_cap`` and
+``tuple_cap`` do not bind it.  The rest of the module answers every other
+input.
+
 The fast root counter splits off the last m = floor(n/(6dp)) variables,
 sums a modulus-amplified indicator over all suffix assignments, and reads
 per-prefix suffix-root counts out of the residues of a single polynomial over
@@ -32,7 +43,7 @@ import numpy as np
 
 from .errors import CapExceeded, InvariantViolation
 from .gates import FpPolynomial, _is_prime, _shared_n
-from .mitm import int_dtype
+from .mitm import _BOX_CELLS, histogram, int_dtype
 
 DEFAULT_DENSE_CAP = 26
 _INT32_BOUND = 1 << 31
@@ -349,18 +360,44 @@ def _value_histogram(p: int, n: int, items: tuple[tuple[int, int], ...]) -> Mapp
     return MappingProxyType(dict(zip(values.tolist(), counts.tolist())))
 
 
+def _linear_table(polys: Sequence[FpPolynomial]) -> Optional[np.ndarray]:
+    """The joint histogram N[s_1, ..., s_k] = |{x : sum_i c_ij x_i = s_j for
+    all j}| of the nonconstant parts of ``polys``, c_ij the coefficient of
+    x_i in polys[j] as stored (in 1..p-1), or None.
+
+    None unless every polynomial has degree at most 1 and the box
+    prod_j (sum_i c_ij + 1) is at most min(``_BOX_CELLS``, k << n) cells, so
+    the histogram never allocates more cells than the k dense tables it
+    replaces.  polys[j] takes the value (s_j + c0_j) mod p on the cells of
+    axis j, c0_j its constant term.
+    """
+    if any(q.degree > 1 for q in polys):
+        return None
+    n = polys[0].n
+    rows = [[q.monomials.get(1 << i, 0) for i in range(n)] for q in polys]
+    if math.prod(sum(row) + 1 for row in rows) > min(_BOX_CELLS, len(polys) << n):
+        return None
+    return histogram(rows, n)[0]
+
+
 def count_roots(q: FpPolynomial, *, dense_cap: int = DEFAULT_DENSE_CAP) -> int:
     """|{x in {0,1}^n : q(x) = 0 mod p}|.
 
-    Constant polynomials are answered directly.  When m = floor(n/(6dp)) >= 1
-    (d the actual degree), the suffix-count construction reduces the table to
-    2^(n-m) entries whose residues are exact counts; otherwise the value
-    histogram of a full dense evaluation is used.
+    Constant polynomials are answered directly, and a polynomial of degree 1
+    whose ``_linear_table`` fits its box bound by the sum of the table's
+    cells (-c0 mod p) + p * i, c0 the constant term.  Otherwise, when
+    m = floor(n/(6dp)) >= 1 (d the actual degree), the suffix-count
+    construction reduces the table to 2^(n-m) entries whose residues are
+    exact counts; else the value histogram of a full dense evaluation is
+    used.
     """
     nonconst = {mask: c for mask, c in q.monomials.items() if mask}
     const = q.monomials.get(0, 0)
     if not nonconst:
         return (1 << q.n) if const % q.p == 0 else 0
+    counts = _linear_table([q])
+    if counts is not None:
+        return int(counts[-const % q.p::q.p].sum())
     d = max(mask.bit_count() for mask in nonconst)
     m = _suffix_vars(q.n, d, q.p)
     if m >= 1:
@@ -459,9 +496,13 @@ def count_system(
 ):
     """|{x : polys[j](x) = targets[j] mod p for all j}|.
 
-    ``_reads_dense`` (with L = 2) picks the kernel.  The dense one compares
-    the k value tables with the targets point by point, k * 2^n work for any
-    p, and the accumulator is p^k times that count.  Otherwise
+    When every polynomial has degree at most 1 and their ``_linear_table``
+    fits its box bound, the count sums the table's cells
+    (t_j - c0_j mod p) + p * i_j along every axis j, and the accumulator is
+    p^k times that count.  Otherwise ``_reads_dense`` (with L = 2) picks the
+    kernel.  The dense one compares the k value tables with the targets
+    point by point, k * 2^n work for any p, and the accumulator is p^k times
+    that count.  Otherwise
     ``_accumulators`` runs for one target tuple: the accumulator sums, over
     all b in F_p^k, the number of points where
     sum_j b_j (polys[j] - targets[j]) is 0 minus the number where it is 1,
@@ -471,18 +512,23 @@ def count_system(
         raise ValueError("polynomial/target count mismatch")
     p, n = _shared_shape(polys)
     power = p ** len(polys)
-    if _reads_dense(polys, 2, dense_cap):
+    counts = _linear_table(polys)
+    if counts is not None:
+        hits = tuple(slice((t - q.monomials.get(0, 0)) % p, None, p)
+                     for q, t in zip(polys, targets))
+        count = int(counts[hits].sum())
+    elif _reads_dense(polys, 2, dense_cap):
         hit = np.ones(1 << n, dtype=bool)
         # one value table at a time: each is dropped once compared
         for q, t in zip(polys, targets):
             hit &= _eval_table(MultilinearRingPoly(p, n, q.monomials)) == t % p
         count = int(np.count_nonzero(hit))
-        acc = count * power
     else:
         (acc,) = _accumulators(polys, [targets], dense_cap)
         count = acc // power
     if with_accumulator:
-        return count, acc
+        # _accumulators has checked that p^k divides its accumulator
+        return count, count * power
     return count
 
 
@@ -495,21 +541,31 @@ def sumprod_fp(
 ) -> int:
     """sum over x of prod_i lift(polys[i](x)), values lifted to {0..p-1}.
 
-    ``_reads_dense`` (with L = p) picks the kernel.  The dense one multiplies
-    the k value tables pointwise and sums the product: k * 2^n work for any
-    p.  Otherwise the product is expanded over value tuples: tuples
-    containing a zero value carry weight zero and are skipped; each
-    remaining tuple contributes its integer product of values times the
-    number of points realizing it.  One ``_accumulators`` pass counts all
-    (p-1)^k tuples in <= p^(k+1) root counts; it holds one accumulator per
-    tuple, so only this kernel is refused, with CapExceeded, when
-    (p-1)^k exceeds ``tuple_cap`` (None: no cap).
+    When every polynomial has degree at most 1 and their ``_linear_table``
+    fits its box bound, the table is contracted axis by axis with the values
+    (s_j + c0_j) mod p of its cells.  Otherwise ``_reads_dense`` (with
+    L = p) picks the kernel.  The dense one multiplies the k value tables
+    pointwise and sums the product: k * 2^n work for any p.  Otherwise the
+    product is expanded over value tuples: tuples containing a zero value
+    carry weight zero and are skipped; each remaining tuple contributes its
+    integer product of values times the number of points realizing it.  One
+    ``_accumulators`` pass counts all (p-1)^k tuples in <= p^(k+1) root
+    counts; it holds one accumulator per tuple, so only this kernel is
+    refused, with CapExceeded, when (p-1)^k exceeds ``tuple_cap`` (None: no
+    cap).
     """
     n = _shared_n(polys, n)
     if not polys:
         return 1 << n
     p, _ = _shared_shape(polys)
     k = len(polys)
+    counts = _linear_table(polys)
+    if counts is not None:
+        total = counts.astype(int_dtype((p - 1) ** k << n), copy=False)
+        for q in reversed(polys):
+            values = np.arange(total.shape[-1], dtype=total.dtype) + q.monomials.get(0, 0)
+            total = total @ (values % p)
+        return int(total)
     if _reads_dense(polys, p, dense_cap):
         prod = np.ones(1 << n, dtype=int_dtype((p - 1) ** k << n))
         for q in polys:

@@ -49,6 +49,8 @@ _JOIN_SPAN_RATIO = 0.25
 # (512 KiB of int64).  Blocks of 2^13-2^17 sums timed alike at n = 40-44;
 # 2^18 was slower at n = 40
 _BLOCK_LOG = 16
+# a ``histogram`` box never holds more cells than this (32 MiB of int64)
+_BOX_CELLS = 1 << 22
 
 
 def int_dtype(*magnitudes: int):

@@ -65,7 +65,7 @@ from .gates import (
     _gate_row,
     _shared_n,
 )
-from .mitm import count_subset_sum, half_sums, histogram, int_dtype, split_point
+from .mitm import _BOX_CELLS, count_subset_sum, half_sums, histogram, int_dtype, split_point
 
 DEFAULT_TUPLE_CAP = 10**7
 
@@ -74,8 +74,6 @@ DEFAULT_TUPLE_CAP = 10**7
 # hundred kilobytes whatever the query size
 _CHUNK = 8192
 
-# the histogram kernel's box of sums never holds more cells than this
-_BOX_CELLS = 1 << 22
 # the histogram runs when its n * box cell updates are at most this many
 # times the split-and-list estimate, 2^ceil(n/2) half sums per tuple; timed
 # on 1-3 gates with n = 8-40, it was faster on every shape below this ratio,

@@ -271,10 +271,13 @@ def test_rational_errors_name_their_field(tmp_path, capsys, text, field):
     assert f"field {field!r}" in json.loads(err)["error"]
 
 
-def test_fp_value_tuples_count_against_the_tuple_cap(tmp_path, capsys):
+def test_fp_value_tuples_count_against_the_tuple_cap(tmp_path, capsys, monkeypatch):
     # 2^2 = 4 nonzero value tuples over F_3; with the dense tables capped
-    # below n = 18 the product takes the tuple pass, refused before any
-    # tuple is built
+    # below n = 18 and the degree-1 histogram off, the product takes the
+    # tuple pass, refused before any tuple is built
+    import hypersum.fppoly as fp
+
+    monkeypatch.setattr(fp, "_linear_table", lambda polys: None)
     odd = {"monomials": [[[j], 1] for j in range(1, 18, 2)] + [[[], 1]]}
     every_third = {"monomials": [[[j], 1] for j in range(2, 18, 3)]}
     doc = {"family": "fp", "p": 3, "n": 18, "gates": [odd, every_third]}

@@ -3,6 +3,8 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hypersum import (
     CapExceeded,
@@ -343,9 +345,11 @@ def test_sumprod_fp_negative_n():
         sumprod_fp([], -2)
 
 
-def test_sumprod_fp_tuple_cap_binds_only_the_tuple_pass():
+def test_sumprod_fp_tuple_cap_binds_only_the_tuple_pass(monkeypatch):
     # n = 18 >= 6dp leaves a suffix, so dense_cap = 17 forces the pass over
-    # the (3-1)^2 = 4 nonzero value tuples; the dense tables hold none
+    # the (3-1)^2 = 4 nonzero value tuples; the dense tables hold none, and
+    # neither does the degree-1 histogram, turned off here
+    _histogram_off(monkeypatch)
     odd = FpPolynomial(3, 18, {0: 1, **{1 << j: 1 for j in range(0, 17, 2)}})
     every_third = FpPolynomial(3, 18, {1 << j: 1 for j in range(1, 17, 3)})
     polys = [odd, every_third]
@@ -389,10 +393,20 @@ def _record_calls(monkeypatch, name):
     return seen
 
 
-def _force_kernel(monkeypatch, dense):
-    """Make ``fppoly._reads_dense`` answer ``dense`` for every system."""
+def _histogram_off(monkeypatch):
+    """Turn off the degree-1 joint histogram, so that degree-1 systems take
+    the dense, suffix or value-tuple kernels."""
     import hypersum.fppoly as fp
 
+    monkeypatch.setattr(fp, "_linear_table", lambda polys: None)
+
+
+def _force_kernel(monkeypatch, dense):
+    """Make ``fppoly._reads_dense`` answer ``dense`` for every system, with
+    the degree-1 histogram off."""
+    import hypersum.fppoly as fp
+
+    _histogram_off(monkeypatch)
     monkeypatch.setattr(fp, "_reads_dense", lambda polys, levels, dense_cap: dense)
 
 
@@ -488,6 +502,7 @@ def test_sumprods_weigh_p_levels_and_systems_two(monkeypatch):
         levels_seen.append(levels)
         return True
 
+    _histogram_off(monkeypatch)
     monkeypatch.setattr(fp, "_reads_dense", recording)
     polys = [FpPolynomial(5, 4, {1: 1}), FpPolynomial(5, 4, {2: 3})]
     assert sumprod_fp(polys) == oracle_sumprod(polys, 4)
@@ -505,6 +520,7 @@ def test_dense_rule_keeps_the_cap_without_a_suffix():
 def test_pass_answers_when_only_the_suffix_table_fits(monkeypatch):
     # dense_cap = n - 1 = n - m: the 2^n dense tables would exceed the cap,
     # each 2^(n-1)-entry suffix-count table does not
+    _histogram_off(monkeypatch)
     counted = _record_calls(monkeypatch, "count_roots")
     for n, polys, targets in _suffix_regime_systems():
         assert count_system(polys, targets, dense_cap=n - 1) == oracle_count_fp_system(
@@ -552,12 +568,15 @@ def test_root_counts_per_call_are_bounded(monkeypatch, p, k, n):
     assert len(counted) <= 2 * p**k
 
 
-def test_invariant_violation_surfaces():
+def test_invariant_violation_surfaces(monkeypatch):
     # a poisoned count_roots breaks the p^k divisibility and must be caught;
     # shifting exactly one call by 1 leaves the accumulator off by 1.  The
     # system is in the suffix regime (m = 12 // (6 * 1 * 2) = 1), since a
-    # dense-regime system compares value tables and counts no roots
+    # dense-regime system compares value tables and counts no roots, and the
+    # degree-1 histogram, which counts none either, is off
     import hypersum.fppoly as fp
+
+    _histogram_off(monkeypatch)
 
     real = fp.count_roots
     q = FpPolynomial(2, 12, {1: 1})
@@ -659,3 +678,84 @@ def test_value_histogram_memory_does_not_grow_with_p():
     # x1 + 2*x2 = 3 at the one point x1 = x2 = 1, for either value of x3, x4
     shifted = FpPolynomial.from_terms(p, 4, [((1,), 1), ((2,), 2), ((), -3)])
     assert count_roots(shifted) == oracle_count_fp_system([shifted], [0]) == 4
+
+
+# ---- degree-1 polynomials: one joint histogram ----
+
+@st.composite
+def _linear_systems(draw):
+    """(p, n, polys, targets): k <= 3 polynomials of degree at most 1 over
+    F_p, p <= 7, n <= 12, some of them zero or constant, sometimes one
+    degree-2 monomial added (a mixed-degree system), and targets drawn from
+    -3p..3p, mostly outside 0..p-1."""
+    p = draw(st.sampled_from([2, 3, 5, 7]))
+    n = draw(st.integers(1, 12))
+    k = draw(st.integers(1, 3))
+    coefficients = st.integers(1, p - 1)
+    polys = []
+    for _ in range(k):
+        kind = draw(st.sampled_from(["zero", "constant", "linear", "linear"]))
+        monomials = {}
+        if kind != "zero":
+            monomials[0] = draw(st.integers(0, p - 1))
+        if kind == "linear":
+            for i, c in draw(st.dictionaries(st.integers(0, n - 1), coefficients)).items():
+                monomials[1 << i] = c
+        polys.append(FpPolynomial(p, n, monomials))
+    if n >= 2 and draw(st.booleans()):
+        j = draw(st.integers(0, k - 1))
+        i = draw(st.integers(1, n - 1))
+        polys[j] = FpPolynomial(p, n, {**polys[j].monomials, 1 << i | 1: draw(coefficients)})
+    targets = draw(st.lists(st.integers(-3 * p, 3 * p), min_size=k, max_size=k))
+    return p, n, polys, targets
+
+
+@settings(derandomize=True, deadline=None, max_examples=150)
+@given(_linear_systems())
+def test_degree_one_questions_match_the_oracle_with_and_without_the_histogram(system):
+    import hypersum.fppoly as fp
+
+    p, n, polys, targets = system
+    k = len(polys)
+    if any(q.degree > 1 for q in polys):
+        assert fp._linear_table(polys) is None
+    first = polys[0]
+    root = FpPolynomial(p, n, {**first.monomials, 0: first.monomials.get(0, 0) - targets[0]})
+    expect_roots = oracle_count_fp_system([first], targets[:1])
+    expect_count = oracle_count_fp_system(polys, targets)
+    expect_sum = oracle_sumprod(polys, n)
+    for histogram in (True, False):
+        with pytest.MonkeyPatch.context() as mp:
+            if not histogram:
+                mp.setattr(fp, "_linear_table", lambda polys: None)
+            assert count_roots(root) == expect_roots
+            count, acc = count_system(polys, targets, with_accumulator=True)
+            assert count == expect_count
+            assert acc == count * p**k
+            assert sumprod_fp(polys, n) == expect_sum
+
+
+def test_degree_one_histogram_is_taken_within_its_box():
+    from hypersum.fppoly import _linear_table
+
+    # x1 + ... + x12 over F_2: a box of 13 cells, within 1 << 12
+    x = FpPolynomial(2, 12, {1 << i: 1 for i in range(12)})
+    assert _linear_table([x]).tolist() == [math.comb(12, s) for s in range(13)]
+    # 6 (x1 + x2) over F_7 at n = 2: a box of 13 cells, past 1 << 2
+    assert _linear_table([FpPolynomial(7, 2, {1: 6, 2: 6})]) is None
+
+
+def _parity(p, n, count):
+    """x1 + ... + x_count over F_p on n variables."""
+    return FpPolynomial(p, n, {1 << i: 1 for i in range(count)})
+
+
+def test_degree_one_identities_at_n_60():
+    # past the oracle and past the dense cap: the histogram binds neither
+    n = 60
+    assert count_roots(_parity(2, n, n)) == 2**59
+    f3 = sum(math.comb(n, s) for s in range(0, n + 1, 3))
+    assert count_roots(_parity(3, n, n)) == f3 == 384307168202282326
+    system = [_parity(2, n, n), _parity(2, n, 30)]
+    assert count_system(system, [0, 1], with_accumulator=True) == (288230376151711744, 2**60)
+    assert sumprod_fp([_parity(3, n, n)], n) == sum(math.comb(n, s) * (s % 3) for s in range(n + 1))
