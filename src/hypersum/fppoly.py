@@ -5,11 +5,12 @@ Root counts, systems and Sum-Products of such polynomials read one joint
 histogram of their forms' integer sums (``_linear_table``, Bellman's
 dynamic program ``mitm.histogram``): polys[j] takes the value
 (s_j + c0_j) mod p on the cells of axis j, c0_j its constant term.  It is
-taken when its box of sums holds at most min(``mitm._BOX_CELLS``, k << n)
-cells, so it never allocates more cells than the k dense tables, and it is
-neither a dense table nor the value-tuple pass, so ``dense_cap`` and
-``tuple_cap`` do not bind it.  The rest of the module answers every other
-input.
+taken when its counts fit int64 (n <= 61) and its box of sums holds at most
+min(``mitm._BOX_CELLS``, k << n) cells, so it never allocates more cells
+than the k dense tables, holds at most 32 MiB and costs at most n passes
+over them.  It is neither a dense table nor the value-tuple pass, so
+``dense_cap`` and ``tuple_cap`` do not bind it.  The rest of the module
+answers every other input.
 
 The fast root counter splits off the last m = floor(n/(6dp)) variables,
 sums a modulus-amplified indicator over all suffix assignments, and reads
@@ -365,15 +366,16 @@ def _linear_table(polys: Sequence[FpPolynomial]) -> Optional[np.ndarray]:
     all j}| of the nonconstant parts of ``polys``, c_ij the coefficient of
     x_i in polys[j] as stored (in 1..p-1), or None.
 
-    None unless every polynomial has degree at most 1 and the box
-    prod_j (sum_i c_ij + 1) is at most min(``_BOX_CELLS``, k << n) cells, so
-    the histogram never allocates more cells than the k dense tables it
-    replaces.  polys[j] takes the value (s_j + c0_j) mod p on the cells of
-    axis j, c0_j its constant term.
+    None unless every polynomial has degree at most 1, the counts fit int64
+    (n <= 61) and the box prod_j (sum_i c_ij + 1) is at most
+    min(``_BOX_CELLS``, k << n) cells, so the histogram never allocates more
+    cells than the k dense tables it replaces, holds at most 32 MiB and costs
+    at most n passes over them.  polys[j] takes the value (s_j + c0_j) mod p
+    on the cells of axis j, c0_j its constant term.
     """
-    if any(q.degree > 1 for q in polys):
-        return None
     n = polys[0].n
+    if int_dtype(1 << n) is not np.int64 or any(q.degree > 1 for q in polys):
+        return None
     rows = [[q.monomials.get(1 << i, 0) for i in range(n)] for q in polys]
     if math.prod(sum(row) + 1 for row in rows) > min(_BOX_CELLS, len(polys) << n):
         return None
@@ -384,8 +386,8 @@ def count_roots(q: FpPolynomial, *, dense_cap: int = DEFAULT_DENSE_CAP) -> int:
     """|{x in {0,1}^n : q(x) = 0 mod p}|.
 
     Constant polynomials are answered directly, and a polynomial of degree 1
-    whose ``_linear_table`` fits its box bound by the sum of the table's
-    cells (-c0 mod p) + p * i, c0 the constant term.  Otherwise, when
+    whose ``_linear_table`` fits its bounds is answered by summing the
+    table's cells (-c0 mod p) + p * i, c0 the constant term.  Otherwise, when
     m = floor(n/(6dp)) >= 1 (d the actual degree), the suffix-count
     construction reduces the table to 2^(n-m) entries whose residues are
     exact counts; else the value histogram of a full dense evaluation is
@@ -497,7 +499,7 @@ def count_system(
     """|{x : polys[j](x) = targets[j] mod p for all j}|.
 
     When every polynomial has degree at most 1 and their ``_linear_table``
-    fits its box bound, the count sums the table's cells
+    fits its bounds, the count sums the table's cells
     (t_j - c0_j mod p) + p * i_j along every axis j, and the accumulator is
     p^k times that count.  Otherwise ``_reads_dense`` (with L = 2) picks the
     kernel.  The dense one compares the k value tables with the targets
@@ -542,7 +544,7 @@ def sumprod_fp(
     """sum over x of prod_i lift(polys[i](x)), values lifted to {0..p-1}.
 
     When every polynomial has degree at most 1 and their ``_linear_table``
-    fits its box bound, the table is contracted axis by axis with the values
+    fits its bounds, the table is contracted axis by axis with the values
     (s_j + c0_j) mod p of its cells.  Otherwise ``_reads_dense`` (with
     L = p) picks the kernel.  The dense one multiplies the k value tables
     pointwise and sums the product: k * 2^n work for any p.  Otherwise the

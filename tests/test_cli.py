@@ -293,6 +293,33 @@ def test_fp_value_tuples_count_against_the_tuple_cap(tmp_path, capsys, monkeypat
     assert json.loads(out) == {"value": 258240}
 
 
+@pytest.mark.parametrize("command, doc", [
+    ("count-roots", {"p": 2, "n": 5000, "monomials": [[[j], 1] for j in range(1, 5001)]}),
+    ("count-system", {"p": 2, "n": 2000, "polys": [
+        {"monomials": [[[j], 1] for j in range(1, 2001)]}] * 2, "targets": [0, 1]}),
+])
+def test_degree_one_questions_past_int64_counts_stop_on_the_dense_cap(
+    command, doc, tmp_path, capsys, monkeypatch
+):
+    # 2^n points overflow int64 counts, so the degree-1 histogram is never
+    # built (n passes of big-int cells would take minutes to hours); the
+    # input falls through to the dense cap and exits at once
+    import time
+
+    import hypersum.fppoly as fp
+
+    def refuse(rows, n, window=None):
+        raise AssertionError("histogram built past int64 counts")
+
+    monkeypatch.setattr(fp, "histogram", refuse)
+    start = time.monotonic()
+    code, out, err = run([command, write(tmp_path, doc)], capsys)
+    assert code == 2
+    assert out == ""
+    assert "cap is 26" in json.loads(err)["error"]
+    assert time.monotonic() - start < 30
+
+
 @pytest.mark.parametrize("command, doc, expected", [
     # 999999^2 value tuples, but n = 4 reads the dense tables
     ("sumprod", {"family": "fp", "p": 1000003, "n": 4, "gates": [

@@ -437,6 +437,7 @@ def test_systems_in_suffix_regime_match_oracle(monkeypatch):
 def test_small_suffix_regime_systems_read_dense_tables(monkeypatch):
     # k * 2^m = k * 2 is below 2 * (2^k - 1) for k = 2, 3: the k dense tables
     # touch fewer entries than the pass, so no suffix polynomial is built
+    _histogram_off(monkeypatch)
     suffix_calls = _record_calls(monkeypatch, "suffix_count_poly")
     for n, polys, targets in _suffix_regime_systems():
         count, acc = count_system(polys, targets, with_accumulator=True)
@@ -743,6 +744,9 @@ def test_degree_one_histogram_is_taken_within_its_box():
     assert _linear_table([x]).tolist() == [math.comb(12, s) for s in range(13)]
     # 6 (x1 + x2) over F_7 at n = 2: a box of 13 cells, past 1 << 2
     assert _linear_table([FpPolynomial(7, 2, {1: 6, 2: 6})]) is None
+    # parity counts reach 2^(n-1): int64 holds them up to n = 61 only
+    assert _linear_table([_parity(2, 61, 61)]).tolist() == [math.comb(61, s) for s in range(62)]
+    assert _linear_table([_parity(2, 62, 62)]) is None
 
 
 def _parity(p, n, count):
