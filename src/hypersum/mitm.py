@@ -10,11 +10,17 @@ of their sums: an entry whose low bits match nothing on the other side
 cannot match at all, so it is dropped before sorting and the count stays
 exact.  The semi-join generates each half in blocks of 2^16 sums, one
 subset sum of the half's later weights added to the table of its first 16
-weights' sums, so only one block, the presence table and the survivors are
-held at a time.  A module-level tally records how many partial assignments
-were enumerated (2^ceil(n/2) + 2^floor(n/2) per call, independent of the
-weights).  ``histogram`` is the pseudo-polynomial alternative for small
-integer weights: Bellman's subset-sum dynamic program over the box of
+weights' sums, so only one block per run, the presence table and the
+survivors are held at a time.  Each of its passes splits the blocks into
+contiguous runs, one per CPU in the process's affinity mask (so ``taskset``
+limits them; there is no flag or environment variable) and at most one per
+block, and runs all but the first on helper threads: numpy releases the
+GIL inside the passes' additions, masks, stores and probes.  A half of at
+most 2^16 sums is one block, and a one-CPU process starts no thread.  A
+module-level tally records how many partial assignments were enumerated
+(2^ceil(n/2) + 2^floor(n/2) per call, independent of the weights).
+``histogram`` is the pseudo-polynomial alternative for small integer
+weights: Bellman's subset-sum dynamic program over the box of
 achievable sums of one or more linear forms.  It complements every variable
 whose shift would point up, so each pass adds in place with no temporary,
 and given a window of cells it updates only those that can still reach it.
@@ -117,36 +123,145 @@ def _half_blocks(part: Sequence[int], dtype):
     return low, offsets
 
 
+def _usable_cpus() -> int:
+    """The CPUs this process may run on: its affinity mask where the
+    platform has one, so ``taskset`` limits them."""
+    import os  # imported on use, as threading is: only the semi-join needs them
+
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _in_runs(step, count: int, runs: int) -> None:
+    """Calls step(run, lo, hi) on contiguous ranges [lo, hi) that cover
+    range(count), one per run, at most ``runs`` and at most ``count`` of them.
+
+    The calling thread takes run 0 and one helper thread each of the others.
+    Every helper is joined before this returns or raises; then the first
+    exception a helper raised is raised again, unchanged.  A single run
+    starts no thread."""
+    runs = min(runs, count)
+    if runs <= 1:
+        step(0, 0, count)
+        return
+    import threading
+
+    errors = []
+
+    def helper(run):
+        try:
+            step(run, count * run // runs, count * (run + 1) // runs)
+        except BaseException as exc:  # raised again by the calling thread
+            errors.append(exc)
+
+    threads = []
+    try:
+        for run in range(1, runs):
+            thread = threading.Thread(target=helper, args=(run,))
+            thread.start()
+            threads.append(thread)
+        step(0, 0, count // runs)
+    finally:
+        for thread in threads:
+            thread.join()
+    if errors:
+        raise errors[0]
+
+
+def _cells(o, low, negate: bool, mask: int, buffers):
+    """The cells (o - low if ``negate`` else o + low) & mask, computed in a
+    run's (sums, cells) buffers and returned as the cells buffer."""
+    sums, cells = (b[:len(low)] for b in buffers)
+    (np.subtract if negate else np.add)(o, low, out=sums)
+    np.bitwise_and(sums, mask, out=cells, casting="unsafe")
+    return cells
+
+
+# put and take use mode="clip" on indices that are always in range: in its
+# default mode, take copies ``out`` before writing it
+def _mark(table, blocks, negate: bool, buffers) -> None:
+    """Stores True into ``table`` at the cells of each (o, low) block."""
+    for o, low in blocks:
+        np.put(table, _cells(o, low, negate, len(table) - 1, buffers), True, mode="clip")
+
+
+def _probe(table, blocks, negate: bool, buffers, hits, counts) -> None:
+    """hits[i] = ``table`` at the cells of block i; counts[i] = its hits."""
+    for i, (o, low) in enumerate(blocks):
+        cells = _cells(o, low, negate, len(table) - 1, buffers)
+        table.take(cells, out=hits[i], mode="clip")
+        counts[i] = np.count_nonzero(hits[i])
+
+
+def _gather(low, offsets, hits, pieces) -> None:
+    """pieces[i] = the sums low + offsets[i] that hits[i] keeps."""
+    for o, hit, piece in zip(offsets, hits, pieces):
+        low.take(np.flatnonzero(hit), out=piece, mode="clip")
+        piece += o
+
+
 def _semi_join(first, second, target: int, bits: int):
     """(A, B): the sums A of half ``first`` and B of half ``second`` for which
-    target - A and B share their low ``bits`` bits with some entry on the
-    other side, each in ``half_sums`` order.
+    target - A and B share their low bits with some entry on the other side,
+    each in ``half_sums`` order.
 
-    Each half is a ``_half_blocks`` pair, and only one block of it and the
-    presence table are touched at a time: B's residues are scattered block by
-    block, each A block is probed and keeps its survivors, and the table is
-    rebuilt from those to filter B's blocks, generated again.  Only the
-    survivors are held whole."""
-    mask = (1 << bits) - 1
+    Each half is a ``_half_blocks`` pair (low, offsets), the blocks low + o.
+    B's cells mod 2^bits are marked in a presence table, and each A block is
+    probed against it; the survivors' cells then go into a second table of
+    about 8 cells per survivor (at most 2^bits), against which B's blocks,
+    generated again, are probed.  Every pass splits its blocks into
+    contiguous runs, one per usable CPU and at most one per block, and the
+    survivors keep their order.  Only one block per run, the tables, one
+    hit flag per A sum and the survivors are held at a time.
 
-    def residues(a):
-        return (a & mask).astype(np.intp, copy=False)
-
+    The calling thread allocates the tables, the block buffers, the hit
+    flags and the survivors: glibc gives each thread its own malloc arena,
+    which keeps what the thread freed, so large buffers allocated on helpers
+    would add to the process's resident memory.  A helper allocates only
+    numpy's index list of one block's survivors, in ``_gather``.  Runs share
+    a table only to store True into it, a single byte that is never read and
+    written back, so no store is lost; no bitset is shared.  Helpers call
+    nothing traced and never add to ``partials``."""
     (a_low, a_offsets), (b_low, b_offsets) = first, second
+    runs = min(_usable_cpus(), len(a_offsets))  # the first half has the most blocks
+    sums = np.empty((runs, len(a_low)), dtype=a_low.dtype)
+    cells = sums if sums.dtype == np.intp else np.empty(sums.shape, dtype=np.intp)
+    buffers = list(zip(sums, cells))
+    flags = np.empty(len(a_offsets) * len(a_low), dtype=bool)
+
+    def pass_over(step, table, blocks, negate: bool, *arrays):
+        # step(table, blocks, negate, buffers, *arrays) on each run's blocks
+        # and its slices of the per-block arrays
+        _in_runs(lambda r, i, j: step(table, blocks[i:j], negate, buffers[r],
+                                      *(a[i:j] for a in arrays)),
+                 len(blocks), runs)
+
+    def keep(table, low, offsets, negate: bool):
+        # the sums s = low + o, o in offsets, whose cell (of target - s if
+        # negate, else of s) is marked in table, in order
+        hits = flags[:len(offsets) * len(low)].reshape(len(offsets), -1)
+        counts = np.empty(len(offsets), dtype=np.intp)
+        blocks = [(target - o if negate else o, low) for o in offsets]
+        pass_over(_probe, table, blocks, negate, hits, counts)
+        ends = np.cumsum(counts)
+        kept = np.empty(int(ends[-1]), dtype=low.dtype)
+        pieces = np.split(kept, ends[:-1])
+        _in_runs(lambda r, i, j: _gather(low, offsets[i:j], hits[i:j], pieces[i:j]),
+                 len(offsets), runs)
+        return kept
+
     present = np.zeros(1 << bits, dtype=bool)
-    for o in b_offsets:
-        present[residues(b_low + o)] = True
-    kept = []
-    for o in a_offsets:
-        keep = np.flatnonzero(present[residues((target - o) - a_low)])
-        kept.append(a_low.take(keep) + o)
-    present[:] = False
-    for a in kept:
-        present[residues(target - a)] = True
-    kept = np.concatenate(kept)  # drops A's per-block pieces before B's
-    b_blocks = (b_low + o for o in b_offsets)
-    return kept, np.concatenate(
-        [b.take(np.flatnonzero(present[residues(b)])) for b in b_blocks])
+    pass_over(_mark, present, [(o, b_low) for o in b_offsets], False)
+    kept = keep(present, a_low, a_offsets, True)
+    del present
+    if not len(kept):
+        return kept, kept
+    partners = np.zeros(1 << min(bits, len(kept).bit_length() + 3), dtype=bool)
+    size = len(a_low)
+    pass_over(_mark, partners, [(target, kept[i:i + size]) for i in range(0, len(kept), size)],
+              True)
+    return kept, keep(partners, b_low, b_offsets, False)
 
 
 def count_subset_sum(weights: Sequence[int], target: int) -> int:
@@ -162,14 +277,16 @@ def count_subset_sum(weights: Sequence[int], target: int) -> int:
     is the bit length of the larger half plus 2, at most ``_JOIN_MAX_BITS``),
     the halves are first semi-joined on their low ``bits`` bits: a presence
     table of the residues of every B drops each A whose target - A has an
-    absent residue, and a table of the survivors' residues drops each B
-    likewise.  Equal integers agree in every bit (two's complement for
-    negative ones), so only entries without a partner are dropped and the
-    count is exact; sorting and binary search then see only the survivors.
-    On this path no half is held whole: ``_half_blocks`` splits each into
-    blocks of 2^``_BLOCK_LOG`` sums (512 KiB of int64), and the semi-join
-    passes over them one at a time.  Narrower sums skip the filter, since
-    nearly every entry would survive it, and build each half whole.
+    absent residue, and a second table, of about 8 cells per surviving A
+    (at most 2^bits), drops each B whose residue no survivor shares.  Equal
+    integers agree in every bit (two's complement for negative ones), so
+    only entries without a partner are dropped and the count is exact;
+    sorting and binary search then see only the survivors.  On this path no
+    half is held whole: ``_half_blocks`` splits each into blocks of
+    2^``_BLOCK_LOG`` sums (512 KiB of int64), and the semi-join passes over
+    them in one contiguous run of blocks per usable CPU, one block per run
+    at a time.  Narrower sums skip the filter, since nearly every entry
+    would survive it, and build each half whole.
     """
     ws = [int(w) for w in weights]
     if not ws:

@@ -1,6 +1,11 @@
 import importlib
+import io
+import json
 import math
+import os
 import random
+import sys
+import threading
 from collections import Counter
 from itertools import product
 
@@ -12,6 +17,7 @@ from hypersum import (
     ExactThresholdGate,
     oracle_sumprod,
 )
+from hypersum.cli import main
 from hypersum.mitm import count_subset_sum, half_sums, partials, split_point
 
 mitm = importlib.import_module("hypersum.mitm")
@@ -249,16 +255,22 @@ def test_semi_join_across_block_boundaries(case, block_log):
         assert calls == joined_in_blocks(ws, t, 64)[2]
 
 
-def packed_ethr(n, seed):
-    """(packed weights, target) of three ETHR gates with weights in +-1000
-    over n variables, packed as ``sumprod`` packs them for
-    ``count_subset_sum``, with targets taken at a random point."""
+def planted_ethr(n, seed, k=3):
+    """k ETHR gates with weights in +-1000 over n variables, their targets
+    taken at a random point."""
     rng = random.Random(seed)
     x = [rng.random() < 0.5 for _ in range(n)]
     gates = []
-    for _ in range(3):
+    for _ in range(k):
         ws = [rng.randint(-1000, 1000) for _ in range(n)]
         gates.append(ExactThresholdGate(tuple(ws), sum(w for w, b in zip(ws, x) if b)))
+    return gates
+
+
+def packed_ethr(n, seed, k=3):
+    """(packed weights, target) of ``planted_ethr(n, seed, k)``, packed as
+    ``sumprod`` packs them for ``count_subset_sum``."""
+    gates = planted_ethr(n, seed, k)
     captured = []
     with pytest.MonkeyPatch.context() as m:
         m.setattr(sp, "_use_histogram", lambda *args: False)
@@ -326,3 +338,158 @@ def test_histogram_memory_stays_near_the_box():
         tracemalloc.stop()
     assert counts.sum() == 2**20
     assert peak < 1.25 * 8 * cells
+
+
+# -- the semi-join's runs on helper threads ------------------------------------
+
+
+def bounded(fn, *args, timeout=60):
+    """(value, exception) of fn(*args), called on a thread named "caller"
+    that is joined with a timeout."""
+    out = [None, None]
+
+    def target():
+        try:
+            out[0] = fn(*args)
+        except BaseException as exc:
+            out[1] = exc
+
+    thread = threading.Thread(target=target, name="caller")
+    thread.start()
+    thread.join(timeout)
+    assert not thread.is_alive()
+    return out
+
+
+def run_counts(m):
+    """Record the runs each ``_in_runs`` call splits its blocks into."""
+    runs = []
+    real = mitm._in_runs
+
+    def recording(step, count, most):
+        runs.append(min(count, most))
+        real(step, count, most)
+
+    m.setattr(mitm, "_in_runs", recording)
+    return runs
+
+
+@SETTINGS
+@given(subset_sum_inputs(), st.integers(0, 3), st.integers(1, 3))
+def test_semi_join_in_one_to_three_runs(case, block_log, cpus):
+    # more runs than this machine may have CPUs, over blocks that do not
+    # split evenly between them
+    ws, targets = case
+    counts = sum_counts(ws)
+    n = len(ws)
+    blocks = 1 << max(0, split_point(n) - block_log)  # of the first half
+    for t in targets:
+        with pytest.MonkeyPatch.context() as m:
+            m.setattr(mitm, "_usable_cpus", lambda: cpus)
+            runs = run_counts(m)
+            count, tally, calls = joined_in_blocks(ws, t, block_log)
+        assert count == counts[t]
+        assert tally == 2 ** ((n + 1) // 2) + 2 ** (n // 2)
+        assert calls == joined_in_blocks(ws, t, 64)[2]
+        if calls:
+            assert max(runs) == min(cpus, blocks)
+
+
+def test_semi_join_runs_agree_under_rapid_thread_switches():
+    # eight runs over 256 blocks per half, switching threads every
+    # microsecond: a lost store into a shared table would drop survivors
+    ws, target = packed_ethr(28, 5)
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(mitm, "_usable_cpus", lambda: 1)
+        expected = joined_in_blocks(ws, target, 6)
+    assert expected[0] >= 1
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with pytest.MonkeyPatch.context() as m:
+            m.setattr(mitm, "_usable_cpus", lambda: 8)
+            for _ in range(3):
+                got, error = bounded(joined_in_blocks, ws, target, 6)
+                assert error is None
+                assert got == expected
+    finally:
+        sys.setswitchinterval(interval)
+
+
+def test_one_cpu_starts_no_thread():
+    ws, target = packed_ethr(36, 3)
+
+    def start(self):
+        raise AssertionError("a helper thread started")
+
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(mitm, "_usable_cpus", lambda: 1)
+        m.setattr(threading.Thread, "start", start)
+        count = count_subset_sum(ws, target)
+    assert count == count_subset_sum(ws, target) >= 1
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="no CPU affinity")
+def test_usable_cpus_follow_the_affinity_mask():
+    mask = os.sched_getaffinity(0)
+    assert mitm._usable_cpus() == len(mask)
+    os.sched_setaffinity(0, {min(mask)})
+    try:
+        assert mitm._usable_cpus() == 1
+    finally:
+        os.sched_setaffinity(0, mask)
+
+
+def test_a_helper_failure_is_raised_unchanged_after_every_join(capsys):
+    error = MemoryError("probe failed")
+    real = mitm._probe
+
+    def probe(*args):
+        if threading.current_thread().name != "caller":
+            raise error
+        return real(*args)
+
+    # n = 34: halves of 2^17 sums, two blocks each, one per run
+    gates = planted_ethr(34, 1, k=2)
+    ws, target = packed_ethr(34, 1, k=2)
+    doc = {"family": "ethr", "n": 34,
+           "gates": [{"weights": [int(w) for w in g.weights], "target": int(g.target)}
+                     for g in gates]}
+    before = threading.active_count()
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(mitm, "_usable_cpus", lambda: 2)
+        m.setattr(mitm, "_probe", probe)
+        value, raised = bounded(count_subset_sum, ws, target)
+        assert raised is error and value is None
+        assert threading.active_count() == before
+        m.setattr("sys.stdin", io.StringIO(json.dumps(doc)))
+        code, raised = bounded(main, ["sumprod", "-"])
+    assert threading.active_count() == before
+    assert raised is None and code == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert "Traceback" not in out.err
+    assert json.loads(out.err) == {"error": "probe failed"}
+
+
+@pytest.mark.parametrize("k", [2, 3])
+def test_semi_join_counts_keep_under_permutation_and_flips(k):
+    # past the oracle's reach, on this machine's own runs: permuting the
+    # variables moves weights between the halves, and flipping x_j -> 1 - x_j
+    # for j in J negates w_j and shifts the target by -w_j
+    rng = random.Random(k)
+    for n in (34, 35, 36):
+        ws, target = packed_ethr(n, 10 * k + n, k)
+        perm = rng.sample(ws, n)
+        flips = {j for j in range(n) if rng.random() < 0.5}
+        flipped = [-w if j in flips else w for j, w in enumerate(ws)]
+        shifted = target - sum(ws[j] for j in flips)
+        with pytest.MonkeyPatch.context() as m:
+            calls = []
+            real = mitm._semi_join
+            m.setattr(mitm, "_semi_join", lambda *args: calls.append(1) or real(*args))
+            counts = [count_subset_sum(*case)
+                      for case in ((ws, target), (perm, target), (flipped, shifted))]
+        assert len(calls) == 3
+        assert counts[0] >= 1
+        assert counts == [counts[0]] * 3
