@@ -1,24 +1,29 @@
 """Split-and-list counting and subset-sum histograms over the hypercube.
 
 The variables are split into a first half of ceil(n/2) and a second half of
-floor(n/2); all partial assignments of each half are enumerated, the second
-half is aggregated into a table sorted by partial sum, and first-half entries
-are matched against it by binary search.  When the halves are large and
-their sums spread wider than a quarter of a presence table of about eight
-cells per entry, ``count_subset_sum`` first semi-joins them on the low bits
+floor(n/2); all partial assignments of each half are enumerated, and
+``count_subset_sum`` counts the pairs of sums A and B with A + B = target.
+It turns the first half's sums into target - A in place, sorts both arrays
+in place, reads the distinct values of the second and their counts in one
+pass, and searches the ascending target - A among them.  When the halves
+are large and their sums spread wider than a quarter of a presence table
+of about eight cells per entry, it first semi-joins them on the low bits
 of their sums: an entry whose low bits match nothing on the other side
 cannot match at all, so it is dropped before sorting and the count stays
 exact.  The semi-join generates each half in blocks of 2^16 sums, one
 subset sum of the half's later weights added to the table of its first 16
 weights' sums, so only one block per run, the presence table and the
-survivors are held at a time.  Each of its passes splits the blocks into
-contiguous runs, one per CPU in the process's affinity mask (so ``taskset``
-limits them; there is no flag or environment variable) and at most one per
-block, and runs all but the first on helper threads: numpy releases the
-GIL inside the passes' additions, masks, stores and probes.  A half of at
-most 2^16 sums is one block, and a one-CPU process starts no thread.  A
-module-level tally records how many partial assignments were enumerated
-(2^ceil(n/2) + 2^floor(n/2) per call, independent of the weights).
+survivors are held at a time.  Each of its passes, and the search on
+either path, splits its work into contiguous runs, one per CPU in the
+process's affinity mask (so ``taskset`` limits them; there is no flag or
+environment variable) and at most one per block of the first half, and
+runs all but the first on helper threads; with two runs or more, the two
+sorts run side by side.  numpy releases the GIL inside the passes'
+additions, masks, stores and probes, and inside its sorts and searches.
+A half of at most 2^16 sums is one block, so n <= 32 and a one-CPU
+process start no thread.  A module-level tally records how many partial
+assignments were enumerated (2^ceil(n/2) + 2^floor(n/2) per call,
+independent of the weights).
 ``histogram`` is the pseudo-polynomial alternative for small integer
 weights: Bellman's subset-sum dynamic program over the box of
 achievable sums of one or more linear forms.  It complements every variable
@@ -55,6 +60,8 @@ _JOIN_SPAN_RATIO = 0.25
 # (512 KiB of int64).  Blocks of 2^13-2^17 sums timed alike at n = 40-44;
 # 2^18 was slower at n = 40
 _BLOCK_LOG = 16
+# the match searches at most 2^14 needles at a time (128 KiB of int64)
+_MATCH_CHUNK = 1 << 14
 # a ``histogram`` box never holds more cells than this (32 MiB of int64)
 _BOX_CELLS = 1 << 22
 
@@ -126,7 +133,7 @@ def _half_blocks(part: Sequence[int], dtype):
 def _usable_cpus() -> int:
     """The CPUs this process may run on: its affinity mask where the
     platform has one, so ``taskset`` limits them."""
-    import os  # imported on use, as threading is: only the semi-join needs them
+    import os  # imported on use, as threading is: only the runs need them
 
     if hasattr(os, "sched_getaffinity"):
         return len(os.sched_getaffinity(0))
@@ -264,6 +271,43 @@ def _semi_join(first, second, target: int, bits: int):
     return kept, keep(partners, b_low, b_offsets, False)
 
 
+def _sort(arrays) -> None:
+    """Sorts each array in place."""
+    for a in arrays:
+        a.sort()
+
+
+def _keys(b):
+    """(keys, counts): the distinct values of the sorted array ``b``, in
+    ascending order, and how often each occurs in it."""
+    starts = np.flatnonzero(np.not_equal(b[1:], b[:-1]))
+    starts += 1  # where each value but the first starts
+    bounds = np.concatenate(([0], starts, [len(b)]))
+    return b[bounds[:-1]], np.diff(bounds)
+
+
+def _match(needles, keys, counts) -> int:
+    """The sum of counts[i] over the needles equal to keys[i], for ascending
+    ``needles`` and ascending distinct ``keys``.
+
+    The needles go in chunks of at most ``_MATCH_CHUNK``, so the
+    temporaries stay a few hundred KiB, and each chunk is searched only
+    among the keys from its first needle to its last."""
+    total = 0
+    for i in range(0, len(needles), _MATCH_CHUNK):
+        chunk = needles[i:i + _MATCH_CHUNK]
+        lo = keys.searchsorted(chunk[0])
+        hi = keys.searchsorted(chunk[-1], side="right")
+        if lo == hi:
+            continue
+        near = keys[lo:hi]
+        # a needle past the last near key gets the last one, which differs
+        idx = near.searchsorted(chunk)
+        hit = near.take(idx, mode="clip") == chunk
+        total += int(np.dot(counts[lo:hi].take(idx, mode="clip"), hit))
+    return total
+
+
 def count_subset_sum(weights: Sequence[int], target: int) -> int:
     """|{x in {0,1}^n : <w, x> = target}| by splitting the variables in half.
 
@@ -281,12 +325,21 @@ def count_subset_sum(weights: Sequence[int], target: int) -> int:
     (at most 2^bits), drops each B whose residue no survivor shares.  Equal
     integers agree in every bit (two's complement for negative ones), so
     only entries without a partner are dropped and the count is exact;
-    sorting and binary search then see only the survivors.  On this path no
+    the match then sees only the survivors.  On this path no
     half is held whole: ``_half_blocks`` splits each into blocks of
     2^``_BLOCK_LOG`` sums (512 KiB of int64), and the semi-join passes over
     them in one contiguous run of blocks per usable CPU, one block per run
     at a time.  Narrower sums skip the filter, since nearly every entry
     would survive it, and build each half whole.
+
+    The match works in place on the arrays this call built: A becomes
+    target - A, the two arrays are sorted as two runs, one pass over sorted
+    B reads its distinct values and their counts, and target - A is split
+    into contiguous runs that each search ascending chunks of at most
+    ``_MATCH_CHUNK`` needles among those values and total the counts of the
+    hits.  There are as many runs as the semi-join's passes have, one per
+    usable CPU and at most one per block of the first half, so n <= 32 and
+    a one-CPU process start no thread.
     """
     ws = [int(w) for w in weights]
     if not ws:
@@ -298,20 +351,22 @@ def count_subset_sum(weights: Sequence[int], target: int) -> int:
     bits = min(h + 3, _JOIN_MAX_BITS)  # the larger half has 2^h entries
     span = min(sum(abs(w) for w in part) for part in halves)
     if len(ws) - h >= _JOIN_MIN_LOG and span > _JOIN_SPAN_RATIO * (1 << bits):
-        sums = _semi_join(*(_half_blocks(p, dtype) for p in halves), target, bits)
-        if not len(sums[1]):
+        a, b = _semi_join(*(_half_blocks(p, dtype) for p in halves), target, bits)
+        if not len(b):
             return 0
     else:
-        # lazily, so each half is freed before the next is built
-        sums = (np.asarray(half_sums(part), dtype=dtype) for part in halves)
-    # np.unique sorts the sums faster in enumeration order than as target - A
-    (k1, c1), (k2, c2) = (np.unique(a, return_counts=True) for a in sums)
-    need = target - k1
-    idx = np.searchsorted(k2, need)
-    idx[idx == len(k2)] = 0
-    hit = k2[idx] == need
-    # the hit counts total at most 2^n, so their products never overflow
-    return int(c1[hit] @ c2[idx[hit]])
+        a, b = (np.asarray(half_sums(part), dtype=dtype) for part in halves)
+    runs = min(_usable_cpus(), 1 << max(0, h - _BLOCK_LOG))  # the semi-join's rule
+    np.subtract(target, a, out=a)  # A pairs with each B equal to target - A
+    _in_runs(lambda r, i, j: _sort((a, b)[i:j]), 2, runs)
+    keys, counts = _keys(b)
+    totals = [0] * runs
+
+    def match(run, i, j):
+        totals[run] = _match(a[i:j], keys, counts)
+
+    _in_runs(match, len(a), runs)
+    return sum(totals)
 
 
 def histogram(weight_rows: Sequence[Sequence[int]], n: int, window=None):

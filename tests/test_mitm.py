@@ -9,6 +9,7 @@ import threading
 from collections import Counter
 from itertools import product
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -493,3 +494,90 @@ def test_semi_join_counts_keep_under_permutation_and_flips(k):
         assert len(calls) == 3
         assert counts[0] >= 1
         assert counts == [counts[0]] * 3
+
+
+# -- the match: in-place sorts and one ascending search ------------------------
+
+
+@st.composite
+def duplicate_heavy_inputs(draw):
+    """Weights from {1, 2, 3} or {-7, 7}, so most subset sums repeat."""
+    n = draw(st.integers(1, 16))
+    ws = draw(st.lists(st.sampled_from(draw(st.sampled_from(((1, 2, 3), (-7, 7))))),
+                       min_size=n, max_size=n))
+    picks = draw(st.lists(st.booleans(), min_size=n, max_size=n))
+    reachable = sum(w for w, b in zip(ws, picks) if b)
+    return ws, [reachable, reachable + draw(st.integers(-3, 3)), 0, sum(ws) + 1]
+
+
+@SETTINGS
+@given(duplicate_heavy_inputs(), st.booleans(), st.integers(0, 3), st.integers(1, 3))
+def test_duplicate_heavy_halves_in_one_to_three_runs(case, on, block_log, cpus):
+    ws, targets = case
+    counts = sum_counts(ws)
+    blocks = 1 << max(0, split_point(len(ws)) - block_log)
+    for t in targets:
+        with pytest.MonkeyPatch.context() as m:
+            calls = joined(m, on)
+            m.setattr(mitm, "_BLOCK_LOG", block_log)
+            m.setattr(mitm, "_usable_cpus", lambda: cpus)
+            runs = run_counts(m)
+            assert count_subset_sum(ws, t) == counts[t]
+        assert len(calls) == int(on and len(ws) > 1)
+        # the sorts and the search split like the semi-join's passes
+        assert max(runs) == min(cpus, blocks)
+
+
+@pytest.mark.parametrize("n", [32, 34, 36])
+def test_semi_joined_match_agrees_on_int64_and_python_ints(n):
+    ws, target = packed_ethr(n, n, k=2)
+    counts = []
+    for bound in (mitm._INT64_BOUND, 0):
+        with pytest.MonkeyPatch.context() as m:
+            # a zero bound sends the halves down the Python-int path
+            m.setattr(mitm, "_INT64_BOUND", bound)
+            calls = []
+            real = mitm._semi_join
+
+            def recording(first, second, target, bits):
+                calls.append(first[0].dtype)
+                return real(first, second, target, bits)
+
+            m.setattr(mitm, "_semi_join", recording)
+            counts.append(count_subset_sum(ws, target))
+        assert len(calls) == 1
+        assert calls[0] == (np.int64 if bound else object)
+    assert counts[0] == counts[1] >= 1
+
+
+@pytest.mark.parametrize("step", ["_sort", "_match"])
+def test_a_sort_or_match_failure_is_raised_unchanged_after_every_join(step, capsys):
+    error = MemoryError(f"{step} failed")
+    real = getattr(mitm, step)
+
+    def failing(*args):
+        if threading.current_thread().name != "caller":
+            raise error
+        return real(*args)
+
+    # n = 34: halves of 2^17 sums, two blocks each, so two runs
+    gates = planted_ethr(34, 1, k=2)
+    ws, target = packed_ethr(34, 1, k=2)
+    doc = {"family": "ethr", "n": 34,
+           "gates": [{"weights": [int(w) for w in g.weights], "target": int(g.target)}
+                     for g in gates]}
+    before = threading.active_count()
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(mitm, "_usable_cpus", lambda: 2)
+        m.setattr(mitm, step, failing)
+        value, raised = bounded(count_subset_sum, ws, target)
+        assert raised is error and value is None
+        assert threading.active_count() == before
+        m.setattr("sys.stdin", io.StringIO(json.dumps(doc)))
+        code, raised = bounded(main, ["sumprod", "-"])
+    assert threading.active_count() == before
+    assert raised is None and code == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert "Traceback" not in out.err
+    assert json.loads(out.err) == {"error": f"{step} failed"}
