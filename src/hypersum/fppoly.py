@@ -1,34 +1,34 @@
-"""Root counting and Sum-Products for low-degree polynomials over F_p.
+"""Root counting, systems and Sum-Products for low-degree polynomials over F_p.
 
-A polynomial of degree at most 1 is a linear form mod p (over F_2, parity).
-Root counts, systems and Sum-Products of such polynomials read one joint
-histogram of their forms' integer sums (``_linear_table``, Bellman's
-dynamic program ``mitm.histogram``): polys[j] takes the value
-(s_j + c0_j) mod p on the cells of axis j, c0_j its constant term.  It is
-taken when its counts fit int64 (n <= 61) and its box of sums holds at most
-min(``mitm._BOX_CELLS``, k << n) cells, so it never allocates more cells
-than the k dense tables, holds at most 32 MiB and costs at most n passes
-over them.  It is neither a dense table nor the value-tuple pass, so
-``dense_cap`` and ``tuple_cap`` do not bind it.  The rest of the module
-answers every other input.
+A system count and a Sum-Product of k polynomials are one sum over x of
+prod_j lift_j(polys[j](x)), ``_lifted_sum``: lift_j is the indicator of
+targets[j] mod p for ``count_system`` and the value in 0..p-1 itself for
+``sumprod_fp``.  ``_lifted_sum`` alone picks their kernel, and each of the
+three kernels reads the lifts:
 
-The fast root counter splits off the last m = floor(n/(6dp)) variables,
-sums a modulus-amplified indicator over all suffix assignments, and reads
-per-prefix suffix-root counts out of the residues of a single polynomial over
-the remaining variables.  Systems and Sum-Products of k polynomials either
-read the k dense value tables (a Sum-Product sums the tables' pointwise
-product, a system counts the points where every table hits its target) or
-reduce to root counts in one pass over the coefficient tuples b in F_p^k
-(``_accumulators``).  ``_reads_dense`` picks by table entries touched: the
-dense tables when m = 0 for d the largest degree, and otherwise when they fit
-``dense_cap`` and their k * 2^n entries are fewer than the pass's
-L * (p^k - 1) root counts of 2^(n-m) entries each.  Every dense table comes
-from one zeta transform with a single reduction at the end.  Past 2^13
-entries the transform is blocked: the table is viewed as rows of 2^8 points
-that share the high bits of their masks, the passes for the 8 low bits run
-only on the rows that hold a monomial, on transposed blocks so that each
-pass adds along a contiguous axis, and the passes for the high bits then run
-in place over the whole table.
+- Degree at most 1, within ``_linear_table``'s bounds: one joint histogram of
+  the forms' integer sums, each axis contracted with the lift of its cells'
+  values where that lift can be nonzero (every p-th cell for an indicator).
+  Neither ``dense_cap`` nor ``tuple_cap`` binds it.
+- The k dense value tables, lifted and multiplied into one product a table at
+  a time (k * 2^n work for any p) in the narrowest signed type that holds
+  top, the product of the lifts' largest values (int8 for a system, (p-1)^k
+  for a Sum-Product), and summed in ``int_dtype(top << n)``.
+- The value-tuple pass ``_accumulators`` over the product of the lifts'
+  supports (one tuple for a system, (p-1)^k for a Sum-Product), each tuple
+  weighted by the product of its lifts.  ``_reads_dense`` picks between it
+  and the dense tables by table entries touched.
+
+The fast root counter ``count_roots`` splits off the last m = floor(n/(6dp))
+variables, sums a modulus-amplified indicator over all suffix assignments,
+and reads per-prefix suffix-root counts out of the residues of a single
+polynomial over the remaining variables.  Every dense table comes from one
+zeta transform with a single reduction at the end.  Past 2^13 entries the
+transform is blocked: the table is viewed as rows of 2^8 points that share
+the high bits of their masks, the passes for the 8 low bits run only on the
+rows that hold a monomial, on transposed blocks so that each pass adds along
+a contiguous axis, and the passes for the high bits then run in place over
+the whole table.
 """
 
 from __future__ import annotations
@@ -374,9 +374,15 @@ def _linear_table(polys: Sequence[FpPolynomial]) -> Optional[np.ndarray]:
     on the cells of axis j, c0_j its constant term.
     """
     n = polys[0].n
-    if int_dtype(1 << n) is not np.int64 or any(q.degree > 1 for q in polys):
+    if int_dtype(1 << n) is not np.int64:
         return None
-    rows = [[q.monomials.get(1 << i, 0) for i in range(n)] for q in polys]
+    rows = [[0] * n for _ in polys]
+    for row, q in zip(rows, polys):
+        for mask, c in q.monomials.items():
+            if mask & (mask - 1):
+                return None
+            if mask:
+                row[mask.bit_length() - 1] = c
     if math.prod(sum(row) + 1 for row in rows) > min(_BOX_CELLS, len(polys) << n):
         return None
     return histogram(rows, n)[0]
@@ -443,11 +449,12 @@ def _accumulators(
 
     With N_b(v) = |{x : sum_j b_j polys[j](x) = v}|, tuple t adds
     N_b(b.t) - N_b(b.t + 1) for each b in F_p^k.  One pass over b serves every
-    tuple, at most p root counts per b.  Callers take this pass only when
-    ``_reads_dense`` declines the dense tables, so m >= 1 for the largest
-    degree and every root count here reads a suffix-count table of at most
-    2^(n-m) entries.  A non-divisible accumulator indicates a bug and raises
-    InvariantViolation.
+    tuple; per b it counts the roots of the distinct levels b.t and b.t + 1,
+    at most L = min(p, 2 * tuples) of them.  ``_lifted_sum`` takes this pass
+    only when ``_reads_dense`` declines the dense tables, so m >= 1 for the
+    largest degree and every root count here reads a suffix-count table of at
+    most 2^(n-m) entries.  A non-divisible accumulator indicates a bug and
+    raises InvariantViolation.
     """
     p, n = _shared_shape(polys)
     k = len(polys)
@@ -471,9 +478,9 @@ def _accumulators(
 def _reads_dense(polys: Sequence[FpPolynomial], levels: int, dense_cap: int) -> bool:
     """True when the k dense value tables of ``polys`` touch fewer entries
     than the ``_accumulators`` pass, which makes ``levels`` root counts
-    (L = 2 for one target tuple, L = p for a Sum-Product) for each of the
-    p^k - 1 nonzero b, each on 2^(n-m) entries, m = floor(n/(6dp)) for d the
-    largest degree (at least 1).
+    (L = min(p, 2 * tuples): 2 for a system, p for a Sum-Product) for each of
+    the p^k - 1 nonzero b, each on 2^(n-m) entries, m = floor(n/(6dp)) for d
+    the largest degree (at least 1).
 
     With m = 0 there is no suffix to split off and the tables are always read,
     within ``dense_cap``.  With m >= 1 they are read iff n <= dense_cap and
@@ -482,11 +489,59 @@ def _reads_dense(polys: Sequence[FpPolynomial], levels: int, dense_cap: int) -> 
     """
     p, n = _shared_shape(polys)
     k = len(polys)
-    m = _suffix_vars(n, max(1, *(q.degree for q in polys)), p)
+    # below n = 6p every degree gives m = 0, so no degree needs computing
+    m = _suffix_vars(n, max(1, *(q.degree for q in polys)), p) if n >= 6 * p else 0
     if m and (n > dense_cap or k << m >= levels * (p**k - 1)):
         return False
     _require_dense(n, dense_cap)
     return True
+
+
+def _lifted_sum(
+    polys: Sequence[FpPolynomial],
+    targets: Optional[Sequence[int]],
+    dense_cap: int,
+    tuple_cap: Optional[int] = None,
+) -> int:
+    """The module's sum over x of prod_j lift_j(polys[j](x)), with indicators
+    of ``targets`` mod p, or the values when ``targets`` is None.  Only the
+    value-tuple pass holds an accumulator per tuple, so only it is refused,
+    with CapExceeded, when the tuples exceed ``tuple_cap`` (None: no cap)."""
+    p, n = _shared_shape(polys)
+    k = len(polys)
+    lifts = [None] * k if targets is None else [t % p for t in targets]
+    # a lift's largest value is the size of its support: p - 1 or 1
+    top = tuples = (p - 1) ** k if targets is None else 1
+    counts = _linear_table(polys)
+    if counts is not None:
+        # axis j holds the value (s + c0_j) mod p at cell s; an indicator is 1
+        # on every p-th cell from (t_j - c0_j) mod p, so only those are summed
+        c0s = [q.monomials.get(0, 0) for q in polys]
+        cells = tuple(slice(None) if t is None else slice((t - c0) % p, None, p)
+                      for t, c0 in zip(lifts, c0s))
+        total = counts[cells].astype(int_dtype(top << n), copy=False)
+        for t, c0 in zip(reversed(lifts), reversed(c0s)):
+            total = (total @ (np.arange(c0, c0 + total.shape[-1], dtype=total.dtype) % p)
+                     if t is None else total.sum(-1))
+        return int(total)
+    if _reads_dense(polys, min(p, 2 * tuples), dense_cap):
+        # the narrowest signed type that holds top: never unsigned, since
+        # numpy multiplies uint64 by int32 in float64
+        prod = np.ones(1 << n, dtype=np.min_scalar_type(-top - 1))
+        for q, t in zip(polys, lifts):
+            # one value table at a time, dropped once multiplied in; the
+            # running product stays within top, so the cast back is exact
+            table = _eval_table(MultilinearRingPoly(p, n, q.monomials))
+            np.multiply(prod, table if t is None else table == t, out=prod, casting="unsafe")
+            del table
+        return int(prod.sum(dtype=int_dtype(top << n)))
+    if tuple_cap is not None and tuples > tuple_cap:
+        raise CapExceeded(f"product expansion needs > {tuple_cap} value tuples")
+    combos = list(itertools.product(*(range(1, p) if t is None else (t,) for t in lifts)))
+    accs = _accumulators(polys, combos, dense_cap)
+    # an indicator weighs its one tuple entry 1, the value lift the value
+    weights = (math.prod(v for v, t in zip(combo, lifts) if t is None) for combo in combos)
+    return sum(w * acc for w, acc in zip(weights, accs)) // p**k
 
 
 def count_system(
@@ -496,41 +551,15 @@ def count_system(
     dense_cap: int = DEFAULT_DENSE_CAP,
     with_accumulator: bool = False,
 ):
-    """|{x : polys[j](x) = targets[j] mod p for all j}|.
-
-    When every polynomial has degree at most 1 and their ``_linear_table``
-    fits its bounds, the count sums the table's cells
-    (t_j - c0_j mod p) + p * i_j along every axis j, and the accumulator is
-    p^k times that count.  Otherwise ``_reads_dense`` (with L = 2) picks the
-    kernel.  The dense one compares the k value tables with the targets
-    point by point, k * 2^n work for any p, and the accumulator is p^k times
-    that count.  Otherwise
-    ``_accumulators`` runs for one target tuple: the accumulator sums, over
-    all b in F_p^k, the number of points where
-    sum_j b_j (polys[j] - targets[j]) is 0 minus the number where it is 1,
-    and is p^k times the answer.
-    """
+    """|{x : polys[j](x) = targets[j] mod p for all j}|, the Sum-Product of
+    the indicators of the targets (``_lifted_sum``).  ``with_accumulator``
+    adds p^k * count: the sum over b in F_p^k of the points where
+    sum_j b_j (polys[j] - targets[j]) is 0 minus those where it is 1."""
     if len(targets) != len(polys):
         raise ValueError("polynomial/target count mismatch")
-    p, n = _shared_shape(polys)
-    power = p ** len(polys)
-    counts = _linear_table(polys)
-    if counts is not None:
-        hits = tuple(slice((t - q.monomials.get(0, 0)) % p, None, p)
-                     for q, t in zip(polys, targets))
-        count = int(counts[hits].sum())
-    elif _reads_dense(polys, 2, dense_cap):
-        hit = np.ones(1 << n, dtype=bool)
-        # one value table at a time: each is dropped once compared
-        for q, t in zip(polys, targets):
-            hit &= _eval_table(MultilinearRingPoly(p, n, q.monomials)) == t % p
-        count = int(np.count_nonzero(hit))
-    else:
-        (acc,) = _accumulators(polys, [targets], dense_cap)
-        count = acc // power
+    count = _lifted_sum(polys, targets, dense_cap)
     if with_accumulator:
-        # _accumulators has checked that p^k divides its accumulator
-        return count, count * power
+        return count, count * polys[0].p ** len(polys)
     return count
 
 
@@ -541,40 +570,10 @@ def sumprod_fp(
     dense_cap: int = DEFAULT_DENSE_CAP,
     tuple_cap: Optional[int] = None,
 ) -> int:
-    """sum over x of prod_i lift(polys[i](x)), values lifted to {0..p-1}.
-
-    When every polynomial has degree at most 1 and their ``_linear_table``
-    fits its bounds, the table is contracted axis by axis with the values
-    (s_j + c0_j) mod p of its cells.  Otherwise ``_reads_dense`` (with
-    L = p) picks the kernel.  The dense one multiplies the k value tables
-    pointwise and sums the product: k * 2^n work for any p.  Otherwise the
-    product is expanded over value tuples: tuples containing a zero value
-    carry weight zero and are skipped; each remaining tuple contributes its
-    integer product of values times the number of points realizing it.  One
-    ``_accumulators`` pass counts all (p-1)^k tuples in <= p^(k+1) root
-    counts; it holds one accumulator per tuple, so only this kernel is
-    refused, with CapExceeded, when (p-1)^k exceeds ``tuple_cap`` (None: no
-    cap).
-    """
+    """sum over x of prod_i lift(polys[i](x)), values lifted to {0..p-1}
+    (``_lifted_sum``); ``tuple_cap`` bounds the (p-1)^k nonzero value tuples
+    of the value-tuple pass.  An empty product is 1, so it returns 2^n."""
     n = _shared_n(polys, n)
     if not polys:
         return 1 << n
-    p, _ = _shared_shape(polys)
-    k = len(polys)
-    counts = _linear_table(polys)
-    if counts is not None:
-        total = counts.astype(int_dtype((p - 1) ** k << n), copy=False)
-        for q in reversed(polys):
-            values = np.arange(total.shape[-1], dtype=total.dtype) + q.monomials.get(0, 0)
-            total = total @ (values % p)
-        return int(total)
-    if _reads_dense(polys, p, dense_cap):
-        prod = np.ones(1 << n, dtype=int_dtype((p - 1) ** k << n))
-        for q in polys:
-            prod *= _eval_table(MultilinearRingPoly(p, n, q.monomials))
-        return int(prod.sum())
-    if tuple_cap is not None and (p - 1) ** k > tuple_cap:
-        raise CapExceeded(f"product expansion needs > {tuple_cap} value tuples")
-    tuples = list(itertools.product(range(1, p), repeat=k))
-    accs = _accumulators(polys, tuples, dense_cap)
-    return sum(math.prod(t) * acc for t, acc in zip(tuples, accs)) // p**k
+    return _lifted_sum(polys, None, dense_cap, tuple_cap)

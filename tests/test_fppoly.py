@@ -653,6 +653,98 @@ def test_dense_count_system_over_a_large_prime():
     assert count_system([q], [8]) == oracle_count_fp_system([q], [8]) == 4
 
 
+def _point_values(polys, x):
+    """The values of ``polys`` at the point with mask x, as targets that have
+    at least one solution."""
+    return [sum(c for mask, c in q.monomials.items() if mask & x == mask) for q in polys]
+
+
+@pytest.mark.parametrize("p, k", [(1000003, 2), (1000003, 3), (2**31 - 1, 2), (2**31 - 1, 3)])
+def test_dense_count_system_over_large_primes(monkeypatch, p, k):
+    counted = _record_calls(monkeypatch, "count_roots")
+    rng = random.Random(p + k)
+    for n in (3, 5, 6):
+        polys = _dense_regime_polys(rng, p, n, k)
+        targets = _point_values(polys, rng.getrandbits(n))
+        count, acc = count_system(polys, targets, with_accumulator=True)
+        assert count == oracle_count_fp_system(polys, targets) >= 1
+        assert acc == count * p**k
+    assert not counted
+
+
+# (p-1)^2 > 2^63 puts the product on Python ints at k = 2; at k = 1 an int64
+# product takes a value table of Python ints, since p << n passes 2^62
+@pytest.mark.parametrize("k", [1, 2])
+def test_dense_sumprod_fp_over_the_prime_2_61_minus_1(k):
+    p = 2**61 - 1
+    rng = random.Random(61 + k)
+    for n in (3, 5, 6):
+        polys = [rand_fp_poly(rng, p, n, rng.randint(1, 3)) for _ in range(k)]
+        assert sumprod_fp(polys, n) == oracle_sumprod(polys, n)
+
+
+def test_constants_over_a_prime_past_int64_read_the_joint_histogram():
+    # constant polynomials make a box of one cell for any p; past 2^63 both
+    # the cell's value and the Sum-Product are Python ints
+    p = (1 << 80) + 13
+    polys = [FpPolynomial(p, 3, {0: 1 << 79}), FpPolynomial(p, 3, {0: 5}), FpPolynomial(p, 3, {})]
+    assert sumprod_fp(polys[:2], 3) == oracle_sumprod(polys[:2], 3) == 8 * 5 << 79
+    assert count_system(polys, [1 << 79, 5 - p, 0]) == 8
+    assert count_system(polys, [1 << 79, 5, 1]) == 0
+
+
+def _f2_quadratic(rng, n):
+    """A constant, x1 and the products of a random perfect matching of the
+    variables and of n/4 more random pairs, over F_2: the matching keeps the
+    answers away from the balanced 2^(n-1)."""
+    order = rng.sample(range(1, n + 1), n)
+    pairs = [*zip(order[::2], order[1::2])]
+    pairs += [tuple(rng.sample(range(1, n + 1), 2)) for _ in range(n // 4)]
+    return FpPolynomial.from_terms(2, n, [((), rng.randrange(2)), ((1,), 1)]
+                                   + [(pair, 1) for pair in pairs])
+
+
+# n = 24 splits one suffix variable off for degree 2, so the pass counts roots
+# through the suffix construction; below it, through dense value histograms
+@pytest.mark.parametrize("n, k", [(20, 1), (20, 2), (22, 2), (24, 1)])
+def test_f2_quadratics_agree_on_the_pass_and_the_dense_tables(monkeypatch, n, k):
+    counted = _record_calls(monkeypatch, "count_roots")
+    rng = random.Random(n + k)
+    polys = [_f2_quadratic(rng, n) for _ in range(k)]
+    targets = [rng.randrange(2) for _ in range(k)]
+    answers = set()
+    for dense in (True, False):
+        _force_kernel(monkeypatch, dense)
+        counted.clear()
+        total = sumprod_fp(polys, n)
+        # over F_2 the product of the values is the indicator that all are 1
+        assert total == count_system(polys, [1] * k)
+        answers.add((total, count_system(polys, targets)))
+        assert bool(counted) != dense
+    assert len(answers) == 1
+
+
+def test_dense_kernels_hold_one_value_table_at_a_time():
+    import tracemalloc
+
+    # p = 3 and degree 2 at n = 20 leave no suffix: the dense tables, int32
+    # since 3 << 20 < 2^31, and an int8 product, since (3-1)^2 and 1 fit it.
+    # The slack covers the blocked transform's block and reduction chunks.
+    n = 20
+    table, byte = 4 << n, 1 << n
+    polys = [FpPolynomial.from_terms(3, n, [((i, i + 1), 1 + i % 2) for i in range(j, n, 3)])
+             for j in (1, 2)]
+    for call, bound in ((lambda: count_system(polys, [1, 2]), table + 2 * byte),
+                        (lambda: sumprod_fp(polys, n), table + byte)):
+        tracemalloc.start()
+        try:
+            call()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < bound + (3 << 19)
+
+
 def test_dense_sumprod_fp_respects_the_dense_cap():
     q = FpPolynomial(3, 12, {1: 1, 6: 2})
     with pytest.raises(CapExceeded):
