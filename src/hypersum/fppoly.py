@@ -10,10 +10,12 @@ three kernels reads the lifts:
   the forms' integer sums, each axis contracted with the lift of its cells'
   values where that lift can be nonzero (every p-th cell for an indicator).
   Neither ``dense_cap`` nor ``tuple_cap`` binds it.
-- The k dense value tables, lifted and multiplied into one product a table at
-  a time (k * 2^n work for any p) in the narrowest signed type that holds
-  top, the product of the lifts' largest values (int8 for a system, (p-1)^k
-  for a Sum-Product), and summed in ``int_dtype(top << n)``.
+- The k dense value tables, ``_dense_sum`` (k * 2^n work for any p): the
+  lifted tables are multiplied into one product a table at a time, starting
+  from the first.  When top, the product of the lifts' largest values, is 1
+  (a system, or a Sum-Product over F_2) the product is a bool mask counted
+  with ``np.count_nonzero``; otherwise it is held in the narrowest signed
+  type that holds top ((p-1)^k) and summed in ``int_dtype(top << n)``.
 - The value-tuple pass ``_accumulators`` over the product of the lifts'
   supports (one tuple for a system, (p-1)^k for a Sum-Product), each tuple
   weighted by the product of its lifts.  ``_reads_dense`` picks between it
@@ -22,7 +24,8 @@ three kernels reads the lifts:
 The fast root counter ``count_roots`` splits off the last m = floor(n/(6dp))
 variables, sums a modulus-amplified indicator over all suffix assignments,
 and reads per-prefix suffix-root counts out of the residues of a single
-polynomial over the remaining variables.  Every dense table comes from one
+polynomial over the remaining variables; with m = 0 it counts the system
+q = 0 on ``_dense_sum``, one comparison.  Every dense table comes from one
 zeta transform with a single reduction at the end.  Past 2^13 entries the
 transform is blocked: the table is viewed as rows of 2^8 points that share
 the high bits of their masks, the passes for the 8 low bits run only on the
@@ -203,13 +206,12 @@ def _eval_table(poly: MultilinearRingPoly) -> np.ndarray:
     dtype = np.int32 if bound < _INT32_BOUND else int_dtype(bound)
     f = np.zeros(1 << n, dtype=dtype)
     if n <= _DIRECT_VARS:
+        low = 0
         for mask, c in poly.coeffs.items():
             f[mask] = c
-        _zeta_passes(f, range(n))
-        f %= poly.modulus
-        return f
-    low = min(n, _LOW_BITS)
-    _low_passes(f.reshape(-1, 1 << low), poly.coeffs, low)
+    else:
+        low = min(n, _LOW_BITS)
+        _low_passes(f.reshape(-1, 1 << low), poly.coeffs, low)
     _zeta_passes(f, range(low, n))
     _reduce(f, poly.modulus)
     return f
@@ -350,7 +352,8 @@ def suffix_count_poly(
     return total
 
 
-# must hold all p^k combination polynomials of one system (p <= 5, k <= 4)
+# on no query path: perfbench/run.py reads its cache_info(), so it is deleted
+# with the benchmark change (ROADMAP item 1)
 @lru_cache(maxsize=4096)
 def _value_histogram(p: int, n: int, items: tuple[tuple[int, int], ...]) -> Mapping[int, int]:
     """{v: |{x : poly(x) = v mod p}|} over the values that occur, for the
@@ -396,8 +399,8 @@ def count_roots(q: FpPolynomial, *, dense_cap: int = DEFAULT_DENSE_CAP) -> int:
     table's cells (-c0 mod p) + p * i, c0 the constant term.  Otherwise, when
     m = floor(n/(6dp)) >= 1 (d the actual degree), the suffix-count
     construction reduces the table to 2^(n-m) entries whose residues are
-    exact counts; else the value histogram of a full dense evaluation is
-    used.
+    exact counts; else the dense value table is compared with 0
+    (``_dense_sum``).
     """
     nonconst = {mask: c for mask, c in q.monomials.items() if mask}
     const = q.monomials.get(0, 0)
@@ -414,8 +417,7 @@ def count_roots(q: FpPolynomial, *, dense_cap: int = DEFAULT_DENSE_CAP) -> int:
         counter = suffix_count_poly(q, params)
         return int(_eval_table(counter).sum())
     _require_dense(q.n, dense_cap)
-    hist = _value_histogram(q.p, q.n, tuple(sorted(nonconst.items())))
-    return hist.get((-const) % q.p, 0)
+    return _dense_sum([q], [0], 1)
 
 
 def _shared_shape(polys: Sequence[FpPolynomial]) -> tuple[int, int]:
@@ -497,6 +499,28 @@ def _reads_dense(polys: Sequence[FpPolynomial], levels: int, dense_cap: int) -> 
     return True
 
 
+def _dense_sum(polys: Sequence[FpPolynomial], lifts: Sequence[Optional[int]], top: int) -> int:
+    """``_lifted_sum`` on the k dense value tables, the only code that reads
+    them: lift_j is the indicator of lifts[j], or the value where that is
+    None, and top bounds the product of the lifts."""
+    p, n = polys[0].p, polys[0].n
+
+    def lifted(q, t):
+        # one value table at a time, dropped once multiplied in
+        table = _eval_table(MultilinearRingPoly(p, n, q.monomials))
+        return table if t is None else table == t
+
+    # never unsigned, since numpy multiplies uint64 by int32 in float64
+    prod = lifted(polys[0], lifts[0]).astype(
+        bool if top == 1 else np.min_scalar_type(-top - 1), copy=False)
+    for q, t in zip(polys[1:], lifts[1:]):
+        # the running product stays within top, so the cast back is exact
+        np.multiply(prod, lifted(q, t), out=prod, casting="unsafe")
+    if prod.dtype == bool:
+        return int(np.count_nonzero(prod))
+    return int(prod.sum(dtype=int_dtype(top << n)))
+
+
 def _lifted_sum(
     polys: Sequence[FpPolynomial],
     targets: Optional[Sequence[int]],
@@ -525,16 +549,7 @@ def _lifted_sum(
                      if t is None else total.sum(-1))
         return int(total)
     if _reads_dense(polys, min(p, 2 * tuples), dense_cap):
-        # the narrowest signed type that holds top: never unsigned, since
-        # numpy multiplies uint64 by int32 in float64
-        prod = np.ones(1 << n, dtype=np.min_scalar_type(-top - 1))
-        for q, t in zip(polys, lifts):
-            # one value table at a time, dropped once multiplied in; the
-            # running product stays within top, so the cast back is exact
-            table = _eval_table(MultilinearRingPoly(p, n, q.monomials))
-            np.multiply(prod, table if t is None else table == t, out=prod, casting="unsafe")
-            del table
-        return int(prod.sum(dtype=int_dtype(top << n)))
+        return _dense_sum(polys, lifts, top)
     if tuple_cap is not None and tuples > tuple_cap:
         raise CapExceeded(f"product expansion needs > {tuple_cap} value tuples")
     combos = list(itertools.product(*(range(1, p) if t is None else (t,) for t in lifts)))

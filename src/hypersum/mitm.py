@@ -23,7 +23,7 @@ additions, masks, stores and probes, and inside its sorts and searches.
 A half of at most 2^16 sums is one block, so n <= 32 and a one-CPU
 process start no thread.  A module-level tally records how many partial
 assignments were enumerated (2^ceil(n/2) + 2^floor(n/2) per call,
-independent of the weights).
+independent of the weights), added once per call on the calling thread.
 ``histogram`` is the pseudo-polynomial alternative for small integer
 weights: Bellman's subset-sum dynamic program over the box of
 achievable sums of one or more linear forms.  It complements every variable
@@ -32,8 +32,8 @@ and given a window of cells it updates only those that can still reach it.
 
 One rule, ``int_dtype``, decides the integer width for every kernel: numpy
 int64 when each magnitude a kernel can meet is below 2^62, and numpy object
-arrays of Python ints otherwise.  Each kernel has a single body that runs on
-either width.
+arrays of Python ints otherwise.  Every kernel but ``half_sums``, which
+returns a list past int64, has a single body that runs on either width.
 """
 
 from __future__ import annotations
@@ -74,7 +74,9 @@ def int_dtype(*magnitudes: int):
 class EnumerationTally:
     """Counts the distinct partial assignments the split-and-list kernels
     enumerate: 2^h for a half of h variables, however many passes generate
-    its sums (a semi-joined half is generated twice, in blocks)."""
+    its sums (a semi-joined half is generated twice, in blocks).  Only
+    ``count_subset_sum`` and ``sumprod._range_sum`` add to it, once per call
+    on the calling thread, so no helper reaches the non-atomic ``+=``."""
 
     __slots__ = ("value",)
 
@@ -101,7 +103,8 @@ def half_sums(weights: Sequence[int]):
 
     Entry m is the sum over the variables whose bit is set in m.  Returns an
     int64 numpy array, 8 bytes per sum, when ``int_dtype`` allows it for the
-    sum of |weights|, and a list of Python ints otherwise.
+    sum of |weights|, and a list of Python ints otherwise.  Its callers, not
+    it, add the half's 2^h partial assignments to ``partials``.
     """
     if int_dtype(sum(abs(w) for w in weights)) is np.int64:
         sums = np.empty(1 << len(weights), dtype=np.int64)
@@ -110,12 +113,10 @@ def half_sums(weights: Sequence[int]):
         for w in weights:
             np.add(sums[:m], w, out=sums[m:2 * m])
             m *= 2
-        partials.add(m)
         return sums
     out = [0]
     for w in weights:
         out += [s + w for s in out]
-    partials.add(len(out))
     return out
 
 
@@ -123,11 +124,8 @@ def _half_blocks(part: Sequence[int], dtype):
     """(low, offsets): the subset sums of ``part``'s first ``_BLOCK_LOG``
     weights and of the rest, so that the blocks low + o, o in offsets, are
     the 2^len(part) sums of ``half_sums(part)`` in its order."""
-    low, offsets = (np.asarray(half_sums(p), dtype=dtype)
-                    for p in (part[:_BLOCK_LOG], part[_BLOCK_LOG:]))
-    # the tally counts the half's partial assignments, not the two passes
-    partials.add((1 << len(part)) - len(low) - len(offsets))
-    return low, offsets
+    return tuple(np.asarray(half_sums(p), dtype=dtype)
+                 for p in (part[:_BLOCK_LOG], part[_BLOCK_LOG:]))
 
 
 def _usable_cpus() -> int:
@@ -229,7 +227,8 @@ def _semi_join(first, second, target: int, bits: int):
     numpy's index list of one block's survivors, in ``_gather``.  Runs share
     a table only to store True into it, a single byte that is never read and
     written back, so no store is lost; no bitset is shared.  Helpers call
-    nothing traced and never add to ``partials``."""
+    nothing traced and never add to ``partials``, which only the calling
+    thread's ``count_subset_sum`` does."""
     (a_low, a_offsets), (b_low, b_offsets) = first, second
     runs = min(_usable_cpus(), len(a_offsets))  # the first half has the most blocks
     sums = np.empty((runs, len(a_low)), dtype=a_low.dtype)
@@ -347,6 +346,7 @@ def count_subset_sum(weights: Sequence[int], target: int) -> int:
     target = int(target)
     dtype = int_dtype(sum(abs(w) for w in ws), abs(target))
     h = split_point(len(ws))
+    partials.add((1 << h) + (1 << (len(ws) - h)))
     halves = ws[:h], ws[h:]
     bits = min(h + 3, _JOIN_MAX_BITS)  # the larger half has 2^h entries
     span = min(sum(abs(w) for w in part) for part in halves)

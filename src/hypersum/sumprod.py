@@ -65,7 +65,8 @@ from .gates import (
     _gate_row,
     _shared_n,
 )
-from .mitm import _BOX_CELLS, count_subset_sum, half_sums, histogram, int_dtype, split_point
+from .mitm import (_BOX_CELLS, count_subset_sum, half_sums, histogram, int_dtype, partials,
+                   split_point)
 
 DEFAULT_TUPLE_CAP = 10**7
 
@@ -237,6 +238,7 @@ def _range_sum(rows: Sequence[_Row], n: int, tuple_cap: int) -> int:
         for ws, *_ in rows
     ]
     halves = []
+    partials.add((1 << h) + (1 << (n - h)))
     for part in (packed[:h], packed[h:]):
         windows = [(s - hi, t - lo) for (_, s, t, *_), (lo, hi) in zip(rows, spans)]
         table, spans = _pruned_half(part, dtype, base, windows)

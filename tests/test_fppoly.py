@@ -773,6 +773,88 @@ def test_value_histogram_memory_does_not_grow_with_p():
     assert count_roots(shifted) == oracle_count_fp_system([shifted], [0]) == 4
 
 
+def _refuse_value_histogram(monkeypatch):
+    import hypersum.fppoly as fp
+
+    def refuse(*args):
+        raise AssertionError("a query read the value-histogram cache")
+
+    monkeypatch.setattr(fp, "_value_histogram", refuse)
+
+
+def _root_shifted(q, x):
+    """q minus its value at the point with mask x, so that x is a root."""
+    shift = _point_values([q], x)[0]
+    return FpPolynomial(q.p, q.n, {**q.monomials, 0: q.monomials.get(0, 0) - shift})
+
+
+def test_no_query_reads_the_value_histogram(monkeypatch):
+    # constant, degree-1, dense and suffix inputs as shipped, with the
+    # degree-1 histogram off, and with the value-tuple pass forced at m = 0,
+    # whose root counts then read dense tables
+    from hypersum import sumprod
+
+    _refuse_value_histogram(monkeypatch)
+    rng = random.Random(35)
+    cases = [(3, 6, [FpPolynomial(3, 6, {0: 2}), FpPolynomial(3, 6, {})]),
+             (5, 7, [rand_fp_poly(rng, 5, 7, 1) for _ in range(2)]),
+             (3, 7, [rand_fp_poly(rng, 3, 7, 3) for _ in range(2)]),
+             (2, 12, [rand_fp_poly(rng, 2, 12, 1) for _ in range(2)])]
+    for setup in (lambda: None, lambda: _histogram_off(monkeypatch),
+                  lambda: _force_kernel(monkeypatch, dense=False)):
+        setup()
+        for p, n, polys in cases:
+            targets = [rng.randrange(p) for _ in polys]
+            for q in polys:
+                assert count_roots(q) == oracle_count_fp_system([q], [0])
+            assert count_system(polys, targets) == oracle_count_fp_system(polys, targets)
+            assert sumprod_fp(polys, n) == sumprod(polys, n) == oracle_sumprod(polys, n)
+
+
+def test_dense_count_roots_holds_one_value_table_and_keeps_nothing():
+    import tracemalloc
+
+    # n = 20 leaves no suffix for p = 3 at degree 2 (an int32 table) nor for
+    # p = 1000003 (an int64 table); a root count holds that table and one
+    # bool mask.  The slack covers the blocked transform's block and
+    # reduction chunks
+    n = 20
+    rng = random.Random(20)
+    for p, d, width in ((3, 2, 4), (1000003, 3, 8)):
+        terms = [(rng.sample(range(1, n + 1), d), rng.randrange(1, p)) for _ in range(40)]
+        q = FpPolynomial.from_terms(p, n, terms)
+        q = _root_shifted(q, rng.getrandbits(n))
+        tracemalloc.start()
+        try:
+            count = count_roots(q)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert count == np.count_nonzero(brute_values(p, n, q.monomials) == 0) >= 1
+        assert peak < (width << n) + (1 << n) + (3 << 19)
+    # distinct root counts keep nothing between calls
+    tracemalloc.start()
+    try:
+        for c in range(1, 11):
+            count_roots(FpPolynomial(1000003, 14, {3 << i: c * 7**i for i in range(13)}))
+        held, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert held < 1 << 18
+
+
+# p = 2^61 - 1 makes Python-int value tables; every p leaves no suffix at n <= 8
+@pytest.mark.parametrize("p", [2, 3, 1000003, 2**61 - 1])
+def test_dense_root_counts_are_one_polynomial_systems(monkeypatch, p):
+    counted = _record_calls(monkeypatch, "suffix_count_poly")
+    rng = random.Random(p)
+    for n in range(1, 9):
+        for _ in range(3):
+            q = _root_shifted(rand_fp_poly(rng, p, n, rng.randint(2, 3)), rng.getrandbits(n))
+            assert count_roots(q) == count_system([q], [0]) == oracle_count_fp_system([q], [0]) >= 1
+    assert not counted
+
+
 # ---- degree-1 polynomials: one joint histogram ----
 
 @st.composite

@@ -207,6 +207,17 @@ def test_tally_is_structural_while_the_semi_join_runs():
         assert partials.value == 2 ** ((n + 1) // 2) + 2 ** (n // 2)
 
 
+def test_half_enumerations_leave_the_tally_alone():
+    # the kernels that enumerate add to the tally, once per call, on the
+    # calling thread; the helpers that build halves never do
+    ws = [(-1) ** j * (3 + j) for j in range(10)]
+    partials.reset()
+    half_sums(ws)
+    half_sums([1 << 70, *ws])
+    mitm._half_blocks(ws, np.int64)
+    assert partials.value == 0
+
+
 @st.composite
 def ethr_conjunctions(draw):
     """2-3 exact-threshold gates over n <= 18 variables, targets taken at one
