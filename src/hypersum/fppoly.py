@@ -7,9 +7,9 @@ targets[j] mod p for ``count_system`` and the value in 0..p-1 itself for
 three kernels reads the lifts:
 
 - Degree at most 1, within ``_linear_table``'s bounds: one joint histogram of
-  the forms' integer sums, each axis contracted with the lift of its cells'
-  values where that lift can be nonzero (every p-th cell for an indicator).
-  Neither ``dense_cap`` nor ``tuple_cap`` binds it.
+  the forms' integer sums, read by ``mitm.contract`` where every lift can
+  be nonzero (every p-th cell of an indicator's axis), with the values'
+  line (s + c0) mod p.  Neither ``dense_cap`` nor ``tuple_cap`` binds it.
 - The k dense value tables, ``_dense_sum`` (k * 2^n work for any p): the
   lifted tables are multiplied into one product a table at a time, starting
   from the first.  When top, the product of the lifts' largest values, is 1
@@ -47,7 +47,7 @@ import numpy as np
 
 from .errors import CapExceeded, InvariantViolation
 from .gates import FpPolynomial, _is_prime, _shared_n
-from .mitm import _BOX_CELLS, histogram, int_dtype
+from .mitm import _BOX_CELLS, contract, histogram, int_dtype
 
 DEFAULT_DENSE_CAP = 26
 _INT32_BOUND = 1 << 31
@@ -539,15 +539,14 @@ def _lifted_sum(
     counts = _linear_table(polys)
     if counts is not None:
         # axis j holds the value (s + c0_j) mod p at cell s; an indicator is 1
-        # on every p-th cell from (t_j - c0_j) mod p, so only those are summed
+        # on every p-th cell from (t_j - c0_j) mod p, so only those are read
+        dtype = int_dtype(top << n)
         c0s = [q.monomials.get(0, 0) for q in polys]
-        cells = tuple(slice(None) if t is None else slice((t - c0) % p, None, p)
-                      for t, c0 in zip(lifts, c0s))
-        total = counts[cells].astype(int_dtype(top << n), copy=False)
-        for t, c0 in zip(reversed(lifts), reversed(c0s)):
-            total = (total @ (np.arange(c0, c0 + total.shape[-1], dtype=total.dtype) % p)
-                     if t is None else total.sum(-1))
-        return int(total)
+        cells = counts[tuple(slice(None) if t is None else slice((t - c0) % p, None, p)
+                             for t, c0 in zip(lifts, c0s))]
+        lines = [np.arange(c0, c0 + size, dtype=dtype) % p if t is None else None
+                 for t, c0, size in zip(lifts, c0s, cells.shape)]
+        return contract(cells, lines, dtype)
     if _reads_dense(polys, min(p, 2 * tuples), dense_cap):
         return _dense_sum(polys, lifts, top)
     if tuple_cap is not None and tuples > tuple_cap:

@@ -29,6 +29,8 @@ weights: Bellman's subset-sum dynamic program over the box of
 achievable sums of one or more linear forms.  It complements every variable
 whose shift would point up, so each pass adds in place with no temporary,
 and given a window of cells it updates only those that can still reach it.
+``contract`` is the one reader of such a histogram, for ``sumprod`` and
+``fppoly`` alike: it weighs each cell by one line of values per axis.
 
 One rule, ``int_dtype``, decides the integer width for every kernel: numpy
 int64 when each magnitude a kernel can meet is below 2^62, and numpy object
@@ -418,3 +420,15 @@ def histogram(weight_rows: Sequence[Sequence[int]], n: int, window=None):
             counts[i - x:j - x + 1] += counts[i:j + 1]
             a = min(a, i - x)
     return counts.reshape(shape), lows
+
+
+def contract(counts, lines, dtype) -> int:
+    """sum over the cells s of ``counts`` of counts[s] * prod_i lines[i][s_i]:
+    the axes whose line is None, the constant 1, are summed at once, and the
+    rest contracted last first, in ``dtype``, which must hold every partial sum."""
+    ones = tuple(i for i, line in enumerate(lines) if line is None)
+    total = np.asarray(counts.sum(axis=ones) if ones else counts, dtype=dtype)
+    for line in reversed(lines):
+        if line is not None:
+            total = total @ line
+    return int(total)

@@ -13,15 +13,16 @@ a row's range is on the lattice of its sums.  Once the tuple cap is checked,
 and before anything is allocated, ``_use_histogram`` picks one of two
 kernels from a work estimate:
 
-- Histogram: when the box of the gates' achievable sums is small, Bellman's
-  dynamic program (``mitm.histogram``) counts the points in n passes, with
-  the accepted box prod [s_i, h_i] as its window: the variables whose
-  shifts point up are complemented, so every pass adds in place below the
-  cells it reads, and it updates only the cells that can still reach the
-  window.  The accepted box is summed at once over the axes of 0-slope
-  rows, and contracted axis by axis with the values of the others.
-- Split and list: the gates' weight vectors are packed into one vector in a
-  base B large enough that per-gate digits of any packed sum cannot
+- Histogram: the rows on one form, w or -w, share one axis (``_form_axes``).
+  When the box of the distinct forms' sums is small, Bellman's dynamic
+  program (``mitm.histogram``) counts the points in n passes, with the
+  accepted box as its window: the variables whose shifts point up are
+  complemented, so every pass adds in place below the cells it reads, and
+  it updates only the cells that can still reach the window, which
+  ``mitm.contract`` reads.
+- Split and list keeps every row as it is, since its prefix sums need an
+  affine widest row.  The gates' weight vectors are packed into one vector
+  in a base B large enough that per-gate digits of any packed sum cannot
   interfere; the gate with the widest [s, h] sits at the lowest digit, and
   the targets of the other gates are expanded into packed tuples U.  When
   every row has width 0 (an exact-threshold product, or gates that each
@@ -65,8 +66,8 @@ from .gates import (
     _gate_row,
     _shared_n,
 )
-from .mitm import (_BOX_CELLS, count_subset_sum, half_sums, histogram, int_dtype, partials,
-                   split_point)
+from .mitm import (_BOX_CELLS, contract, count_subset_sum, half_sums, histogram, int_dtype,
+                   partials, split_point)
 
 DEFAULT_TUPLE_CAP = 10**7
 
@@ -87,9 +88,9 @@ _BOX_RATIO = 16
 
 
 def _use_histogram(n: int, spans: Sequence[int], tuples: int) -> bool:
-    """Whether the histogram answers rather than split and list, for gates
-    whose weights have absolute sums ``spans`` and ``tuples`` expanded
-    targets."""
+    """Whether the histogram answers rather than split and list, for
+    distinct forms whose weights have absolute sums ``spans`` and
+    ``tuples`` expanded targets."""
     box = math.prod(span + 1 for span in spans)
     return box <= _BOX_CELLS and n * box <= _BOX_RATIO * (1 << split_point(n)) * tuples
 
@@ -131,26 +132,41 @@ def _affine(row: _Row, a: int, b: int, dtype):
 
 def _top_value(rows: Sequence[_Row]) -> int:
     """The largest |product of the rows' values| over their ranges."""
-    return math.prod(max(abs(a * s + b), abs(a * h + b)) for _, s, h, a, b, *_ in rows)
+    return math.prod(max(abs(a * s + b), abs(a * h + b)) for _, s, h, a, b, _, _ in rows)
 
 
-def _box_sum(rows: Sequence[_Row], n: int) -> int:
-    """``_range_sum`` from the joint histogram, built with the box
-    prod [s_i, h_i] as its window: the counts there, summed at once over the
-    axes of 0-slope rows, which are 1 there, and contracted axis by axis
-    with the others' values."""
-    counts, lows = histogram([row[0] for row in rows], n, [row[1:3] for row in rows])
-    total = counts[tuple(slice(s - lo, h - lo + 1) for (_, s, h, *_), lo in zip(rows, lows))]
-    flat = [i for i, row in enumerate(rows) if not row[3]]
-    if flat:
-        total = total.sum(axis=tuple(flat))
-    sloped = [row for row in rows if row[3]]
-    if sloped:
-        dtype = int_dtype(_top_value(sloped) << n)
-        total = total.astype(dtype, copy=False)
-        for row in reversed(sloped):
-            total = total @ _affine(row, *row[3:5], dtype)
-    return int(total)
+def _form_axes(rows: Sequence[_Row]) -> list[list]:
+    """One axis [w, s, h, span, sloped] per form of ``rows``, w or -w, in the
+    orientation of its first row: a row on -w is flipped (s, h, a -> -h, -s,
+    -a).  It accepts the intersection [s, h] of its rows' ranges, and
+    ``sloped`` holds the (a, b) of its rows of nonzero slope (the rest are 1)."""
+    axes: list[list] = []
+    for w, s, h, a, b, _, span in rows:
+        for axis in axes:
+            if axis[3] == span and axis[0] in (w, tuple(-x for x in w)):
+                if axis[0] != w:
+                    s, h, a = -h, -s, -a
+                axis[1:3] = max(axis[1], s), min(axis[2], h)
+                break
+        else:
+            axis = [w, s, h, span, []]
+            axes.append(axis)
+        if a:
+            axis[4].append((a, b))
+    return axes
+
+
+def _box_sum(axes: Sequence[list], n: int, dtype) -> int:
+    """``_range_sum`` from the joint histogram of the ``_form_axes``, read in
+    their box by ``mitm.contract``: an axis's line is the product of its
+    sloped rows' values, or None.  An axis that accepts no sum makes it 0."""
+    if any(axis[1] > axis[2] for axis in axes):
+        return 0
+    counts, lows = histogram([axis[0] for axis in axes], n, [axis[1:3] for axis in axes])
+    cells = counts[tuple(slice(s - lo, h - lo + 1) for (_, s, h, *_), lo in zip(axes, lows))]
+    lines = [math.prod(_affine(axis, a, b, dtype) for a, b in axis[4]) if axis[4] else None
+             for axis in axes]
+    return contract(cells, lines, dtype)
 
 
 def _pruned_half(part: Sequence[int], dtype, base: int, windows):
@@ -203,8 +219,9 @@ def _range_sum(rows: Sequence[_Row], n: int, tuple_cap: int) -> int:
         n_tuples *= h - s + 1
         if n_tuples > tuple_cap:
             raise CapExceeded(f"product expansion needs > {tuple_cap} tuples")
-    if _use_histogram(n, [row[6] for row in rows], n_tuples):
-        return _box_sum(rows, n)
+    axes = _form_axes(rows)
+    if _use_histogram(n, [axis[3] for axis in axes], n_tuples):
+        return _box_sum(axes, n, int_dtype(_top_value(rows) << n))
     base = _packed_base([(span, max(abs(s), abs(h))) for _, s, h, *_, span in rows])
     packed = _packed_weights([w for w, *_ in rows], base, n)
     _, s0, h0, a0, b0, _, span0 = rows[0]

@@ -705,7 +705,8 @@ def _f2_quadratic(rng, n):
 
 
 # n = 24 splits one suffix variable off for degree 2, so the pass counts roots
-# through the suffix construction; below it, through dense value histograms
+# through the suffix construction; below it, each root count compares one
+# dense value table with 0
 @pytest.mark.parametrize("n, k", [(20, 1), (20, 2), (22, 2), (24, 1)])
 def test_f2_quadratics_agree_on_the_pass_and_the_dense_tables(monkeypatch, n, k):
     counted = _record_calls(monkeypatch, "count_roots")

@@ -46,18 +46,31 @@ def assert_kernels_agree(gates, n):
 number = st.builds(Fraction, st.integers(-6, 6), st.sampled_from((1, 1, 2, 3)))
 
 
+# nonzero rationals, 1 and -1 among them
+factor = st.builds(lambda sign, r: sign * r, st.sampled_from((1, -1)),
+                   st.one_of(st.just(Fraction(1)), number.filter(bool)))
+
+
 @st.composite
 def gate_inputs(draw):
     """(n, [(weights, constant)]) with k = 1-3 gates over n <= 12 variables;
     each constant is a subset sum of its weights plus an offset that is
     often 0, so that exact-threshold answers are not all zero.  Each gate's
     weights and constant share a common factor of 1, 2, 6 or 2^64, which the
-    rows divide out again."""
+    rows divide out again.  A gate after the first may instead reuse an
+    earlier gate's weights, unchanged, negated or times a rational, with a
+    constant of its own: its row then shares that gate's form, in either
+    orientation and at another scale, and the two accepted ranges may not
+    meet."""
     n = draw(st.integers(1, 12))
     rows = []
     for _ in range(draw(st.integers(1, 3))):
         g = draw(st.sampled_from((1, 2, 6, 2**64)))
-        ws = [g * w for w in draw(st.lists(number, min_size=n, max_size=n))]
+        if rows and draw(st.booleans()):
+            c = draw(factor)
+            ws = [c * w for w in draw(st.sampled_from(rows))[0]]
+        else:
+            ws = [g * w for w in draw(st.lists(number, min_size=n, max_size=n))]
         picks = draw(st.lists(st.booleans(), min_size=n, max_size=n))
         offset = draw(st.one_of(st.just(0), number))
         rows.append((ws, sum(w for w, b in zip(ws, picks) if b) + g * offset))
@@ -212,6 +225,32 @@ def test_point_gates_count_one_packed_subset_sum(n):
     assert len(calls) == 1
     assert value == oracle_sumprod(gates, n)
     assert grown == 2 ** ((n + 1) // 2) + 2 ** (n // 2)
+
+
+def test_rows_on_one_form_share_one_histogram_axis(monkeypatch):
+    # a Boolean check of ReLU gates asks for g^2 h^2, and a threshold gate
+    # may repeat another's form negated and scaled: the histogram takes one
+    # axis per distinct form, so g g h h has the box of g h
+    rng = random.Random(3)
+    g, h = (ReluGate(_weights(rng, 24, 7), rng.randint(-5, 5)) for _ in range(2))
+    assert chooses_histogram([g, g, h, h])
+    axes = []
+    real = sp.histogram
+    monkeypatch.setattr(sp, "histogram",
+                        lambda rows, n, window: axes.append(len(rows)) or real(rows, n, window))
+    n = 12
+    g, h = (ReluGate(_weights(rng, n, 7), rng.randint(-5, 5)) for _ in range(2))
+    w = _weights(rng, n, 3)
+    for gates in ([g, g, h, h], [h, g, h],
+                  [ThresholdGate(w, 1), ThresholdGate(tuple(-2 * x for x in w), -9)]):
+        axes.clear()
+        assert assert_kernels_agree(gates, n) > 0
+        assert axes == [2 if len(gates) > 2 else 1]
+    # windows on one form that do not meet: 0, with no histogram built
+    axes.clear()
+    disjoint = [ThresholdGate(w, 1), ThresholdGate(tuple(-x for x in w), 0)]
+    assert assert_kernels_agree(disjoint, n) == 0
+    assert axes == []
 
 
 # --- the bound filter on the split-and-list halves ---------------------------
@@ -453,3 +492,50 @@ def test_permuting_variables_keeps_the_sum_product(case, rng):
     value = sumprod(gates)
     assert value > 0
     assert sumprod(planted(family, permuted)) == value
+
+
+@st.composite
+def complement_products(draw):
+    """(n, G, (weights, threshold)) with 1-2 THR or ETHR gates G over
+    n = 30-40 variables, weights in +-2, planted as in ``planted_products``,
+    and the nonzero integer weights in +-3 of a THR gate whose threshold
+    sits near the point's sum, inside its range, so that neither the gate
+    nor its complement is 0 everywhere."""
+    n = draw(st.integers(30, 40))
+    family = draw(st.sampled_from((ThresholdGate, ExactThresholdGate)))
+    point = draw(st.lists(st.booleans(), min_size=n, max_size=n))
+    gates = []
+    for _ in range(draw(st.integers(1, 2))):
+        ws = draw(st.lists(st.integers(-2, 2), min_size=n, max_size=n))
+        hit = sum(w for w, b in zip(ws, point) if b)
+        if family is ThresholdGate:
+            hit -= draw(st.integers(0, 3))
+        gates.append(family(tuple(ws), hit))
+    ws = draw(st.lists(st.integers(-3, 3), min_size=n, max_size=n).filter(any))
+    lo, hi = sum(w for w in ws if w < 0), sum(w for w in ws if w > 0)
+    t = sum(w for w, b in zip(ws, point) if b) + draw(st.integers(-3, 3))
+    return n, gates, (ws, min(max(t, lo + 1), hi))
+
+
+@settings(derandomize=True, deadline=None, max_examples=25)
+@given(complement_products())
+def test_a_gate_and_its_complement_split_every_product(case):
+    # for integer weights [<w,x> >= t] + [<-w,x> >= 1 - t] = 1 at every point,
+    # and the two gates' rows share a form whose merged window is empty.  THR
+    # and ETHR gates are rows of one range-sum body, which takes them mixed
+    n, gates, (ws, t) = case
+    g = ThresholdGate(tuple(ws), t)
+    bar = ThresholdGate(tuple(-w for w in ws), 1 - t)
+
+    def s(product, histogram=None):
+        with pytest.MonkeyPatch.context() as m:
+            if histogram is not None:
+                m.setattr(sp, "_use_histogram", lambda *args: histogram)
+            return sp._linear_sumprod(product, n, sp.DEFAULT_TUPLE_CAP)
+
+    whole = s(gates)
+    assert whole == sumprod(gates) > 0
+    assert s([*gates, g]) + s([*gates, bar]) == whole
+    # and with its two sides on different kernels
+    assert s([*gates, g], False) + s([*gates, bar], True) == whole
+    assert s([*gates, g, bar]) == s([bar, *gates, g]) == s([*gates, g, bar], True) == 0

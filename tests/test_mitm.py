@@ -352,6 +352,27 @@ def test_histogram_memory_stays_near_the_box():
     assert peak < 1.25 * 8 * cells
 
 
+@SETTINGS
+@given(st.lists(st.integers(1, 4), min_size=1, max_size=3), st.data())
+def test_contract_weighs_each_cell_by_one_line_per_axis(shape, data):
+    # counts times the product of one line per axis, a line of None being
+    # the constant 1, on a strided view as a window is, in int64 and in
+    # Python ints past it
+    cells = math.prod(shape)
+    counts = np.array(data.draw(st.lists(st.integers(0, 1 << 20), min_size=2 * cells,
+                                         max_size=2 * cells)), dtype=np.int64)
+    counts = counts.reshape(*shape, 2)[..., 1]
+    big = data.draw(st.booleans())
+    lines = [data.draw(st.one_of(st.none(), st.lists(
+        st.integers(-(1 << 70), 1 << 70) if big else st.integers(-99, 99),
+        min_size=size, max_size=size))) for size in shape]
+    expect = sum(int(c) * math.prod(line[i] for line, i in zip(lines, cell) if line is not None)
+                 for cell, c in np.ndenumerate(counts))
+    dtype = object if big else np.int64
+    arrays = [None if line is None else np.array(line, dtype=dtype) for line in lines]
+    assert mitm.contract(counts, arrays, dtype) == expect
+
+
 # -- the semi-join's runs on helper threads ------------------------------------
 
 
