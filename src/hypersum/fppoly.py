@@ -1,37 +1,42 @@
 """Root counting, systems and Sum-Products for low-degree polynomials over F_p.
 
-A system count and a Sum-Product of k polynomials are one sum over x of
-prod_j lift_j(polys[j](x)), ``_lifted_sum``: lift_j is the indicator of
-targets[j] mod p for ``count_system`` and the value in 0..p-1 itself for
+A root count, a system count and a Sum-Product of k polynomials are one sum
+over x of prod_j lift_j(polys[j](x)), ``_lifted_sum``: lift_j is the
+indicator of targets[j] mod p for ``count_system`` (and ``count_roots``, the
+one-polynomial system q = 0) and the value in 0..p-1 itself for
 ``sumprod_fp``.  ``_lifted_sum`` alone picks their kernel, and each of the
-three kernels reads the lifts:
+four kernels reads the lifts:
 
 - Degree at most 1, within ``_linear_table``'s bounds: one joint histogram of
   the forms' integer sums, read by ``mitm.contract`` where every lift can
   be nonzero (every p-th cell of an indicator's axis), with the values'
   line (s + c0) mod p.  Neither ``dense_cap`` nor ``tuple_cap`` binds it.
-- The k dense value tables, ``_dense_sum`` (k * 2^n work for any p): the
+- One polynomial q of degree d with m = floor(n/(6dp)) >= 1: the fast root
+  counter splits off the last m variables, sums a modulus-amplified
+  indicator over all suffix assignments, and reads per-prefix suffix-root
+  counts out of the residues of a single polynomial over the remaining
+  variables.  It counts the roots of q - v for each v in the lift's
+  support: once for a system, p - 1 times for a Sum-Product.
+- The k dense value tables, ``_dense_sum`` (k * 2^n work for any p), for
+  one polynomial with m = 0 and wherever ``_reads_dense`` takes them: the
   lifted tables are multiplied into one product a table at a time, starting
   from the first.  When top, the product of the lifts' largest values, is 1
   (a system, or a Sum-Product over F_2) the product is a bool mask counted
   with ``np.count_nonzero``; otherwise it is held in the narrowest signed
   type that holds top ((p-1)^k) and summed in ``int_dtype(top << n)``.
-- The value-tuple pass ``_accumulators`` over the product of the lifts'
-  supports (one tuple for a system, (p-1)^k for a Sum-Product), each tuple
-  weighted by the product of its lifts.  ``_reads_dense`` picks between it
-  and the dense tables by table entries touched.
+- For k >= 2 only, the value-tuple pass ``_accumulators`` over the product
+  of the lifts' supports (one tuple for a system, (p-1)^k for a
+  Sum-Product), each tuple weighted by the product of its lifts.
+  ``_reads_dense`` picks between it and the dense tables by table entries
+  touched.  Its root counts are one-polynomial questions, so they never
+  come back to the pass.
 
-The fast root counter ``count_roots`` splits off the last m = floor(n/(6dp))
-variables, sums a modulus-amplified indicator over all suffix assignments,
-and reads per-prefix suffix-root counts out of the residues of a single
-polynomial over the remaining variables; with m = 0 it counts the system
-q = 0 on ``_dense_sum``, one comparison.  Every dense table comes from one
-zeta transform with a single reduction at the end.  Past 2^13 entries the
-transform is blocked: the table is viewed as rows of 2^8 points that share
-the high bits of their masks, the passes for the 8 low bits run only on the
-rows that hold a monomial, on transposed blocks so that each pass adds along
-a contiguous axis, and the passes for the high bits then run in place over
-the whole table.
+Every dense table comes from one zeta transform with a single reduction at
+the end.  Past 2^13 entries the transform is blocked: the table is viewed as
+rows of 2^8 points that share the high bits of their masks, the passes for
+the 8 low bits run only on the rows that hold a monomial, on transposed
+blocks so that each pass adds along a contiguous axis, and the passes for
+the high bits then run in place over the whole table.
 """
 
 from __future__ import annotations
@@ -392,32 +397,9 @@ def _linear_table(polys: Sequence[FpPolynomial]) -> Optional[np.ndarray]:
 
 
 def count_roots(q: FpPolynomial, *, dense_cap: int = DEFAULT_DENSE_CAP) -> int:
-    """|{x in {0,1}^n : q(x) = 0 mod p}|.
-
-    Constant polynomials are answered directly, and a polynomial of degree 1
-    whose ``_linear_table`` fits its bounds is answered by summing the
-    table's cells (-c0 mod p) + p * i, c0 the constant term.  Otherwise, when
-    m = floor(n/(6dp)) >= 1 (d the actual degree), the suffix-count
-    construction reduces the table to 2^(n-m) entries whose residues are
-    exact counts; else the dense value table is compared with 0
-    (``_dense_sum``).
-    """
-    nonconst = {mask: c for mask, c in q.monomials.items() if mask}
-    const = q.monomials.get(0, 0)
-    if not nonconst:
-        return (1 << q.n) if const % q.p == 0 else 0
-    counts = _linear_table([q])
-    if counts is not None:
-        return int(counts[-const % q.p::q.p].sum())
-    d = max(mask.bit_count() for mask in nonconst)
-    m = _suffix_vars(q.n, d, q.p)
-    if m >= 1:
-        _require_dense(q.n - m, dense_cap)
-        params = FpSumProdParams(p=q.p, d=d, k=1, n=q.n)
-        counter = suffix_count_poly(q, params)
-        return int(_eval_table(counter).sum())
-    _require_dense(q.n, dense_cap)
-    return _dense_sum([q], [0], 1)
+    """|{x in {0,1}^n : q(x) = 0 mod p}|, the one-polynomial system q = 0
+    (``_lifted_sum``)."""
+    return _lifted_sum([q], [0], dense_cap)
 
 
 def _shared_shape(polys: Sequence[FpPolynomial]) -> tuple[int, int]:
@@ -453,10 +435,11 @@ def _accumulators(
     N_b(b.t) - N_b(b.t + 1) for each b in F_p^k.  One pass over b serves every
     tuple; per b it counts the roots of the distinct levels b.t and b.t + 1,
     at most L = min(p, 2 * tuples) of them.  ``_lifted_sum`` takes this pass
-    only when ``_reads_dense`` declines the dense tables, so m >= 1 for the
-    largest degree and every root count here reads a suffix-count table of at
-    most 2^(n-m) entries.  A non-divisible accumulator indicates a bug and
-    raises InvariantViolation.
+    for k >= 2 only, when ``_reads_dense`` declines the dense tables, so
+    m >= 1 for the largest degree and every root count here reads a
+    suffix-count table of at most 2^(n-m) entries; a root count is a
+    one-polynomial question, which never comes back here.  A non-divisible
+    accumulator indicates a bug and raises InvariantViolation.
     """
     p, n = _shared_shape(polys)
     k = len(polys)
@@ -478,8 +461,9 @@ def _accumulators(
 
 
 def _reads_dense(polys: Sequence[FpPolynomial], levels: int, dense_cap: int) -> bool:
-    """True when the k dense value tables of ``polys`` touch fewer entries
-    than the ``_accumulators`` pass, which makes ``levels`` root counts
+    """For k >= 2 only (one polynomial never takes the pass): True when the
+    k dense value tables of ``polys`` touch fewer entries than the
+    ``_accumulators`` pass, which makes ``levels`` root counts
     (L = min(p, 2 * tuples): 2 for a system, p for a Sum-Product) for each of
     the p^k - 1 nonzero b, each on 2^(n-m) entries, m = floor(n/(6dp)) for d
     the largest degree (at least 1).
@@ -528,9 +512,11 @@ def _lifted_sum(
     tuple_cap: Optional[int] = None,
 ) -> int:
     """The module's sum over x of prod_j lift_j(polys[j](x)), with indicators
-    of ``targets`` mod p, or the values when ``targets`` is None.  Only the
-    value-tuple pass holds an accumulator per tuple, so only it is refused,
-    with CapExceeded, when the tuples exceed ``tuple_cap`` (None: no cap)."""
+    of ``targets`` mod p, or the values when ``targets`` is None: the one site
+    that picks an F_p kernel.  One polynomial never takes the value-tuple
+    pass, the only kernel that holds an accumulator per tuple, so only k >= 2
+    is refused, with CapExceeded, when the tuples exceed ``tuple_cap`` (None:
+    no cap)."""
     p, n = _shared_shape(polys)
     k = len(polys)
     lifts = [None] * k if targets is None else [t % p for t in targets]
@@ -547,15 +533,29 @@ def _lifted_sum(
         lines = [np.arange(c0, c0 + size, dtype=dtype) % p if t is None else None
                  for t, c0, size in zip(lifts, c0s, cells.shape)]
         return contract(cells, lines, dtype)
-    if _reads_dense(polys, min(p, 2 * tuples), dense_cap):
-        return _dense_sum(polys, lifts, top)
-    if tuple_cap is not None and tuples > tuple_cap:
-        raise CapExceeded(f"product expansion needs > {tuple_cap} value tuples")
-    combos = list(itertools.product(*(range(1, p) if t is None else (t,) for t in lifts)))
-    accs = _accumulators(polys, combos, dense_cap)
-    # an indicator weighs its one tuple entry 1, the value lift the value
-    weights = (math.prod(v for v, t in zip(combo, lifts) if t is None) for combo in combos)
-    return sum(w * acc for w, acc in zip(weights, accs)) // p**k
+    if k == 1:
+        q, t = polys[0], lifts[0]
+        d, c = q.degree, q.monomials.get(0, 0)
+        if not d:
+            return (c if t is None else int(c == t)) << n
+        m = _suffix_vars(n, d, p)
+        if m:
+            # the roots of q - v for each v in the lift's support, weighted by the lift
+            _require_dense(n - m, dense_cap)
+            params = FpSumProdParams(p=p, d=d, k=1, n=n)
+            return sum((v if t is None else 1) * int(_eval_table(suffix_count_poly(
+                FpPolynomial(p, n, {**q.monomials, 0: c - v}), params)).sum())
+                for v in (range(1, p) if t is None else (t,)))
+    elif not _reads_dense(polys, min(p, 2 * tuples), dense_cap):
+        if tuple_cap is not None and tuples > tuple_cap:
+            raise CapExceeded(f"product expansion needs > {tuple_cap} value tuples")
+        combos = list(itertools.product(*(range(1, p) if t is None else (t,) for t in lifts)))
+        accs = _accumulators(polys, combos, dense_cap)
+        # an indicator weighs its one tuple entry 1, the value lift the value
+        weights = (math.prod(v for v, t in zip(combo, lifts) if t is None) for combo in combos)
+        return sum(w * acc for w, acc in zip(weights, accs)) // p**k
+    _require_dense(n, dense_cap)
+    return _dense_sum(polys, lifts, top)
 
 
 def count_system(

@@ -393,6 +393,11 @@ def _record_calls(monkeypatch, name):
     return seen
 
 
+def _shifted(q, t):
+    """q - t, whose roots are the points where q = t mod p."""
+    return FpPolynomial(q.p, q.n, {**q.monomials, 0: q.monomials.get(0, 0) - t})
+
+
 def _histogram_off(monkeypatch):
     """Turn off the degree-1 joint histogram, so that degree-1 systems take
     the dense, suffix or value-tuple kernels."""
@@ -402,8 +407,10 @@ def _histogram_off(monkeypatch):
 
 
 def _force_kernel(monkeypatch, dense):
-    """Make ``fppoly._reads_dense`` answer ``dense`` for every system, with
-    the degree-1 histogram off."""
+    """Make ``fppoly._reads_dense`` answer ``dense`` for every question of two
+    or more polynomials, with the degree-1 histogram off.  One polynomial
+    never consults it: it reads a suffix-count table at m >= 1 and the dense
+    table at m = 0, whatever is forced."""
     import hypersum.fppoly as fp
 
     _histogram_off(monkeypatch)
@@ -456,6 +463,7 @@ def test_forced_kernels_agree_with_the_oracle(monkeypatch, p, sizes):
     if p == 5:
         monkeypatch.setattr(fp, "_suffix_vars", lambda n, d, p: 1)
     counted = _record_calls(monkeypatch, "count_roots")
+    suffixes = _record_calls(monkeypatch, "suffix_count_poly")
     rng = random.Random(99 + p)
     for n in sizes:
         for k in (1, 2, 3):
@@ -467,13 +475,66 @@ def test_forced_kernels_agree_with_the_oracle(monkeypatch, p, sizes):
             for dense in (True, False):
                 _force_kernel(monkeypatch, dense)
                 counted.clear()
+                suffixes.clear()
                 count, acc = count_system(polys, targets, with_accumulator=True)
                 assert count == expect_count
                 assert acc % p**k == 0
-                assert len(counted) <= 2 * p**k and bool(counted) != dense
+                if k == 1:
+                    # one polynomial at m >= 1 reads one suffix table, forced or not
+                    assert not counted and len(suffixes) == 1
+                else:
+                    assert len(counted) <= 2 * p**k and bool(counted) != dense
                 counted.clear()
+                suffixes.clear()
                 assert sumprod_fp(polys, n) == expect_sum
-                assert len(counted) <= p ** (k + 1) and bool(counted) != dense
+                if k == 1:
+                    assert not counted and len(suffixes) == p - 1
+                else:
+                    assert len(counted) <= p ** (k + 1) and bool(counted) != dense
+
+
+# ms: the suffix variables of the degree-1 and degree-2 polynomials, m =
+# n // (6dp); p = 5 would need n = 30 for one, so there m = n - 8 is patched in
+@pytest.mark.parametrize("p, n, ms", [(2, 11, {0}), (2, 13, {0, 1}), (3, 17, {0}),
+                                      (3, 18, {0, 1}), (5, 8, {0}), (5, 9, {1})])
+def test_one_polynomial_never_takes_the_value_tuple_pass(monkeypatch, p, n, ms):
+    import hypersum.fppoly as fp
+
+    def refuse(*args):
+        raise AssertionError("a one-polynomial question took the value-tuple pass")
+
+    _force_kernel(monkeypatch, dense=False)
+    monkeypatch.setattr(fp, "_accumulators", refuse)
+    if p == 5:
+        monkeypatch.setattr(fp, "_suffix_vars", lambda n, d, p: n - 8)
+    suffixes = _record_calls(monkeypatch, "suffix_count_poly")
+    dense_reads = _record_calls(monkeypatch, "_dense_sum")
+    rng = random.Random(37 * p + n)
+    # a constant, and degrees 1 and 2
+    polys = [FpPolynomial(p, n, {0: rng.randrange(p)}),
+             rand_fp_poly(rng, p, n, 1, max_monomials=12),
+             FpPolynomial.from_terms(p, n, [((1, n), 1), ((2,), rng.randrange(1, p))])]
+    routes = set()
+    for q in polys:
+        t = rng.randrange(p)
+        m = fp._suffix_vars(n, q.degree, p) if q.degree else None
+        suffixes.clear()
+        dense_reads.clear()
+        expect = oracle_count_fp_system([q], [t])
+        assert count_roots(_shifted(q, t)) == count_system([q], [t]) == expect
+        systems = len(suffixes), len(dense_reads)
+        assert sumprod_fp([q], n) == oracle_sumprod([q], n)
+        routes.add(m)
+        if m is None:
+            assert not suffixes and not dense_reads
+        elif m:
+            assert systems == (2, 0) and len(suffixes) == 2 + p - 1 and not dense_reads
+        else:
+            assert systems == (0, 2) and len(dense_reads) == 3 and not suffixes
+    assert routes == {None, *ms}
+    # a constant is answered directly at any n
+    assert count_roots(FpPolynomial(p, 100, {0: p})) == 1 << 100
+    assert sumprod_fp([FpPolynomial(p, 100, {0: p - 1})], 100) == p - 1 << 100
 
 
 # (p, n, k, levels, cap, dense): with degree 1, m = n // (6p), and the dense
@@ -572,15 +633,16 @@ def test_root_counts_per_call_are_bounded(monkeypatch, p, k, n):
 def test_invariant_violation_surfaces(monkeypatch):
     # a poisoned count_roots breaks the p^k divisibility and must be caught;
     # shifting exactly one call by 1 leaves the accumulator off by 1.  The
-    # system is in the suffix regime (m = 12 // (6 * 1 * 2) = 1), since a
-    # dense-regime system compares value tables and counts no roots, and the
+    # system has k = 2, since one polynomial never takes the pass, and is in
+    # the suffix regime (m = 12 // (6 * 1 * 2) = 1) with dense_cap = 11 below
+    # n, since the dense tables compare values and count no roots; the
     # degree-1 histogram, which counts none either, is off
     import hypersum.fppoly as fp
 
     _histogram_off(monkeypatch)
 
     real = fp.count_roots
-    q = FpPolynomial(2, 12, {1: 1})
+    x1, x2 = FpPolynomial(2, 12, {1: 1}), FpPolynomial(2, 12, {2: 1})
     calls = [0]
 
     def poisoned(poly, *, dense_cap=fp.DEFAULT_DENSE_CAP):
@@ -591,7 +653,7 @@ def test_invariant_violation_surfaces(monkeypatch):
     try:
         fp.count_roots = poisoned
         with pytest.raises(InvariantViolation):
-            fp.count_system([q], [0])
+            fp.count_system([x1, x2], [0, 0], dense_cap=11)
     finally:
         fp.count_roots = real
 
@@ -630,6 +692,29 @@ def test_dense_sumprod_fp_over_large_primes(p, k):
     for n in (3, 5, 6):
         polys = _dense_regime_polys(rng, p, n, k)
         assert sumprod_fp(polys, n) == oracle_sumprod(polys, n)
+
+
+# (k, bits, below, above): (below - 1)^k < 2^bits < (above - 1)^k, so the
+# product of k values moves from int8, int16, int32 or int64 to the next
+# type (Python ints past int64); p = 2 keeps it bool
+@pytest.mark.parametrize("k, bits, below, above", [
+    (1, 7, 127, 131), (1, 15, 32749, 32771), (1, 31, 2147483647, 2147483659),
+    (1, 63, 9223372036854775783, 9223372036854775837),
+    (2, 7, 11, 13), (2, 15, 181, 191), (2, 31, 46337, 46349), (2, 63, 3037000493, 3037000507),
+    (3, 7, 5, 7), (3, 15, 31, 37), (3, 31, 1291, 1297), (3, 63, 2097143, 2097169),
+])
+def test_dense_sumprod_fp_across_the_product_types(monkeypatch, k, bits, below, above):
+    dense_reads = _record_calls(monkeypatch, "_dense_sum")
+    assert (below - 1) ** k < 1 << bits < (above - 1) ** k
+    rng = random.Random(bits + k)
+    for p in (2, below, above):
+        for n in (3, 5, 6):
+            # x1 x2 x3 keeps every factor off the degree-1 histogram, and each
+            # is p - 1 at x = 0, where the product reaches (p - 1)^k
+            polys = [FpPolynomial(p, n, {**rand_fp_poly(rng, p, n, 3).monomials,
+                                         0: -1, 0b111: rng.randrange(1, p)}) for _ in range(k)]
+            assert sumprod_fp(polys, n) == oracle_sumprod(polys, n)
+    assert len(dense_reads) == 9
 
 
 def test_dense_count_system_compares_value_tables(monkeypatch):
@@ -706,23 +791,96 @@ def _f2_quadratic(rng, n):
 
 # n = 24 splits one suffix variable off for degree 2, so the pass counts roots
 # through the suffix construction; below it, each root count compares one
-# dense value table with 0
+# dense value table with 0.  One polynomial takes no pass: it reads a suffix
+# table at n = 24 and its dense table below
 @pytest.mark.parametrize("n, k", [(20, 1), (20, 2), (22, 2), (24, 1)])
 def test_f2_quadratics_agree_on_the_pass_and_the_dense_tables(monkeypatch, n, k):
     counted = _record_calls(monkeypatch, "count_roots")
+    suffixes = _record_calls(monkeypatch, "suffix_count_poly")
+    dense_reads = _record_calls(monkeypatch, "_dense_sum")
     rng = random.Random(n + k)
     polys = [_f2_quadratic(rng, n) for _ in range(k)]
     targets = [rng.randrange(2) for _ in range(k)]
     answers = set()
     for dense in (True, False):
         _force_kernel(monkeypatch, dense)
-        counted.clear()
+        for calls in (counted, suffixes, dense_reads):
+            calls.clear()
         total = sumprod_fp(polys, n)
         # over F_2 the product of the values is the indicator that all are 1
         assert total == count_system(polys, [1] * k)
         answers.add((total, count_system(polys, targets)))
-        assert bool(counted) != dense
+        if k == 1:
+            assert not counted and bool(suffixes) == (n >= 24) and bool(dense_reads) == (n < 24)
+        else:
+            assert bool(counted) != dense
     assert len(answers) == 1
+
+
+def _flipped(q, flips, order):
+    """q with x_j -> 1 - x_j substituted for every j in the mask ``flips``,
+    then variable j moved to ``order[j]``: a bijection of the cube, so every
+    count and Sum-Product is unchanged, and the degree does not grow."""
+    out = {}
+    for mask, c in q.monomials.items():
+        # prod over the flipped j in mask of (1 - x_j): (-1)^|T| x^T for T in it
+        flipped = mask & flips
+        sub = flipped
+        while True:
+            term = sum(1 << order[j] for j in range(q.n) if (mask & ~flips | sub) >> j & 1)
+            out[term] = out.get(term, 0) + (-1) ** sub.bit_count() * c
+            if not sub:
+                break
+            sub = (sub - 1) & flipped
+    return FpPolynomial(q.p, q.n, out)
+
+
+def _random_flips(rng, polys):
+    """``polys`` under one random flip and permutation, shared by all."""
+    n = polys[0].n
+    flips, order = rng.getrandbits(n), rng.sample(range(n), n)
+    return [_flipped(q, flips, order) for q in polys]
+
+
+def _fp_answers(polys, targets):
+    """count_roots of polys[0] - targets[0], the system and the Sum-Product."""
+    return (count_roots(_shifted(polys[0], targets[0])), count_system(polys, targets),
+            sumprod_fp(polys, polys[0].n))
+
+
+def test_flips_keep_f2_quadratic_answers():
+    # n = 24 and 25 split one suffix variable off for degree 2 over F_2
+    rng = random.Random(2425)
+    for n in (24, 25):
+        q = _f2_quadratic(rng, n)
+        [flipped] = _random_flips(rng, [q])
+        assert flipped.degree == 2 and flipped.monomials != q.monomials
+        t = rng.randrange(2)
+        assert _fp_answers([flipped], [t]) == _fp_answers([q], [t])
+
+
+def test_flips_keep_degree_one_answers_past_the_oracle():
+    rng = random.Random(4060)
+    for p, n in ((3, 40), (3, 60), (5, 47), (5, 60)):
+        polys = [rand_fp_poly(rng, p, n, 1, max_monomials=n) for _ in range(2)]
+        flipped = _random_flips(rng, polys)
+        targets = [rng.randrange(p) for _ in polys]
+        expect = _fp_answers(polys, targets)
+        assert _fp_answers(flipped, targets) == expect
+        assert sumprod_fp(polys[:1], n) == sumprod_fp(flipped[:1], n)
+
+
+def test_a_suffix_root_count_equals_two_dense_tables():
+    # the zero polynomial makes a system of two, which reads the dense tables
+    import hypersum.fppoly as fp
+
+    n = 24
+    rng = random.Random(24)
+    q = _f2_quadratic(rng, n)
+    zero = FpPolynomial(2, n, {})
+    assert fp._suffix_vars(n, 2, 2) == 1 and fp._reads_dense([q, zero], 2, DEFAULT_DENSE_CAP)
+    for t in (0, 1):
+        assert count_roots(_shifted(q, t)) == count_system([q, zero], [t, 0])
 
 
 def test_dense_kernels_hold_one_value_table_at_a_time():
