@@ -86,7 +86,7 @@ def _is_indicator(gate) -> bool:
 def _form_table(coefficients, gates, n: int) -> Optional[tuple]:
     """f = sum_j coefficients[j] * gates[j] on its achievable sums, as
     (n, counts, values, scale, bound).  Each gate is read as its
-    ``_gate_row`` on the primitive form whose first nonzero entry is
+    ``_gate_row``, on the primitive form whose first nonzero entry is
     positive, so f depends only on the sums s_i = <w_i, x> of the distinct
     forms w_1, ..., w_d; an all-zero gate's form is the zero vector, an axis
     of size 1.  ``counts`` holds the cells N(s) > 0 of their joint histogram
@@ -97,7 +97,7 @@ def _form_table(coefficients, gates, n: int) -> Optional[tuple]:
         return None
     forms: dict[tuple, list] = {}  # each form's (multiplier, row) pairs, in axis order
     for c, gate in zip(coefficients, gates):
-        row = _gate_row(gate, lead_positive=True) if c else None
+        row = _gate_row(gate) if c else None
         if row is not None:
             forms.setdefault(row[0], []).append((c * row[5], row))
     spans = [sum(map(abs, w)) for w in forms]

@@ -7,10 +7,10 @@ one-polynomial system q = 0) and the value in 0..p-1 itself for
 ``sumprod_fp``.  ``_lifted_sum`` alone picks their kernel, and each of the
 four kernels reads the lifts:
 
-- Degree at most 1, within ``_linear_table``'s bounds: one joint histogram of
-  the forms' integer sums, read by ``mitm.contract`` where every lift can
-  be nonzero (every p-th cell of an indicator's axis), with the values'
-  line (s + c0) mod p.  Neither ``dense_cap`` nor ``tuple_cap`` binds it.
+- Degree at most 1, within ``_linear_sum``'s bounds: each polynomial is a
+  row on its primitive form, as a gate is in ``sumprod``, and
+  ``mitm.box_sum`` reads one histogram axis per distinct form.  Neither
+  ``dense_cap`` nor ``tuple_cap`` binds it.
 - One polynomial q of degree d with m = floor(n/(6dp)) >= 1: the fast root
   counter splits off the last m variables, sums a modulus-amplified
   indicator over all suffix assignments, and reads per-prefix suffix-root
@@ -26,10 +26,10 @@ four kernels reads the lifts:
   type that holds top ((p-1)^k) and summed in ``int_dtype(top << n)``.
 - For k >= 2 only, the value-tuple pass ``_accumulators`` over the product
   of the lifts' supports (one tuple for a system, (p-1)^k for a
-  Sum-Product), each tuple weighted by the product of its lifts.
-  ``_reads_dense`` picks between it and the dense tables by table entries
-  touched.  Its root counts are one-polynomial questions, so they never
-  come back to the pass.
+  Sum-Product), each tuple weighted by the product of its lifts.  It
+  answers only where the dense tables pass ``dense_cap`` and m >= 1
+  (``_reads_dense``).  Its root counts are one-polynomial questions, so
+  they never come back to the pass.
 
 Every dense table comes from one zeta transform with a single reduction at
 the end.  Past 2^13 entries the transform is blocked: the table is viewed as
@@ -52,7 +52,7 @@ import numpy as np
 
 from .errors import CapExceeded, InvariantViolation
 from .gates import FpPolynomial, _is_prime, _shared_n
-from .mitm import _BOX_CELLS, contract, histogram, int_dtype
+from .mitm import _BOX_CELLS, box_sum, form_axes, int_dtype
 
 DEFAULT_DENSE_CAP = 26
 _INT32_BOUND = 1 << 31
@@ -257,16 +257,20 @@ def _low_passes(rows: np.ndarray, coeffs: Mapping[int, int], low: int) -> None:
 
 
 def _reduce(f: np.ndarray, modulus: int) -> None:
-    """f %= modulus in place for nonnegative entries.  On numpy integers it
-    runs as f - (f // modulus) * modulus in slices of ``_REDUCE_CHUNK``
-    entries: numpy divides them by a scalar several times faster than it
-    takes their remainder, and the slices bound the quotient's temporary."""
+    """f %= modulus in place for nonnegative entries.  On numpy integers a
+    power of two (p = 2) keeps the low bits, masked within the type; any
+    other modulus runs as f - (f // modulus) * modulus in slices of
+    ``_REDUCE_CHUNK`` entries: numpy divides them by a scalar several times
+    faster than it takes their remainder, and the slices bound the
+    quotient's temporary."""
     if f.dtype == object:
         f %= modulus
-        return
-    for start in range(0, len(f), _REDUCE_CHUNK):
-        part = f[start:start + _REDUCE_CHUNK]
-        part -= part // modulus * modulus
+    elif not modulus & (modulus - 1):
+        np.bitwise_and(f, min(modulus - 1, np.iinfo(f.dtype).max), out=f)
+    else:
+        for start in range(0, len(f), _REDUCE_CHUNK):
+            part = f[start:start + _REDUCE_CHUNK]
+            part -= part // modulus * modulus
 
 
 def eval_all_points(
@@ -369,31 +373,42 @@ def _value_histogram(p: int, n: int, items: tuple[tuple[int, int], ...]) -> Mapp
     return MappingProxyType(dict(zip(values.tolist(), counts.tolist())))
 
 
-def _linear_table(polys: Sequence[FpPolynomial]) -> Optional[np.ndarray]:
-    """The joint histogram N[s_1, ..., s_k] = |{x : sum_i c_ij x_i = s_j for
-    all j}| of the nonconstant parts of ``polys``, c_ij the coefficient of
-    x_i in polys[j] as stored (in 1..p-1), or None.
-
-    None unless every polynomial has degree at most 1, the counts fit int64
-    (n <= 61) and the box prod_j (sum_i c_ij + 1) is at most
-    min(``_BOX_CELLS``, k << n) cells, so the histogram never allocates more
-    cells than the k dense tables it replaces, holds at most 32 MiB and costs
-    at most n passes over them.  polys[j] takes the value (s_j + c0_j) mod p
-    on the cells of axis j, c0_j its constant term.
-    """
-    n = polys[0].n
+def _linear_sum(polys: Sequence[FpPolynomial], lifts, dtype) -> Optional[int]:
+    """``_lifted_sum`` from the joint histogram of the polynomials' forms,
+    read by ``mitm.box_sum`` in ``dtype``, or None unless every polynomial
+    has degree at most 1, n <= 61 (int64 counts) and the merged box is at
+    most min(``_BOX_CELLS``, k << n) cells, never more than the k dense
+    tables.  c0 + g <w, x>, w primitive and g the gcd of the coefficients
+    (1 for a constant), is a row on w over 0..sum(w).  An axis's line is the
+    product of its rows' lift((g s + c0) mod p); an indicator's is 1 on
+    every p-th cell from the root of g s = t - c0."""
+    p, n = polys[0].p, polys[0].n
     if int_dtype(1 << n) is not np.int64:
         return None
-    rows = [[0] * n for _ in polys]
-    for row, q in zip(rows, polys):
+    rows = []
+    for q, t in zip(polys, lifts):
+        row, c0 = [0] * n, q.monomials.get(0, 0)
         for mask, c in q.monomials.items():
             if mask & (mask - 1):
                 return None
             if mask:
                 row[mask.bit_length() - 1] = c
-    if math.prod(sum(row) + 1 for row in rows) > min(_BOX_CELLS, len(polys) << n):
+        g = math.gcd(*row) or 1
+        w = tuple(row) if g == 1 else tuple([c // g for c in row])
+        rows.append((w, 0, sum(w), (g, c0, t)))
+    axes = form_axes(rows)
+    if math.prod(h + 1 for _, _, h, _ in axes) > min(_BOX_CELLS, len(polys) << n):
         return None
-    return histogram(rows, n)[0]
+    lines = [None] * len(axes)
+    for i, (_, _, h, payloads) in enumerate(axes):
+        for g, c0, t in payloads:
+            if t is None:
+                part = np.arange(c0, c0 + g * (h + 1), g, dtype=dtype) % p
+            else:
+                part = np.zeros(h + 1, dtype=dtype)
+                part[(t - c0) * pow(g, -1, p) % p::p] = 1
+            lines[i] = part if lines[i] is None else lines[i] * part
+    return box_sum(axes, lines, n, dtype)
 
 
 def count_roots(q: FpPolynomial, *, dense_cap: int = DEFAULT_DENSE_CAP) -> int:
@@ -435,11 +450,9 @@ def _accumulators(
     N_b(b.t) - N_b(b.t + 1) for each b in F_p^k.  One pass over b serves every
     tuple; per b it counts the roots of the distinct levels b.t and b.t + 1,
     at most L = min(p, 2 * tuples) of them.  ``_lifted_sum`` takes this pass
-    for k >= 2 only, when ``_reads_dense`` declines the dense tables, so
-    m >= 1 for the largest degree and every root count here reads a
-    suffix-count table of at most 2^(n-m) entries; a root count is a
-    one-polynomial question, which never comes back here.  A non-divisible
-    accumulator indicates a bug and raises InvariantViolation.
+    for k >= 2 only, where ``_reads_dense`` declines the dense tables; each
+    root count is a one-polynomial question, which never comes back here.  A
+    non-divisible accumulator indicates a bug and raises InvariantViolation.
     """
     p, n = _shared_shape(polys)
     k = len(polys)
@@ -460,24 +473,13 @@ def _accumulators(
     return accs
 
 
-def _reads_dense(polys: Sequence[FpPolynomial], levels: int, dense_cap: int) -> bool:
-    """For k >= 2 only (one polynomial never takes the pass): True when the
-    k dense value tables of ``polys`` touch fewer entries than the
-    ``_accumulators`` pass, which makes ``levels`` root counts
-    (L = min(p, 2 * tuples): 2 for a system, p for a Sum-Product) for each of
-    the p^k - 1 nonzero b, each on 2^(n-m) entries, m = floor(n/(6dp)) for d
-    the largest degree (at least 1).
-
-    With m = 0 there is no suffix to split off and the tables are always read,
-    within ``dense_cap``.  With m >= 1 they are read iff n <= dense_cap and
-    k * 2^n < L * (p^k - 1) * 2^(n-m), i.e. k * 2^m < L * (p^k - 1); a tie
-    keeps the pass, which stays the only route when n > dense_cap >= n - m.
-    """
+def _reads_dense(polys: Sequence[FpPolynomial], dense_cap: int) -> bool:
+    """For k >= 2 only: whether the dense tables answer, wherever n <=
+    dense_cap, rather than the ``_accumulators`` pass, which answers past it
+    when m = floor(n/(6dp)) >= 1, d the largest degree (at least 1); with
+    m = 0 neither fits and CapExceeded is raised."""
     p, n = _shared_shape(polys)
-    k = len(polys)
-    # below n = 6p every degree gives m = 0, so no degree needs computing
-    m = _suffix_vars(n, max(1, *(q.degree for q in polys)), p) if n >= 6 * p else 0
-    if m and (n > dense_cap or k << m >= levels * (p**k - 1)):
+    if n > dense_cap and _suffix_vars(n, max(1, *(q.degree for q in polys)), p):
         return False
     _require_dense(n, dense_cap)
     return True
@@ -522,17 +524,9 @@ def _lifted_sum(
     lifts = [None] * k if targets is None else [t % p for t in targets]
     # a lift's largest value is the size of its support: p - 1 or 1
     top = tuples = (p - 1) ** k if targets is None else 1
-    counts = _linear_table(polys)
-    if counts is not None:
-        # axis j holds the value (s + c0_j) mod p at cell s; an indicator is 1
-        # on every p-th cell from (t_j - c0_j) mod p, so only those are read
-        dtype = int_dtype(top << n)
-        c0s = [q.monomials.get(0, 0) for q in polys]
-        cells = counts[tuple(slice(None) if t is None else slice((t - c0) % p, None, p)
-                             for t, c0 in zip(lifts, c0s))]
-        lines = [np.arange(c0, c0 + size, dtype=dtype) % p if t is None else None
-                 for t, c0, size in zip(lifts, c0s, cells.shape)]
-        return contract(cells, lines, dtype)
+    total = _linear_sum(polys, lifts, int_dtype(top << n))
+    if total is not None:
+        return total
     if k == 1:
         q, t = polys[0], lifts[0]
         d, c = q.degree, q.monomials.get(0, 0)
@@ -546,7 +540,7 @@ def _lifted_sum(
             return sum((v if t is None else 1) * int(_eval_table(suffix_count_poly(
                 FpPolynomial(p, n, {**q.monomials, 0: c - v}), params)).sum())
                 for v in (range(1, p) if t is None else (t,)))
-    elif not _reads_dense(polys, min(p, 2 * tuples), dense_cap):
+    elif not _reads_dense(polys, dense_cap):
         if tuple_cap is not None and tuples > tuple_cap:
             raise CapExceeded(f"product expansion needs > {tuple_cap} value tuples")
         combos = list(itertools.product(*(range(1, p) if t is None else (t,) for t in lifts)))

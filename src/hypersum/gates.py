@@ -257,35 +257,33 @@ def _over_lcm(values: Sequence[Fraction]) -> tuple[int, list[int]]:
     return d, [x.numerator * (d // x.denominator) for x in values]
 
 
-def _primitive_form(gate: LinearGate, lead_positive: bool = True):
+def _primitive_form(gate: LinearGate):
     """(w, lam) with the gate's weights lam * w, for the primitive integer
-    vector w whose first nonzero entry is positive or, unless
-    ``lead_positive``, with lam > 0.  lam is an int when the weights are.
-    An all-zero gate gives its zero weights and lam = 0."""
+    vector w whose first nonzero entry is positive; lam is an int when the
+    weights are.  An all-zero gate gives its zero weights and lam = 0."""
     scale, ints = _over_lcm(gate.weights)
     unit = math.gcd(*ints)
     if not unit:
         return tuple(ints), 0
-    if lead_positive and next(x for x in ints if x) < 0:
+    if next(x for x in ints if x) < 0:
         unit = -unit
     w = tuple(ints) if unit == 1 else tuple([x // unit for x in ints])
     return w, unit if scale == 1 else Fraction(unit, scale)
 
 
-def _gate_row(gate: LinearGate, lead_positive: bool = False):
+def _gate_row(gate: LinearGate):
     """The gate as a row (w, s, h, a, b, scale, span), or None when it is 0
     at every point.
 
-    w is its primitive form (``_primitive_form``), in the gate's own
-    orientation unless ``lead_positive``, and span the sum of |w|.  The gate
-    accepts the achievable sums t = <w, x> in [s, h], is (a t + b) * scale
-    there and 0 at every other point.  a and b are coprime integers, with
-    a = 0 and b = 1 for threshold and exact-threshold gates and on rows of
-    width 0; scale > 0 is 1 for those gates and an int or a Fraction for
-    ReLU gates.  An all-zero gate that is not 0 everywhere is a row of
-    width 0 at s = h = 0.
+    w is its primitive form (``_primitive_form``), whose first nonzero entry
+    is positive, and span the sum of |w|.  The gate accepts the achievable
+    sums t = <w, x> in [s, h], is (a t + b) * scale there and 0 at every
+    other point.  a and b are coprime integers, with a = 0 and b = 1 for
+    threshold and exact-threshold gates and on rows of width 0; scale > 0
+    is 1 for those gates and an int or a Fraction for ReLU gates.  An
+    all-zero gate that is not 0 everywhere is a row of width 0 at s = h = 0.
     """
-    w, lam = _primitive_form(gate, lead_positive)
+    w, lam = _primitive_form(gate)
     c = getattr(gate, gate._constant)
     relu = isinstance(gate, ReluGate)
     exact = isinstance(gate, ExactThresholdGate)

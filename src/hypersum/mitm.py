@@ -29,8 +29,9 @@ weights: Bellman's subset-sum dynamic program over the box of
 achievable sums of one or more linear forms.  It complements every variable
 whose shift would point up, so each pass adds in place with no temporary,
 and given a window of cells it updates only those that can still reach it.
-``contract`` is the one reader of such a histogram, for ``sumprod`` and
-``fppoly`` alike: it weighs each cell by one line of values per axis.
+``box_sum`` is the one reader of a product histogram, for ``sumprod`` and
+``fppoly`` alike: ``form_axes`` gives their rows one axis per distinct form,
+and ``contract`` weighs each cell of the box by one line of values per axis.
 
 One rule, ``int_dtype``, decides the integer width for every kernel: numpy
 int64 when each magnitude a kernel can meet is below 2^62, and numpy object
@@ -377,41 +378,45 @@ def histogram(weight_rows: Sequence[Sequence[int]], n: int, window=None):
     weights of row i.
 
     Bellman's dynamic program on ``int_dtype(1 << n)`` cells.  The box is
-    flattened in C order, so variable j shifts every count by its packed
-    weight x_j = sum_i w_ij * stride_i; a count's shifted cell is itself an
-    achievable sum, so shifts never wrap between rows.  Every variable with
-    x_j > 0 is complemented (x_j -> 1 - x_j, which permutes the points): the
-    counts start at the cell of the point that sets exactly those variables,
-    and every shift is -|x_j|.  Each pass then adds the counts into cells at
-    or below the ones it reads, which numpy does in place without a
-    temporary, so the box is the only array.  The passes run in ascending
-    |x_j| and each covers only the flat range reached so far; a zero shift
-    doubles every cell.
+    flattened in C order, axis i with a signed stride d_i, so variable j
+    shifts every count by its packed weight x_j = sum_i w_ij * d_i; a
+    count's shifted cell is itself an achievable sum, so shifts never wrap
+    between rows.  Every variable with x_j > 0 is complemented (x_j -> 1 -
+    x_j, which permutes the points): the counts start at the cell of the
+    point that sets exactly those variables, and every shift is -|x_j|.
+    Each pass then adds the counts into cells at or below the ones it
+    reads, which numpy does in place without a temporary, so the box is the
+    only array.  The passes run in ascending |x_j| and each covers only the
+    flat range reached so far; the zero shifts, which double every cell,
+    run as one start count of 2^zeros.
 
     ``window``, a list of one [a_i, b_i] per row, asks only for the cells
     of the box prod [a_i, b_i]: with every shift pointing down, a cell c can
     still reach it only if wmin <= c <= wmax + rest, wmin and wmax the
     window's lowest and highest flat cells and rest the sum of the shifts
-    not yet applied, so each pass updates no other cell.  Only the cells
-    inside the window are then exact.
+    not yet applied, so each pass updates no other cell, and only the cells
+    inside the window are exact.  The cells below wmin drop out from the
+    first pass and those above only late, so an axis whose window lies in
+    the lower half of its range is laid out reversed (d_i < 0): N is a view.
     """
     lows = [sum(w for w in row if w < 0) for row in weight_rows]
     shape = [sum(abs(w) for w in row) + 1 for row in weight_rows]
-    last = math.prod(shape) - 1
-    packed, start, stride, strides = [0] * n, 0, last + 1, []
-    for row, lo, size in zip(weight_rows, lows, shape):
-        stride //= size
-        strides.append(stride)
-        packed = [p + stride * w for p, w in zip(packed, row)]
-        start -= stride * lo
-    start += sum(x for x in packed if x > 0)
     if window is None:
         window = [(lo, lo + size - 1) for lo, size in zip(lows, shape)]
-    wmin, wmax = (sum(d * (ends[k] - lo) for d, ends, lo in zip(strides, window, lows))
-                  for k in (0, 1))
-    shifts = sorted(abs(x) for x in packed)
+    last = math.prod(shape) - 1
+    packed, base, stride, strides = [0] * n, 0, last + 1, []
+    for row, lo, size, ends in zip(weight_rows, lows, shape, window):
+        stride //= size
+        d = -stride if sum(ends) < 2 * lo + size - 1 else stride
+        strides.append(d)
+        packed = [p + d * w for p, w in zip(packed, row)]
+        base -= d * (lo if d > 0 else lo + size - 1)
+    start = base + sum(x for x in packed if x > 0)
+    wmin, wmax = (base + sum(f(d * a, d * b) for d, (a, b) in zip(strides, window))
+                  for f in (min, max))
+    shifts = sorted(abs(x) for x in packed if x)
     counts = np.zeros(last + 1, dtype=int_dtype(1 << n))
-    counts[start] = 1
+    counts[start] = 1 << (n - len(shifts))
     a, rest = start, sum(shifts)  # a..start holds every nonzero count
     for x in shifts:
         rest -= x
@@ -419,7 +424,8 @@ def histogram(weight_rows: Sequence[Sequence[int]], n: int, window=None):
         if i <= j:
             counts[i - x:j - x + 1] += counts[i:j + 1]
             a = min(a, i - x)
-    return counts.reshape(shape), lows
+    order = tuple(slice(None, None, 1 if d > 0 else -1) for d in strides)
+    return counts.reshape(shape)[order], lows
 
 
 def contract(counts, lines, dtype) -> int:
@@ -432,3 +438,27 @@ def contract(counts, lines, dtype) -> int:
         if line is not None:
             total = total @ line
     return int(total)
+
+
+def form_axes(rows) -> list[list]:
+    """One axis [w, s, h, payloads] per distinct w of the rows (w, s, h,
+    payload), in first-row order: the intersection [s, h] of its rows'
+    ranges, and their payloads that are not None."""
+    axes: dict[tuple, list] = {}
+    for w, s, h, payload in rows:
+        axis = axes.setdefault(w, [w, s, h, []])
+        axis[1:3] = max(axis[1], s), min(axis[2], h)
+        if payload is not None:
+            axis[3].append(payload)
+    return list(axes.values())
+
+
+def box_sum(axes, lines, n: int, dtype) -> int:
+    """sum over the x whose sums lie in the box prod [s_i, h_i] of the
+    ``form_axes`` of prod_i lines[i][<w_i, x> - s_i] (None: 1), read by
+    ``contract`` in ``dtype`` from the histogram windowed to the box."""
+    if any(s > h for _, s, h, _ in axes):
+        return 0
+    counts, lows = histogram([axis[0] for axis in axes], n, [axis[1:3] for axis in axes])
+    cells = counts[tuple(slice(s - lo, h - lo + 1) for (_, s, h, _), lo in zip(axes, lows))]
+    return contract(cells, lines, dtype)

@@ -2,7 +2,8 @@
 
 Threshold, exact-threshold and ReLU products share one body.  The one row
 rule, ``gates._gate_row``, reads each gate on its primitive form w (its
-weights are lam * w with lam > 0 and w an integer vector of gcd 1) as a row:
+weights are lam * w, w an integer vector of gcd 1 whose first nonzero entry
+is positive, so one form has one orientation) as a row:
 it accepts the achievable sums <w, x> in [s, h] and there takes the value
 (a <w, x> + b) * scale, with coprime integers a and b, and a = 0, b = 1 on
 threshold and exact-threshold rows and on every row of width 0.  The
@@ -13,13 +14,9 @@ a row's range is on the lattice of its sums.  Once the tuple cap is checked,
 and before anything is allocated, ``_use_histogram`` picks one of two
 kernels from a work estimate:
 
-- Histogram: the rows on one form, w or -w, share one axis (``_form_axes``).
-  When the box of the distinct forms' sums is small, Bellman's dynamic
-  program (``mitm.histogram``) counts the points in n passes, with the
-  accepted box as its window: the variables whose shifts point up are
-  complemented, so every pass adds in place below the cells it reads, and
-  it updates only the cells that can still reach the window, which
-  ``mitm.contract`` reads.
+- Histogram: the rows on one form share one axis (``mitm.form_axes``).
+  When the box of the distinct forms' sums is small, ``mitm.box_sum``
+  counts the points in the accepted box by Bellman's dynamic program.
 - Split and list keeps every row as it is, since its prefix sums need an
   affine widest row.  The gates' weight vectors are packed into one vector
   in a base B large enough that per-gate digits of any packed sum cannot
@@ -66,7 +63,7 @@ from .gates import (
     _gate_row,
     _shared_n,
 )
-from .mitm import (_BOX_CELLS, contract, count_subset_sum, half_sums, histogram, int_dtype,
+from .mitm import (_BOX_CELLS, box_sum, count_subset_sum, form_axes, half_sums, int_dtype,
                    partials, split_point)
 
 DEFAULT_TUPLE_CAP = 10**7
@@ -135,40 +132,6 @@ def _top_value(rows: Sequence[_Row]) -> int:
     return math.prod(max(abs(a * s + b), abs(a * h + b)) for _, s, h, a, b, _, _ in rows)
 
 
-def _form_axes(rows: Sequence[_Row]) -> list[list]:
-    """One axis [w, s, h, span, sloped] per form of ``rows``, w or -w, in the
-    orientation of its first row: a row on -w is flipped (s, h, a -> -h, -s,
-    -a).  It accepts the intersection [s, h] of its rows' ranges, and
-    ``sloped`` holds the (a, b) of its rows of nonzero slope (the rest are 1)."""
-    axes: list[list] = []
-    for w, s, h, a, b, _, span in rows:
-        for axis in axes:
-            if axis[3] == span and axis[0] in (w, tuple(-x for x in w)):
-                if axis[0] != w:
-                    s, h, a = -h, -s, -a
-                axis[1:3] = max(axis[1], s), min(axis[2], h)
-                break
-        else:
-            axis = [w, s, h, span, []]
-            axes.append(axis)
-        if a:
-            axis[4].append((a, b))
-    return axes
-
-
-def _box_sum(axes: Sequence[list], n: int, dtype) -> int:
-    """``_range_sum`` from the joint histogram of the ``_form_axes``, read in
-    their box by ``mitm.contract``: an axis's line is the product of its
-    sloped rows' values, or None.  An axis that accepts no sum makes it 0."""
-    if any(axis[1] > axis[2] for axis in axes):
-        return 0
-    counts, lows = histogram([axis[0] for axis in axes], n, [axis[1:3] for axis in axes])
-    cells = counts[tuple(slice(s - lo, h - lo + 1) for (_, s, h, *_), lo in zip(axes, lows))]
-    lines = [math.prod(_affine(axis, a, b, dtype) for a, b in axis[4]) if axis[4] else None
-             for axis in axes]
-    return contract(cells, lines, dtype)
-
-
 def _pruned_half(part: Sequence[int], dtype, base: int, windows):
     """((keys, counts), spans): ``np.unique`` of the subset sums of the
     packed weights ``part`` whose balanced base-``base`` digits, lowest
@@ -219,9 +182,12 @@ def _range_sum(rows: Sequence[_Row], n: int, tuple_cap: int) -> int:
         n_tuples *= h - s + 1
         if n_tuples > tuple_cap:
             raise CapExceeded(f"product expansion needs > {tuple_cap} tuples")
-    axes = _form_axes(rows)
-    if _use_histogram(n, [axis[3] for axis in axes], n_tuples):
-        return _box_sum(axes, n, int_dtype(_top_value(rows) << n))
+    if _use_histogram(n, {w: span for w, *_, span in rows}.values(), n_tuples):
+        axes = form_axes([(w, s, h, (a, b) if a else None) for w, s, h, a, b, *_ in rows])
+        dtype = int_dtype(_top_value(rows) << n)
+        lines = [math.prod(_affine(axis, a, b, dtype) for a, b in axis[3]) if axis[3] else None
+                 for axis in axes]
+        return box_sum(axes, lines, n, dtype)
     base = _packed_base([(span, max(abs(s), abs(h))) for _, s, h, *_, span in rows])
     packed = _packed_weights([w for w, *_ in rows], base, n)
     _, s0, h0, a0, b0, _, span0 = rows[0]

@@ -277,7 +277,7 @@ def test_fp_value_tuples_count_against_the_tuple_cap(tmp_path, capsys, monkeypat
     # tuple pass, refused before any tuple is built
     import hypersum.fppoly as fp
 
-    monkeypatch.setattr(fp, "_linear_table", lambda polys: None)
+    monkeypatch.setattr(fp, "_linear_sum", lambda polys, lifts, dtype: None)
     odd = {"monomials": [[[j], 1] for j in range(1, 18, 2)] + [[[], 1]]}
     every_third = {"monomials": [[[j], 1] for j in range(2, 18, 3)]}
     doc = {"family": "fp", "p": 3, "n": 18, "gates": [odd, every_third]}
@@ -306,12 +306,12 @@ def test_degree_one_questions_past_int64_counts_stop_on_the_dense_cap(
     # input falls through to the dense cap and exits at once
     import time
 
-    import hypersum.fppoly as fp
+    import hypersum.mitm as mitm
 
     def refuse(rows, n, window=None):
         raise AssertionError("histogram built past int64 counts")
 
-    monkeypatch.setattr(fp, "histogram", refuse)
+    monkeypatch.setattr(mitm, "histogram", refuse)
     start = time.monotonic()
     code, out, err = run([command, write(tmp_path, doc)], capsys)
     assert code == 2

@@ -403,7 +403,7 @@ def _histogram_off(monkeypatch):
     the dense, suffix or value-tuple kernels."""
     import hypersum.fppoly as fp
 
-    monkeypatch.setattr(fp, "_linear_table", lambda polys: None)
+    monkeypatch.setattr(fp, "_linear_sum", lambda polys, lifts, dtype: None)
 
 
 def _force_kernel(monkeypatch, dense):
@@ -414,7 +414,7 @@ def _force_kernel(monkeypatch, dense):
     import hypersum.fppoly as fp
 
     _histogram_off(monkeypatch)
-    monkeypatch.setattr(fp, "_reads_dense", lambda polys, levels, dense_cap: dense)
+    monkeypatch.setattr(fp, "_reads_dense", lambda polys, dense_cap: dense)
 
 
 def _suffix_regime_systems():
@@ -537,46 +537,30 @@ def test_one_polynomial_never_takes_the_value_tuple_pass(monkeypatch, p, n, ms):
     assert sumprod_fp([FpPolynomial(p, 100, {0: p - 1})], 100) == p - 1 << 100
 
 
-# (p, n, k, levels, cap, dense): with degree 1, m = n // (6p), and the dense
-# tables are read iff n <= cap and k * 2^m < levels * (p^k - 1)
-@pytest.mark.parametrize("p, n, k, levels, cap, dense", [
+# (p, n, k, d, cap, dense): k polynomials of degree d, m = n // (6dp); the
+# dense tables are read iff n <= cap, and past it the pass iff m >= 1
+@pytest.mark.parametrize("p, n, k, d, cap, dense", [
     (5, 10, 3, 5, 26, True),    # m = 0
-    (2, 12, 1, 2, 26, False),   # 1 * 2 = 2 * 1: a tie keeps the pass
-    (2, 12, 2, 2, 26, True),    # 2 * 2 < 2 * 3
-    (2, 24, 1, 2, 26, False),   # m = 2: 4 > 2
-    (3, 36, 1, 2, 36, False),   # m = 2: 4 = 2 * 2
-    (3, 36, 1, 3, 36, True),    # 4 < 3 * 2: a Sum-Product's p levels tip it
-    (2, 27, 3, 2, 26, False),   # 3 * 4 < 2 * 7, but 2^27 entries pass the cap
+    (2, 12, 2, 2, 26, True),    # m = 0
+    (2, 12, 2, 1, 26, True),    # m = 1
+    (2, 24, 2, 1, 26, True),    # m = 2: 2 * 4 >= 2 * 3 once kept the pass
+    (3, 36, 3, 1, 36, True),    # m = 2, n = cap
+    (2, 12, 2, 1, 11, False),   # m = 1 past the cap
+    (3, 36, 2, 2, 35, False),   # m = 1 past the cap
+    (2, 27, 3, 2, 26, False),   # m = 1: 2^27 entries pass the cap
 ])
-def test_dense_rule_compares_table_entries(p, n, k, levels, cap, dense):
+def test_dense_rule_compares_table_entries(p, n, k, d, cap, dense):
     from hypersum.fppoly import _reads_dense
 
-    polys = [FpPolynomial(p, n, {1 << j: 1}) for j in range(k)]
-    assert _reads_dense(polys, levels, cap) is dense
-
-
-def test_sumprods_weigh_p_levels_and_systems_two(monkeypatch):
-    import hypersum.fppoly as fp
-
-    levels_seen = []
-
-    def recording(polys, levels, dense_cap):
-        levels_seen.append(levels)
-        return True
-
-    _histogram_off(monkeypatch)
-    monkeypatch.setattr(fp, "_reads_dense", recording)
-    polys = [FpPolynomial(5, 4, {1: 1}), FpPolynomial(5, 4, {2: 3})]
-    assert sumprod_fp(polys) == oracle_sumprod(polys, 4)
-    assert count_system(polys, [0, 3]) == oracle_count_fp_system(polys, [0, 3])
-    assert levels_seen == [5, 2]
+    polys = [FpPolynomial(p, n, {(1 << d) - 1 << j: 1}) for j in range(k)]
+    assert _reads_dense(polys, cap) is dense
 
 
 def test_dense_rule_keeps_the_cap_without_a_suffix():
     from hypersum.fppoly import _reads_dense
 
     with pytest.raises(CapExceeded):
-        _reads_dense([FpPolynomial(5, 27, {1: 1})], 5, DEFAULT_DENSE_CAP)
+        _reads_dense([FpPolynomial(5, 27, {1: 1})], DEFAULT_DENSE_CAP)
 
 
 def test_pass_answers_when_only_the_suffix_table_fits(monkeypatch):
@@ -878,7 +862,7 @@ def test_a_suffix_root_count_equals_two_dense_tables():
     rng = random.Random(24)
     q = _f2_quadratic(rng, n)
     zero = FpPolynomial(2, n, {})
-    assert fp._suffix_vars(n, 2, 2) == 1 and fp._reads_dense([q, zero], 2, DEFAULT_DENSE_CAP)
+    assert fp._suffix_vars(n, 2, 2) == 1 and fp._reads_dense([q, zero], DEFAULT_DENSE_CAP)
     for t in (0, 1):
         assert count_roots(_shifted(q, t)) == count_system([q, zero], [t, 0])
 
@@ -1052,7 +1036,7 @@ def test_degree_one_questions_match_the_oracle_with_and_without_the_histogram(sy
     p, n, polys, targets = system
     k = len(polys)
     if any(q.degree > 1 for q in polys):
-        assert fp._linear_table(polys) is None
+        assert fp._linear_sum(polys, targets, np.int64) is None
     first = polys[0]
     root = FpPolynomial(p, n, {**first.monomials, 0: first.monomials.get(0, 0) - targets[0]})
     expect_roots = oracle_count_fp_system([first], targets[:1])
@@ -1061,7 +1045,7 @@ def test_degree_one_questions_match_the_oracle_with_and_without_the_histogram(sy
     for histogram in (True, False):
         with pytest.MonkeyPatch.context() as mp:
             if not histogram:
-                mp.setattr(fp, "_linear_table", lambda polys: None)
+                mp.setattr(fp, "_linear_sum", lambda polys, lifts, dtype: None)
             assert count_roots(root) == expect_roots
             count, acc = count_system(polys, targets, with_accumulator=True)
             assert count == expect_count
@@ -1070,16 +1054,94 @@ def test_degree_one_questions_match_the_oracle_with_and_without_the_histogram(sy
 
 
 def test_degree_one_histogram_is_taken_within_its_box():
-    from hypersum.fppoly import _linear_table
+    from hypersum.fppoly import _linear_sum
 
-    # x1 + ... + x12 over F_2: a box of 13 cells, within 1 << 12
-    x = FpPolynomial(2, 12, {1 << i: 1 for i in range(12)})
-    assert _linear_table([x]).tolist() == [math.comb(12, s) for s in range(13)]
-    # 6 (x1 + x2) over F_7 at n = 2: a box of 13 cells, past 1 << 2
-    assert _linear_table([FpPolynomial(7, 2, {1: 6, 2: 6})]) is None
-    # parity counts reach 2^(n-1): int64 holds them up to n = 61 only
-    assert _linear_table([_parity(2, 61, 61)]).tolist() == [math.comb(61, s) for s in range(62)]
-    assert _linear_table([_parity(2, 62, 62)]) is None
+    # x1 + ... + x12 over F_13: a box of 13 cells, within 1 << 12; as p > n,
+    # the roots of x - t are the one cell s = t
+    x = _parity(13, 12, 12)
+    assert [count_roots(_shifted(x, t)) for t in range(13)] == [math.comb(12, s) for s in range(13)]
+    # 6 (x1 + x2) over F_7 at n = 2 is 6 times the form x1 + x2, a box of 3
+    # cells; 5 x1 + 6 x2 is primitive, a box of 12 cells, past 1 << 2
+    assert _linear_sum([FpPolynomial(7, 2, {1: 6, 2: 6})], [0], np.int64) == 1
+    assert _linear_sum([FpPolynomial(7, 2, {1: 5, 2: 6})], [0], np.int64) is None
+    # int64 holds counts up to 2^n while n <= 61 only; at n = 61 only the
+    # histogram answers, within the dense cap of 26
+    x = _parity(67, 61, 61)
+    assert [count_roots(_shifted(x, t)) for t in range(62)] == [math.comb(61, s) for s in range(62)]
+    assert _linear_sum([_parity(2, 62, 62)], [0], np.int64) is None
+
+
+def _histogram_axes(mp):
+    """Spy on ``mitm.histogram`` with the MonkeyPatch ``mp``: the returned
+    list collects each call's number of axes."""
+    import hypersum.mitm as mitm
+
+    real, axes = mitm.histogram, []
+    mp.setattr(mitm, "histogram",
+               lambda rows, n, window=None: axes.append(len(rows)) or real(rows, n, window))
+    return axes
+
+
+@st.composite
+def _shared_form_questions(draw):
+    """(p, n, polys, targets): 2-4 polynomials over F_p, p in {3, 5, 7},
+    n = 7..10, each c * v + c0 for v one of two drawn 0/1/2 vectors (zero
+    allowed), c such that every c v_i stays below p, and a constant c0, so
+    their stored coefficients are multiples of at most two forms."""
+    p = draw(st.sampled_from([3, 5, 7]))
+    n = draw(st.integers(7, 10))
+    vectors = draw(st.lists(st.lists(st.integers(0, 2), min_size=n, max_size=n),
+                            min_size=2, max_size=2))
+    polys = []
+    for _ in range(draw(st.integers(2, 4))):
+        v = draw(st.sampled_from(vectors))
+        c = draw(st.integers(1, (p - 1) // max(1, *v)))
+        monomials = {1 << i: c * x for i, x in enumerate(v) if x}
+        polys.append(FpPolynomial(p, n, {**monomials, 0: draw(st.integers(0, p - 1))}))
+    targets = draw(st.lists(st.integers(0, p - 1), min_size=len(polys), max_size=len(polys)))
+    return p, n, polys, targets
+
+
+@settings(derandomize=True, deadline=None, max_examples=120)
+@given(_shared_form_questions())
+def test_polynomials_on_shared_forms_merge_into_their_axes(question):
+    import hypersum.fppoly as fp
+
+    p, n, polys, targets = question
+    first = polys[0]
+    expect = (oracle_count_fp_system(polys[:1], targets[:1]),
+              oracle_count_fp_system(polys, targets), oracle_sumprod(polys, n))
+    for histogram in (True, False):
+        with pytest.MonkeyPatch.context() as mp:
+            axes = _histogram_axes(mp)
+            if not histogram:
+                mp.setattr(fp, "_linear_sum", lambda polys, lifts, dtype: None)
+            assert (count_roots(_shifted(first, targets[0])), count_system(polys, targets),
+                    sumprod_fp(polys, n)) == expect
+            # one axis per distinct form: the one polynomial's, then at most two
+            assert (axes[0] == 1 and len(axes) == 3 and max(axes) <= 2) if histogram else not axes
+
+
+def test_four_polynomials_on_one_form_at_n_60_read_one_axis(monkeypatch):
+    # c (x1 + ... + x60) + d over F_5: no single box of four axes fits, but
+    # the four rows share one axis of 61 cells
+    import hypersum.fppoly as fp
+
+    def refuse(*args):
+        raise AssertionError("the value-tuple pass ran")
+
+    monkeypatch.setattr(fp, "_accumulators", refuse)
+    axes = _histogram_axes(monkeypatch)
+    n, p, targets = 60, 5, [0, 1, 3, 2]
+    shifts = list(zip((1, 2, 3, 4), (0, 1, 3, 2)))
+    polys = [FpPolynomial(p, n, {0: d, **{1 << i: c for i in range(n)}}) for c, d in shifts]
+    count = sum(math.comb(n, s) for s in range(n + 1)
+                if all((c * s + d) % p == t for (c, d), t in zip(shifts, targets)))
+    value = sum(math.comb(n, s) * math.prod((c * s + d) % p for c, d in shifts)
+                for s in range(n + 1))
+    assert count_system(polys, targets) == count == 230585685502492596
+    assert sumprod_fp(polys, n) == value == 11759746863383510145
+    assert axes == [1, 1]
 
 
 def _parity(p, n, count):

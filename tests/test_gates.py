@@ -280,32 +280,28 @@ def scaled_gates(draw):
 @given(scaled_gates())
 def test_gate_row_matches_pointwise_evaluation(case):
     w, lam, gate = case
-    for lead_positive in (False, True):
-        row = _gate_row(gate, lead_positive)
+    row = _gate_row(gate)
+    if row is not None:
+        form, s, h, a, b, scale, span = row
+        assert span == sum(map(abs, form))
+        assert sum(x for x in form if x < 0) <= s <= h <= sum(x for x in form if x > 0)
+        assert math.gcd(a, b) == 1 and scale > 0
+        if s == h or not isinstance(gate, ReluGate):
+            assert (a, b) == (0, 1)
+        if not isinstance(gate, ReluGate):
+            assert scale == 1
+        # the gate's weights are a multiple of the form, whose first nonzero
+        # entry is positive
+        ratios = {g / x for g, x in zip(gate.weights, form) if x}
+        assert len(ratios) <= 1 and math.gcd(*form) in (0, 1)
+        assert next((x for x in form if x), 1) > 0
+    for x in product((0, 1), repeat=len(w)):
+        value = 0
         if row is not None:
-            form, s, h, a, b, scale, span = row
-            assert span == sum(map(abs, form))
-            assert sum(x for x in form if x < 0) <= s <= h <= sum(x for x in form if x > 0)
-            assert math.gcd(a, b) == 1 and scale > 0
-            if s == h or not isinstance(gate, ReluGate):
-                assert (a, b) == (0, 1)
-            if not isinstance(gate, ReluGate):
-                assert scale == 1
-            # the gate's weights are a multiple of the form, positive unless
-            # the form's first nonzero entry must be
-            ratios = {g / x for g, x in zip(gate.weights, form) if x}
-            assert len(ratios) <= 1 and math.gcd(*form) in (0, 1)
-            if lead_positive:
-                assert next((x for x in form if x), 1) > 0
-            else:
-                assert all(r > 0 for r in ratios)
-        for x in product((0, 1), repeat=len(w)):
-            value = 0
-            if row is not None:
-                t = sum(c for c, bit in zip(form, x) if bit)
-                if s <= t <= h:
-                    value = (a * t + b) * scale
-            assert value == _EVAL[type(gate)](gate, x)
+            t = sum(c for c, bit in zip(form, x) if bit)
+            if s <= t <= h:
+                value = (a * t + b) * scale
+        assert value == _EVAL[type(gate)](gate, x)
 
 
 # psi_13: the smallest integer that is a strong pseudoprime to the 13 bases

@@ -235,8 +235,8 @@ def test_rows_on_one_form_share_one_histogram_axis(monkeypatch):
     g, h = (ReluGate(_weights(rng, 24, 7), rng.randint(-5, 5)) for _ in range(2))
     assert chooses_histogram([g, g, h, h])
     axes = []
-    real = sp.histogram
-    monkeypatch.setattr(sp, "histogram",
+    real = mitm.histogram
+    monkeypatch.setattr(mitm, "histogram",
                         lambda rows, n, window: axes.append(len(rows)) or real(rows, n, window))
     n = 12
     g, h = (ReluGate(_weights(rng, n, 7), rng.randint(-5, 5)) for _ in range(2))

@@ -2,8 +2,11 @@
 moduli drawn on both sides of 2^62, mixed with small weights so that one half
 of the variables can fit int64 while the other does not."""
 
+import random
 from fractions import Fraction
 
+import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -13,7 +16,7 @@ from hypersum import (
     ThresholdGate,
     oracle_sumprod,
 )
-from hypersum.fppoly import MultilinearRingPoly, eval_all_points
+from hypersum.fppoly import MultilinearRingPoly, _reduce, eval_all_points
 from hypersum.mitm import count_subset_sum
 from hypersum.sumprod import sumprod_ethr, sumprod_relu, sumprod_thr
 
@@ -140,3 +143,15 @@ def test_eval_all_points_reduces_once_without_overflow(case):
     modulus, nv, coeffs = case
     table = eval_all_points(MultilinearRingPoly(modulus, nv, coeffs))
     assert table == [_submask_sum(coeffs, point) % modulus for point in range(1 << nv)]
+
+
+# p = 2's tables are reduced mod 2 (dense) or 2^ell (suffix counts) by their low
+# bits; 3 takes the floor division
+@pytest.mark.parametrize("dtype, bound", [(np.int32, 2**31), (np.int64, 2**63), (object, 2**80)])
+@pytest.mark.parametrize("modulus", [2, 3, 4, 2**40])
+def test_reduce_matches_the_remainder(dtype, bound, modulus):
+    rng = random.Random(modulus)
+    values = [0, 1, bound - 1] + [rng.randrange(bound) for _ in range(1000)]
+    table = np.array(values, dtype=dtype)
+    _reduce(table, modulus)
+    assert table.dtype == dtype and table.tolist() == [v % modulus for v in values]
