@@ -24,15 +24,21 @@ kernels from a work estimate:
   the targets of the other gates are expanded into packed tuples U.  When
   every row has width 0 (an exact-threshold product, or gates that each
   accept one sum) there is one tuple, and ``mitm.count_subset_sum`` counts
-  the packed gate's subset sums.  Otherwise both halves of the
-  variables are enumerated once and bound-filtered (``_pruned_half``): a
-  half sum stays only if, for every gate i, its digit d_i plus some digit
-  of the other half can land in [s_i, h_i].  The first half is tested
-  against the range of the second half's digits, the sums of its negative
-  and positive weights, and the second half against the digits of the
-  first half's survivors.  No dropped sum has a partner that every gate
-  accepts, so the answer is unchanged, and it is 0 when a half keeps
-  nothing.  For a first-half key L and a tuple U, the matching second-half
+  the packed gate's subset sums.  Otherwise the halves of the variables
+  are bound-filtered (``_pruned_half``) before anything is packed: a half
+  sum stays only if, for every gate i, its digit d_i = <w_i, x> on the half
+  plus some digit of the other half can land in [s_i, h_i].  Each gate's
+  digits are doubled in the ``int_dtype`` of the gates' own weights, in
+  blocks, and ANDed gate by gate into a keep mask, so the filter runs on
+  int64 even where the packed keys need Python ints.  The first half is
+  tested against the range of the second half's digits, the sums of its
+  negative and positive weights, and the second half against the digits
+  of the first half's survivors.  No dropped sum has a partner that every
+  gate accepts, so the answer is unchanged, and it is 0 as soon as a half
+  keeps nothing: the second half is then never enumerated, and the packed
+  width and the upper tuples are never built.  The survivors' digits are
+  packed by Horner's rule in base B into the keys the matching reads.
+  For a first-half key L and a tuple U, the matching second-half
   keys are exactly those in the interval [U - L + s, U - L + h] of the
   widest gate, so prefix sums over the sorted second-half keys turn the
   whole widest gate into two binary searches.  A sloped widest row needs a
@@ -63,14 +69,14 @@ from .gates import (
     _gate_row,
     _shared_n,
 )
-from .mitm import (_BOX_CELLS, box_sum, count_subset_sum, form_axes, half_sums, int_dtype,
+from .mitm import (_BLOCK_LOG, _BOX_CELLS, box_sum, count_subset_sum, form_axes, int_dtype,
                    partials, split_point)
 
 DEFAULT_TUPLE_CAP = 10**7
 
-# elements evaluated at once, (loop keys x upper tuples) in the range-sum loop
-# and half sums in the bound filter; keeps the kernel's temporaries at a few
-# hundred kilobytes whatever the query size
+# elements evaluated at once, loop keys x upper tuples, in the range-sum
+# loop; keeps its temporaries at a few hundred kilobytes whatever the query
+# size (the bound filter's blocks are bounded by mitm._BLOCK_LOG)
 _CHUNK = 8192
 
 # the histogram runs when its n * box cell updates are at most this many
@@ -132,35 +138,67 @@ def _top_value(rows: Sequence[_Row]) -> int:
     return math.prod(max(abs(a * s + b), abs(a * h + b)) for _, s, h, a, b, _, _ in rows)
 
 
-def _pruned_half(part: Sequence[int], dtype, base: int, windows):
-    """((keys, counts), spans): ``np.unique`` of the subset sums of the
-    packed weights ``part`` whose balanced base-``base`` digits, lowest
-    first, each lie in their window [lo_i, hi_i], and the [min, max] of each
-    digit over the sums kept.  Digits are peeled a chunk of sums at a time,
-    so the temporaries stay small."""
-    sums = np.asarray(half_sums(part), dtype=dtype)
-    half = base // 2
-    # no digit reaches +-base, so a half that keeps nothing gives the other
-    # half empty windows
-    spans = [[base, -base] for _ in windows]
-    if any(lo > hi for lo, hi in windows):
-        sums = sums[:0]
-    keep = np.ones(len(sums), dtype=bool)
-    for c in range(0, len(sums), _CHUNK):
-        rest, ok, digits = sums[c:c + _CHUNK], keep[c:c + _CHUNK], []
-        for lo, hi in windows:
-            rest = rest + half
-            d = rest % base - half
-            rest //= base
-            ok &= (lo <= d) & (d <= hi)
-            digits.append(d)
-        if ok.any():
-            for span, d in zip(spans, digits):
-                d = d[ok]
-                span[:] = min(span[0], int(d.min())), max(span[1], int(d.max()))
-    if not keep.all():
-        sums = sums[keep]
-    return np.unique(sums, return_counts=True), spans
+def _half_table(parts, dtype):
+    """T[i, m] = the sum of parts[i][j] over the bits j set in m: every
+    subset sum of each gate's weights, in ``half_sums`` order, doubled one
+    weight at a time for all the gates at once."""
+    weights = np.array(parts, dtype=dtype)
+    table = np.zeros((len(parts), 1 << weights.shape[1]), dtype=dtype)
+    m = 1
+    for j in range(weights.shape[1]):
+        np.add(table[:, :m], weights[:, j:j + 1], out=table[:, m:2 * m])
+        m *= 2
+    return table
+
+
+def _pruned_half(parts, windows):
+    """D[i, m] = <parts[i], x> for the subset sums of a half, in
+    ``half_sums`` order, whose every digit D[i, m] lies in its window
+    windows[i] = (lo_i, hi_i); None when the half keeps none.
+
+    parts[i] is gate i's weights on the half.  The digits are doubled in
+    the ``int_dtype`` of the gates' own sums, in blocks of at most
+    2^``_BLOCK_LOG`` digits: a table of each gate's sums of its first b
+    weights, shifted by one sum of the rest per block.  In a block, the
+    gates whose windows cover the smallest share of their range go first;
+    each gate's column is tested against its window and ANDed into the
+    block's keep mask, the block stops at the first gate that empties the
+    mask, and only the kept digits are gathered."""
+    bounds, reach = [], 0
+    for part, (lo, hi) in zip(parts, windows):
+        neg, pos = sum(w for w in part if w < 0), sum(w for w in part if w > 0)
+        lo, hi = max(lo, neg), min(hi, pos)  # so lo - o and hi - o fit the digits' width
+        if lo > hi:
+            return None
+        bounds.append((lo, hi, (hi - lo) / (pos - neg + 1)))
+        reach = max(reach, pos - neg)
+    order = sorted(range(len(parts)), key=lambda i: bounds[i][2])
+    dtype = int_dtype(reach)
+    b = max(0, min(len(parts[0]), _BLOCK_LOG - (len(parts) - 1).bit_length()))
+    low = _half_table([part[:b] for part in parts], dtype)
+    offsets = _half_table([part[b:] for part in parts], dtype)
+    kept = []
+    for r, o in enumerate(offsets.T.tolist()):
+        keep = None
+        for i in order:
+            lo, hi, _ = bounds[i]
+            ok = np.greater_equal(low[i], lo - o[i])
+            ok &= np.less_equal(low[i], hi - o[i])
+            keep = ok if keep is None else np.logical_and(keep, ok, out=keep)
+            if not keep.any():
+                break
+        else:
+            kept.append(low[:, np.flatnonzero(keep)] + offsets[:, r:r + 1])
+    return np.concatenate(kept, axis=1) if kept else None
+
+
+def _packed_keys(digits, base: int, dtype):
+    """sum_i digits[i] * base^i, by Horner's rule in ``dtype``."""
+    keys = digits[-1].astype(dtype)
+    for d in digits[-2::-1]:
+        keys *= base
+        keys += d
+    return keys
 
 
 def _range_sum(rows: Sequence[_Row], n: int, tuple_cap: int) -> int:
@@ -189,13 +227,35 @@ def _range_sum(rows: Sequence[_Row], n: int, tuple_cap: int) -> int:
                  for axis in axes]
         return box_sum(axes, lines, n, dtype)
     base = _packed_base([(span, max(abs(s), abs(h))) for _, s, h, *_, span in rows])
-    packed = _packed_weights([w for w, *_ in rows], base, n)
     _, s0, h0, a0, b0, _, span0 = rows[0]
     if s0 == h0:
         # every gate accepts one sum, where it is 1: count the points at the
         # packed target
         target = sum(s * base**i for i, (_, s, *_) in enumerate(rows))
-        return count_subset_sum(packed, target)
+        return count_subset_sum(_packed_weights([w for w, *_ in rows], base, n), target)
+
+    h = split_point(n)
+    # gate i can accept a half's digit d only if d + e lies in [s_i, h_i] for
+    # some digit e in the other half's range: for the first half, the second
+    # half's negative and positive weight sums; for the second, the digits of
+    # the first half's survivors
+    spans = [
+        (sum(w for w in ws[h:] if w < 0), sum(w for w in ws[h:] if w > 0))
+        for ws, *_ in rows
+    ]
+    halves = []
+    # the tally counts both halves, as every call does, even when the second
+    # is never enumerated
+    partials.add((1 << h) + (1 << (n - h)))
+    for part in (slice(None, h), slice(h, None)):
+        windows = [(s - hi, t - lo) for (_, s, t, *_), (lo, hi) in zip(rows, spans)]
+        digits = _pruned_half([ws[part] for ws, *_ in rows], windows)
+        if digits is None:
+            return 0
+        spans = list(zip(digits.min(axis=1).tolist(), digits.max(axis=1).tolist()))
+        halves.append(digits)
+
+    packed = _packed_weights([w for w, *_ in rows], base, n)
     key_bound = sum(abs(w) for w in packed)
     dtype = int_dtype(
         key_bound + base,
@@ -211,23 +271,8 @@ def _range_sum(rows: Sequence[_Row], n: int, tuple_cap: int) -> int:
         uppers = np.add.outer(uppers, _affine(row, scale, 0, dtype)).ravel()
         values = np.multiply.outer(values, _affine(row, *row[3:5], dtype)).ravel()
         scale *= base
-
-    h = split_point(n)
-    # gate i can accept a half's digit d only if d + e lies in [s_i, h_i] for
-    # some digit e in the other half's range: for the second half, its
-    # weights' negative and positive sums; for the first, its survivors'
-    spans = [
-        (sum(w for w in ws[h:] if w < 0), sum(w for w in ws[h:] if w > 0))
-        for ws, *_ in rows
-    ]
-    halves = []
-    partials.add((1 << h) + (1 << (n - h)))
-    for part in (packed[:h], packed[h:]):
-        windows = [(s - hi, t - lo) for (_, s, t, *_), (lo, hi) in zip(rows, spans)]
-        table, spans = _pruned_half(part, dtype, base, windows)
-        halves.append(table)
-    if not all(len(keys) for keys, _ in halves):
-        return 0
+    halves = [np.unique(_packed_keys(digits, base, dtype), return_counts=True)
+              for digits in halves]
     halves.sort(key=lambda kc: len(kc[0]))
     (loop_keys, loop_counts), (match_keys, match_counts) = halves
     match_counts = match_counts.astype(dtype)

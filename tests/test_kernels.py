@@ -7,6 +7,7 @@ the histogram (True) or split and list (False)."""
 import importlib
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -131,10 +132,11 @@ def test_histogram_counts_past_int64():
 
 def test_ethr_at_n60_reads_one_cell(monkeypatch):
     # split and list would enumerate two lists of 2^30 Python ints
-    def refuse(weights):
+    def refuse(*args):
         raise AssertionError("half enumeration on a narrow gate")
 
-    monkeypatch.setattr(sp, "half_sums", refuse)
+    monkeypatch.setattr(mitm, "half_sums", refuse)
+    monkeypatch.setattr(sp, "_half_table", refuse)
     gate = ExactThresholdGate((Fraction(1),) * 60, Fraction(30))
     assert sumprod([gate]) == math.comb(60, 30) == 118264581564861424
 
@@ -256,17 +258,22 @@ def test_rows_on_one_form_share_one_histogram_axis(monkeypatch):
 # --- the bound filter on the split-and-list halves ---------------------------
 
 
+def _distinct(digits) -> int:
+    """How many distinct sums a half's digit columns hold (None: none)."""
+    return 0 if digits is None else len(set(zip(*digits.tolist())))
+
+
 def split_and_list(gates):
     """The answer with split and list forced, and each half's (distinct kept
     sums, distinct sums) as ``_pruned_half`` saw them."""
     real = sp._pruned_half
     sizes = []
 
-    def spy(part, dtype, base, windows):
-        table, spans = real(part, dtype, base, windows)
-        everything, _ = real(part, dtype, base, [(-base, base)] * len(windows))
-        sizes.append((len(table[0]), len(everything[0])))
-        return table, spans
+    def spy(parts, windows):
+        kept = real(parts, windows)
+        everything = real(parts, [(-sum(map(abs, p)), sum(map(abs, p))) for p in parts])
+        sizes.append((_distinct(kept), _distinct(everything)))
+        return kept
 
     with pytest.MonkeyPatch.context() as m:
         m.setattr(sp, "_use_histogram", lambda *args: False)
@@ -360,6 +367,120 @@ def test_a_half_pruned_to_empty_keeps_the_tally_and_the_cap():
         sumprod_thr(gates, tuple_cap=99)
     assert mitm.partials.value == before
     assert sumprod_thr(gates, tuple_cap=100) == 0
+
+
+def test_an_empty_first_half_builds_no_second_half_and_no_upper_tuple(monkeypatch):
+    # the gates of the test above: the first half's 13 weights per gate are
+    # all that is ever doubled, and the answer comes before any packing
+    n, h = 25, 13
+    rng = random.Random(n)
+    gates = [_thr(rng, n, 10, 100) for _ in range(3)]
+    tables, calls = [], []
+    real_table = sp._half_table
+
+    def table(parts, dtype):
+        tables.append(len(parts[0]))
+        return real_table(parts, dtype)
+
+    def refuse(name):
+        def called(*args):
+            calls.append(name)
+            raise AssertionError(f"{name} after an empty first half")
+        return called
+
+    monkeypatch.setattr(sp, "_use_histogram", lambda *args: False)
+    monkeypatch.setattr(sp, "_half_table", table)
+    for name in ("_affine", "_packed_keys", "_packed_weights"):
+        monkeypatch.setattr(sp, name, refuse(name))
+    before = mitm.partials.value
+    assert sumprod(gates) == 0
+    assert mitm.partials.value - before == 2 ** h + 2 ** (n - h)
+    assert sum(tables) == h and calls == []
+
+
+@st.composite
+def mid_band_rows(draw):
+    """(n, [(weights, first accepted sum)]) with 2-3 gates over n <= 10
+    variables whose weights are a shared magnitude of 2^40-2^58 per
+    variable, with a sign per variable and gate, plus a small offset.  The
+    first two weights of a gate differ by 1, so its primitive form keeps
+    them.  Each gate's own sums stay below 2^62, but a packed key of two or
+    more gates does not.  The first gate accepts from a random subset sum
+    (below its top) up, and the others only their top 0-30 integers, so
+    they expand into few targets."""
+    n = draw(st.integers(2, 10))
+    mags = [draw(st.integers(2**40, 2**58)) for _ in range(n - 1)]
+    mags.insert(1, mags[0] + 1)
+    rows = []
+    for i in range(draw(st.integers(2, 3))):
+        signs = [draw(st.sampled_from((1, 1, -1))) for _ in range(n - 1)]
+        offsets = [draw(st.integers(-20, 20)) for _ in range(n - 1)]
+        signs.insert(1, signs[0])
+        offsets.insert(1, offsets[0])
+        ws = [sign * m + e for sign, m, e in zip(signs, mags, offsets)]
+        top = sum(w for w in ws if w > 0)
+        if i == 0:
+            picks = draw(st.lists(st.booleans(), min_size=n, max_size=n))
+            rows.append((ws, min(top - 1, sum(w for w, p in zip(ws, picks) if p))))
+        else:
+            rows.append((ws, top - draw(st.integers(0, 30))))
+    return n, rows
+
+
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(mid_band_rows())
+def test_mid_band_weights_filter_on_int64_digits_under_python_int_keys(case):
+    n, rows = case
+    tables, packed = [], []
+    real_table, real_affine = sp._half_table, sp._affine
+
+    def table(parts, dtype):
+        tables.append(dtype)
+        return real_table(parts, dtype)
+
+    def affine(row, a, b, dtype):
+        packed.append(dtype)
+        return real_affine(row, a, b, dtype)
+
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(sp, "_use_histogram", lambda *args: False)
+        m.setattr(sp, "_half_table", table)
+        m.setattr(sp, "_affine", affine)
+        for gates in thr_and_relu(rows):
+            assert sumprod(gates) == oracle_sumprod(gates, n)
+    assert tables and all(dtype is np.int64 for dtype in tables)
+    assert all(dtype is object for dtype in packed)
+
+
+@settings(derandomize=True, deadline=None, max_examples=40)
+@given(placed_rows(), st.integers(0, 3))
+def test_bound_filter_blocks_match_the_oracle(case, block_log):
+    # blocks of 2^block_log digits over all the gates: most halves span
+    # several blocks, each shifted by its own sum of the later weights
+    n, rows = case
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(sp, "_BLOCK_LOG", block_log)
+        for gates in thr_and_relu(rows):
+            assert forced(gates, False) == oracle_sumprod(gates, n)
+
+
+def test_bound_filter_peak_memory_at_n36():
+    # three gates at n = 36 that accept their top 8 sums: a filter that
+    # holds a whole packed half, 2^18 int64 sums, and its mask peaks at
+    # 2.57 MiB; the digit blocks stay well below
+    n = 36
+    rng = random.Random(n)
+    gates = [_thr(rng, n, 8, 8) for _ in range(3)]
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(sp, "_use_histogram", lambda *args: False)
+        assert sumprod(gates) == 0  # as the 8^3 exact-threshold conjunctions count
+        tracemalloc.start()
+        try:
+            sumprod(gates)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peak <= 3 << 20
 
 
 # --- the histogram kernel: complemented, ascending, window-pruned passes ----

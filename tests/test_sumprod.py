@@ -170,14 +170,14 @@ def test_scaled_weights_take_exact_path(monkeypatch):
     form, so the scaled copy enumerates the same int64 half sums."""
     module = importlib.import_module("hypersum.sumprod")
     halves = []
-    real_half_sums = module.half_sums
+    real_half_table = module._half_table
 
-    def recording(weights):
-        out = real_half_sums(weights)
-        halves.append((list(weights), isinstance(out, list)))
+    def recording(parts, dtype):
+        out = real_half_table(parts, dtype)
+        halves.append((list(parts), out.dtype == object))
         return out
 
-    monkeypatch.setattr(module, "half_sums", recording)
+    monkeypatch.setattr(module, "_half_table", recording)
     c = 1 << 64  # every nonzero weight becomes at least 2^64
     # scaling widens every gate's integer range c-fold, so all THR gates but
     # one (the widest, which is never expanded) get a single target; a
@@ -331,7 +331,7 @@ def test_relu_common_factors_stay_in_the_row_scale(histogram, monkeypatch):
             return real(*args)
         return wrapped
 
-    monkeypatch.setattr(module, "_pruned_half", spy(module._pruned_half, 1))
+    monkeypatch.setattr(module, "_half_table", spy(module._half_table, 1))
     monkeypatch.setattr(module, "_affine", spy(module._affine, 3))
     rng = random.Random(23)
     n, c = 14, 2**64
