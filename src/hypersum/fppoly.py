@@ -18,25 +18,19 @@ four kernels reads the lifts:
   variables.  It counts the roots of q - v for each v in the lift's
   support: once for a system, p - 1 times for a Sum-Product.
 - The k dense value tables, ``_dense_sum`` (k * 2^n work for any p), for
-  one polynomial with m = 0 and wherever ``_reads_dense`` takes them: the
-  lifted tables are multiplied into one product a table at a time, starting
-  from the first.  When top, the product of the lifts' largest values, is 1
-  (a system, or a Sum-Product over F_2) the product is a bool mask counted
-  with ``np.count_nonzero``; otherwise it is held in the narrowest signed
-  type that holds top ((p-1)^k) and summed in ``int_dtype(top << n)``.
+  one polynomial with m = 0 and wherever ``_reads_dense`` takes them.  Up to
+  n = 13 they are one zeta transform of a stack of k tables (``_eval_stack``),
+  past it one blocked transform each.  Their lifts are multiplied into one
+  product: a bool mask counted with ``np.count_nonzero`` when top, the product
+  of the lifts' largest values, is 1 (a system, or a Sum-Product over F_2);
+  else the narrowest signed type that holds top ((p-1)^k), summed in
+  ``int_dtype(top << n)``.
 - For k >= 2 only, the value-tuple pass ``_accumulators`` over the product
   of the lifts' supports (one tuple for a system, (p-1)^k for a
   Sum-Product), each tuple weighted by the product of its lifts.  It
   answers only where the dense tables pass ``dense_cap`` and m >= 1
   (``_reads_dense``).  Its root counts are one-polynomial questions, so
   they never come back to the pass.
-
-Every dense table comes from one zeta transform with a single reduction at
-the end.  Past 2^13 entries the transform is blocked: the table is viewed as
-rows of 2^8 points that share the high bits of their masks, the passes for
-the 8 low bits run only on the rows that hold a monomial, on transposed
-blocks so that each pass adds along a contiguous axis, and the passes for
-the high bits then run in place over the whole table.
 """
 
 from __future__ import annotations
@@ -56,8 +50,8 @@ from .mitm import _BOX_CELLS, box_sum, form_axes, int_dtype
 
 DEFAULT_DENSE_CAP = 26
 _INT32_BOUND = 1 << 31
-# tables over at most this many variables run every zeta pass in place; timed
-# at n = 11-16 with 6-100 monomials between cache-evicting calls, the blocked
+# tables over at most this many variables are stacked, not blocked; timed at
+# n = 11-16 with 6-100 monomials between cache-evicting calls, the blocked
 # transform's fixed cost lost up to n = 13 and won from n = 14 on
 _DIRECT_VARS = 13
 # the blocked transform's rows hold 2^_LOW_BITS points, and its transposed
@@ -186,39 +180,44 @@ def _require_dense(n_vars: int, dense_cap: int) -> None:
 
 
 def _eval_table(poly: MultilinearRingPoly) -> np.ndarray:
-    """Values of ``poly`` at every point, index = point mask.
+    """Values of ``poly`` at every point, index = point mask: the one-row
+    ``_eval_stack``, which transforms the unblocked tables of a dense
+    question as one stack."""
+    return _eval_stack([poly.coeffs], poly.modulus, poly.n_vars)[0]
 
-    Subset-sum (zeta) transform over the coefficient table: after processing
-    variable i, entry ``mask`` holds the sum of coefficients over monomials
-    contained in ``mask`` restricted to the processed variables.  Every
-    coefficient is below modulus and an entry sums at most 2^n_vars of them,
-    so entries stay below modulus << n_vars.  Below 2^31 the table is int32,
-    which halves the memory the transform streams through; above it
-    ``int_dtype`` picks int64 or Python ints.  The table is reduced once, at
-    the end.
 
-    Above 2^``_DIRECT_VARS`` entries the transform is blocked.  The table is
-    viewed as rows of 2^``_LOW_BITS`` points, one row per value of
-    ``mask >> _LOW_BITS``.  ``_low_passes`` runs the passes for the low bits
-    only on the rows that hold a monomial, since every other row stays zero,
-    and runs them on transposed blocks so that each pass adds along a
-    contiguous axis.  The passes for the high bits then run in place over the
-    whole table, on inner axes of at least 2^``_LOW_BITS`` entries.  Smaller
-    tables run every pass in place.
+def _eval_stack(coeffs: Sequence[Mapping[int, int]], modulus: int, n: int) -> np.ndarray:
+    """The value tables over n variables of the polynomials with coefficients
+    ``coeffs`` (mask -> residue mod ``modulus``), as the rows of one
+    C-contiguous (k, 2^n) stack, index = point mask.
+
+    Subset-sum (zeta) transform: the pass for bit i adds within groups of
+    2^(i+1) entries, which divide 2^n, so each pass and the one reduction at
+    the end run once over the flat stack.  Entries stay below modulus << n:
+    int32 below 2^31, which halves the memory streamed, else ``int_dtype``.
+    Up to 2^``_DIRECT_VARS`` entries a table, the passes for the low half of
+    the stack's bits run on its transpose, so each adds along an axis of at
+    least about sqrt(k 2^n) entries.  Past it the transform is blocked: a
+    table's rows of 2^``_LOW_BITS`` points get the low passes only where they
+    hold a monomial (``_low_passes``), and the high passes run over the stack.
     """
-    n = poly.n_vars
-    bound = poly.modulus << n
-    dtype = np.int32 if bound < _INT32_BOUND else int_dtype(bound)
-    f = np.zeros(1 << n, dtype=dtype)
+    dtype = np.int32 if modulus << n < _INT32_BOUND else int_dtype(modulus << n)
+    k = len(coeffs)
     if n <= _DIRECT_VARS:
-        low = 0
-        for mask, c in poly.coeffs.items():
-            f[mask] = c
+        low = min(n, ((k << n).bit_length() - 1) // 2)
+        cols = np.zeros((1 << low, k << (n - low)), dtype=dtype)
+        for j, items in enumerate(coeffs):
+            for mask, c in items.items():
+                cols[mask & ((1 << low) - 1), j << (n - low) | mask >> low] = c
+        _zeta_passes(cols, range(low), cols.shape[1])
+        f = np.ascontiguousarray(cols.T).reshape(k, 1 << n)
     else:
         low = min(n, _LOW_BITS)
-        _low_passes(f.reshape(-1, 1 << low), poly.coeffs, low)
-    _zeta_passes(f, range(low, n))
-    _reduce(f, poly.modulus)
+        f = np.zeros((k, 1 << n), dtype=dtype)
+        for table, items in zip(f, coeffs):
+            _low_passes(table.reshape(-1, 1 << low), items, low)
+    _zeta_passes(f.reshape(-1), range(low, n))
+    _reduce(f.reshape(-1), modulus)
     return f
 
 
@@ -273,9 +272,7 @@ def _reduce(f: np.ndarray, modulus: int) -> None:
             part -= part // modulus * modulus
 
 
-def eval_all_points(
-    poly: MultilinearRingPoly, dense_cap: int = DEFAULT_DENSE_CAP
-) -> list[int]:
+def eval_all_points(poly: MultilinearRingPoly, dense_cap: int = DEFAULT_DENSE_CAP) -> list[int]:
     """Dense table of poly values on {0,1}^n_vars (exact residues)."""
     _require_dense(poly.n_vars, dense_cap)
     return _eval_table(poly).tolist()
@@ -488,20 +485,23 @@ def _reads_dense(polys: Sequence[FpPolynomial], dense_cap: int) -> bool:
 def _dense_sum(polys: Sequence[FpPolynomial], lifts: Sequence[Optional[int]], top: int) -> int:
     """``_lifted_sum`` on the k dense value tables, the only code that reads
     them: lift_j is the indicator of lifts[j], or the value where that is
-    None, and top bounds the product of the lifts."""
+    None, and top bounds the product of the lifts.  Unblocked tables are
+    built in stacks of at most ``_REDUCE_CHUNK`` entries (``_eval_stack``),
+    blocked ones one at a time, and a stack is dropped once multiplied in."""
     p, n = polys[0].p, polys[0].n
-
-    def lifted(q, t):
-        # one value table at a time, dropped once multiplied in
-        table = _eval_table(MultilinearRingPoly(p, n, q.monomials))
-        return table if t is None else table == t
-
-    # never unsigned, since numpy multiplies uint64 by int32 in float64
-    prod = lifted(polys[0], lifts[0]).astype(
-        bool if top == 1 else np.min_scalar_type(-top - 1), copy=False)
-    for q, t in zip(polys[1:], lifts[1:]):
-        # the running product stays within top, so the cast back is exact
-        np.multiply(prod, lifted(q, t), out=prod, casting="unsafe")
+    per_stack = max(1, _REDUCE_CHUNK >> n) if n <= _DIRECT_VARS else 1
+    prod = None
+    for start in range(0, len(polys), per_stack):
+        stack = _eval_stack([q.monomials for q in polys[start:start + per_stack]], p, n)
+        for table, t in zip(stack, lifts[start:start + per_stack]):
+            lifted = table if t is None else table == t
+            if prod is None:
+                # never unsigned, since numpy multiplies uint64 by int32 in float64
+                prod = lifted.astype(bool if top == 1 else np.min_scalar_type(-top - 1), copy=False)
+            else:
+                # the running product stays within top, so the cast back is exact
+                np.multiply(prod, lifted, out=prod, casting="unsafe")
+        del stack, table, lifted  # before the next stack is built
     if prod.dtype == bool:
         return int(np.count_nonzero(prod))
     return int(prod.sum(dtype=int_dtype(top << n)))

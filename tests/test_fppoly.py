@@ -888,6 +888,116 @@ def test_dense_kernels_hold_one_value_table_at_a_time():
         assert peak < bound + (3 << 19)
 
 
+@st.composite
+def _dense_questions(draw):
+    """(p, n, polys, targets): k = 1-5 polynomials over F_p at n = 2..8, each
+    zero, constant, a repeat of an earlier one, or random of degree at most
+    3, with one degree-2 monomial added to a drawn one, so that no degree-1
+    kernel answers and the dense tables do (m = 0 at n <= 8), and targets
+    drawn from -3p..3p."""
+    p = draw(st.sampled_from([2, 3, 5, 7, 1000003, 2**31 - 1, 2**61 - 1]))
+    n = draw(st.integers(2, 8))
+    coefficients = st.integers(1, p - 1)
+    masks = st.lists(st.integers(0, n - 1), max_size=3).map(lambda vs: sum({1 << v for v in vs}))
+    polys = []
+    for _ in range(draw(st.integers(1, 5))):
+        kind = draw(st.sampled_from(["zero", "constant", "repeat", "random", "random"]))
+        if kind == "repeat" and polys:
+            polys.append(draw(st.sampled_from(polys)))
+        elif kind == "constant":
+            polys.append(FpPolynomial(p, n, {0: draw(coefficients)}))
+        else:
+            monomials = {} if kind == "zero" else draw(st.dictionaries(masks, coefficients))
+            polys.append(FpPolynomial(p, n, monomials))
+    j, i = draw(st.integers(0, len(polys) - 1)), draw(st.integers(1, n - 1))
+    polys[j] = FpPolynomial(p, n, {**polys[j].monomials, 1 << i | 1: draw(coefficients)})
+    targets = draw(st.lists(st.integers(-3 * p, 3 * p), min_size=len(polys), max_size=len(polys)))
+    return p, n, polys, targets
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(_dense_questions())
+def test_stacked_dense_tables_match_the_oracle(question):
+    # p = 1000003 keeps the stack int32 at n <= 8, 2^31 - 1 makes it int64
+    # and 2^61 - 1 Python ints
+    p, n, polys, targets = question
+    q = next(q for q in polys if q.degree >= 2)
+    expect = (oracle_count_fp_system([q], targets[:1]), oracle_count_fp_system(polys, targets),
+              oracle_sumprod(polys, n))
+    with pytest.MonkeyPatch.context() as mp:
+        stacks = _record_calls(mp, "_eval_stack")
+        assert (count_roots(_shifted(q, targets[0])), count_system(polys, targets),
+                sumprod_fp(polys, n)) == expect
+    # the root count's one table, then each question's k tables as one stack
+    assert [len(coeffs) for coeffs in stacks] == [1, len(polys), len(polys)]
+
+
+def _degree_two_polys(p, n, k, width=13):
+    """k polynomials of degree 2 over F_p that read only the first ``width``
+    of the n variables, the same for every n >= width."""
+    rng = random.Random(p * k)
+    return [FpPolynomial(p, n, {**{1 << rng.randrange(width) | 1 << rng.randrange(width):
+                                   rng.randrange(1, p) for _ in range(6)},
+                                3 << j % (width - 1): 1, 0: rng.randrange(p)})
+            for j in range(k)]
+
+
+@pytest.mark.parametrize("p", [2, 5, 2**31 - 1])
+def test_one_stack_at_n_13_and_blocked_tables_at_n_14_agree(monkeypatch, p):
+    # x14 unused doubles every answer; n = 13 is the last stacked size
+    import hypersum.fppoly as fp
+
+    stacks = _record_calls(monkeypatch, "_eval_stack")
+    small, large = _degree_two_polys(p, 13, 4), _degree_two_polys(p, 14, 4)
+    # the values at x = 0, so that the system has a root
+    targets = [q.monomials.get(0, 0) for q in small]
+    assert 2 * sumprod_fp(small, 13) == sumprod_fp(large, 14)
+    assert 2 * count_system(small, targets) == count_system(large, targets)
+    assert fp._DIRECT_VARS == 13
+    assert [len(coeffs) for coeffs in stacks] == [4, 1, 1, 1, 1] * 2
+    assert sumprod_fp(small, 13) == oracle_sumprod(small, 13)
+    assert count_system(small, targets) == oracle_count_fp_system(small, targets) > 0
+
+
+def test_dense_questions_run_one_transform_per_stack(monkeypatch):
+    import tracemalloc
+
+    import hypersum.fppoly as fp
+
+    passes, real = [], fp._zeta_passes
+
+    def counting(table, bits, inner=1):
+        passes.append(len(bits))
+        real(table, bits, inner)
+
+    monkeypatch.setattr(fp, "_zeta_passes", counting)
+    polys = _degree_two_polys(5, 12, 4, 12)
+    assert sumprod_fp(polys, 12) == oracle_sumprod(polys, 12)
+    # 12 passes over the stack of 4 tables, where one table at a time ran 48
+    assert sum(passes) == 12
+
+    def system_peak(k):
+        polys = _degree_two_polys(3, 13, k)
+        targets = [q.monomials.get(0, 0) for q in polys]
+        tracemalloc.start()
+        try:
+            count = count_system(polys, targets)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        ok = np.logical_and.reduce([brute_values(3, 13, q.monomials) == t
+                                    for q, t in zip(polys, targets)])
+        assert count == np.count_nonzero(ok) > 0
+        return peak
+
+    # stacks of at most _REDUCE_CHUNK entries: 8 tables of 2^13 at a time
+    passes.clear()
+    assert fp._REDUCE_CHUNK >> 13 == 8
+    few, many = system_peak(8), system_peak(40)
+    assert sum(passes) == 13 + 5 * 13
+    assert many < few + (1 << 16)
+
+
 def test_dense_sumprod_fp_respects_the_dense_cap():
     q = FpPolynomial(3, 12, {1: 1, 6: 2})
     with pytest.raises(CapExceeded):
